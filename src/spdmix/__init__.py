@@ -5,7 +5,7 @@ Subpackages by concern:
 - :mod:`spdmix.linalg` -- symmetric eigendecomposition and matrix functions
 - :mod:`spdmix.metrics` -- geodesics under five metrics, distance, swelling
 - :mod:`spdmix.spdness` -- covariance/correlation construction and diagnostics
-- :mod:`spdmix.augment` -- mixing strategies, eigendecomposition cache, probes
+- :mod:`spdmix.augment` -- mixing strategies, log-matrix cache, probes
 - :mod:`spdmix.regress` -- kernels, kernel ridge and geodesic regression
 - :mod:`spdmix.data_io` -- dataset model, SPDB format, synthetic generators
 - :mod:`spdmix.cli` -- the ``spdmix`` command-line front end

@@ -1,33 +1,27 @@
 """Augmentation strategies over labeled SPD datasets.
 
 Seven strategies are provided. The geodesic strategy interpolates along
-log-Euclidean geodesics (three eigendecompositions per mix, or one with a
-precomputed :class:`EigenCache`); the remaining six are baselines: linear
-interpolation, per-edge discrete swapping, node/edge dropping, per-edge
-generator sampling, and label-distance pairing.
+log-Euclidean geodesics (three eigendecompositions per mix, or one against
+the log-matrices held by an :class:`EigenCache`); the remaining six are
+baselines: linear interpolation, per-edge discrete swapping, node/edge
+dropping, per-edge generator sampling, and label-distance pairing.
 
 Every strategy takes an explicit ``numpy.random.Generator``;
 :func:`augment_batch` derives one stream per output index from
-``(seed, index)`` so results do not depend on execution order or worker
-count.
+``(seed, index)`` so output ``k`` does not depend on the batch size or on
+the order in which outputs are produced.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
 from .data_io import TASK_CLASSIFICATION, TASK_REGRESSION, LabeledDataset
-from .linalg import (
-    NonPositiveEigenvalueError,
-    eig_sym,
-    matmul,
-    matrix_exp,
-)
+from .linalg import NonPositiveEigenvalueError, matrix_exp, matrix_log
 
 __all__ = [
     "EigenCache",
@@ -72,8 +66,7 @@ class MixConfig:
     ``alpha`` is the Beta shape for the mix ratio, ``keep_prob`` the keep
     probability for the drop strategies, ``cmix_bandwidth`` the label-kernel
     width for label-distance pairing (``None`` defaults to the label standard
-    deviation), and ``use_eigencache`` switches the geodesic strategy to the
-    single-decomposition fast path.
+    deviation).
     """
 
     strategy: str
@@ -81,7 +74,6 @@ class MixConfig:
     keep_prob: float = 0.9
     cmix_bandwidth: float | None = None
     seed: int = 0
-    use_eigencache: bool = False
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -160,53 +152,53 @@ def r_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
 
 @dataclass(frozen=True)
 class EigenCacheEntry:
-    """Per-sample precompute: orthogonal basis and log-eigenvalues."""
+    """One sample's matrix logarithm, as held by an :class:`EigenCache`."""
 
-    orthogonal: np.ndarray
-    log_eigenvalues: np.ndarray
+    logm: np.ndarray
 
     def log_matrix(self) -> np.ndarray:
-        out = matmul(
-            self.orthogonal * self.log_eigenvalues, self.orthogonal, transpose_b=True
-        )
-        return (out + out.T) / 2.0
+        return self.logm
 
 
 class EigenCache:
-    """Read-only store of per-sample eigendecompositions.
+    """Each sample's matrix logarithm, computed on its first use.
 
-    Built once in a precompute phase (one decomposition per sample); mixing
-    against cache entries then needs a single decomposition per mixed sample
-    instead of three.
+    Geodesic mixing is linear in log coordinates, so mixing two cached
+    samples costs one eigendecomposition instead of three. The logarithms
+    fill rows of one stack allocated up front; pages of a large stack become
+    resident only once written. Not thread-safe.
     """
 
-    def __init__(self, entries: dict[str, EigenCacheEntry]):
-        self._entries = dict(entries)
+    def __init__(self, dataset: LabeledDataset):
+        self._dataset = dataset
+        self._logs = np.empty_like(dataset.matrices)
+        self._filled = np.zeros(len(dataset), dtype=bool)
 
     @classmethod
     def build(cls, dataset: LabeledDataset) -> "EigenCache":
-        entries = {}
-        for sample_id, mat in zip(dataset.ids, dataset.matrices):
-            dec = eig_sym(mat)
-            if dec.eigenvalues[0] <= 0.0:
-                raise NonPositiveEigenvalueError(
-                    f"sample {sample_id} is not SPD (min eigenvalue "
-                    f"{dec.eigenvalues[0]:.6e}); clamp before caching"
-                )
-            entries[sample_id] = EigenCacheEntry(
-                orthogonal=dec.orthogonal,
-                log_eigenvalues=np.log(dec.eigenvalues),
-            )
-        return cls(entries)
+        """A cache with every sample's logarithm already computed."""
+        cache = cls(dataset)
+        for k in range(len(dataset)):
+            cache._entry_at(k)
+        return cache
 
     def entry(self, sample_id: str) -> EigenCacheEntry:
-        return self._entries[sample_id]
+        """The entry of the first sample carrying ``sample_id``."""
+        return self._entry_at(self._dataset.ids.index(sample_id))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, sample_id: str) -> bool:
-        return sample_id in self._entries
+    def _entry_at(self, k: int) -> EigenCacheEntry:
+        if not self._filled[k]:
+            try:
+                self._logs[k] = matrix_log(self._dataset.matrices[k])
+            except NonPositiveEigenvalueError as exc:
+                raise NonPositiveEigenvalueError(
+                    f"sample {self._dataset.ids[k]} is not SPD; clamp it "
+                    f"before mixing ({exc})"
+                ) from exc
+            self._filled[k] = True
+        row = self._logs[k]
+        row.flags.writeable = False
+        return EigenCacheEntry(row)
 
 
 def r_mixup_cached(
@@ -217,11 +209,11 @@ def r_mixup_cached(
     lam: float,
     sources=("i", "j"),
 ) -> MixedSample:
-    """Geodesic mix from cached decompositions: one eigendecomposition total."""
-    if entry_i.orthogonal.shape != entry_j.orthogonal.shape:
+    """Geodesic mix from cached log-matrices: one eigendecomposition total."""
+    if entry_i.logm.shape != entry_j.logm.shape:
         raise ValueError(
-            f"stale cache: entry dimensions {entry_i.orthogonal.shape} vs "
-            f"{entry_j.orthogonal.shape}"
+            f"stale cache: entry dimensions {entry_i.logm.shape} vs "
+            f"{entry_j.logm.shape}"
         )
     log_mix = (1.0 - lam) * entry_i.log_matrix() + lam * entry_j.log_matrix()
     mixed = matrix_exp(log_mix)
@@ -521,18 +513,16 @@ def _one_hot(c: int, n_classes: int) -> np.ndarray:
 
 
 def augment_batch(
-    dataset: LabeledDataset,
-    config: MixConfig,
-    count: int,
-    *,
-    workers: int = 1,
+    dataset: LabeledDataset, config: MixConfig, count: int
 ) -> list[MixedSample]:
     """Generate ``count`` augmented samples under one configuration.
 
     Output ``k`` is computed from the stream seeded by ``(config.seed, k)``,
-    so the batch is a pure function of (dataset, config) regardless of worker
-    count or scheduling. Pair selection is anchor-then-partner, uniform
-    without replacement, except the label-distance strategy.
+    so it is a pure function of (dataset, config, k): a longer batch extends
+    a shorter one. Pair selection is anchor-then-partner, uniform without
+    replacement, except the label-distance strategy. Geodesic mixes go
+    through an :class:`EigenCache`, so each source sample is decomposed once
+    and each mix once more.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -553,11 +543,7 @@ def augment_batch(
     n_classes = dataset.n_classes if is_classification and not dataset.has_soft_labels else 0
 
     generator = g_mixup_fit(dataset) if config.strategy == "gmixup" else None
-    cache = (
-        EigenCache.build(dataset)
-        if config.strategy == "rmixup" and config.use_eigencache
-        else None
-    )
+    cache = EigenCache(dataset) if config.strategy == "rmixup" else None
     bandwidth = config.cmix_bandwidth
     if config.strategy == "cmixup" and bandwidth is None:
         if dataset.task == TASK_REGRESSION:
@@ -605,20 +591,15 @@ def augment_batch(
                 sources=sources,
             )
         y_a, y_p = label_of(anchor), label_of(partner)
-        mat_a, mat_p = dataset.matrices[anchor], dataset.matrices[partner]
         if config.strategy == "rmixup":
-            if cache is not None:
-                return r_mixup_cached(
-                    cache.entry(sources[0]), cache.entry(sources[1]), y_a, y_p, lam, sources
-                )
-            return r_mixup(mat_a, mat_p, y_a, y_p, lam, sources)
+            return r_mixup_cached(
+                cache._entry_at(anchor), cache._entry_at(partner), y_a, y_p, lam, sources
+            )
+        mat_a, mat_p = dataset.matrices[anchor], dataset.matrices[partner]
         if config.strategy == "dmixup":
             return d_mixup(mat_a, mat_p, y_a, y_p, lam, rng, sources)
         return v_mixup(mat_a, mat_p, y_a, y_p, lam, sources)
 
-    if workers > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(make, range(count)))
     return [make(k) for k in range(count)]
 
 
@@ -646,6 +627,7 @@ def incorrect_label_probe(
     reproduces the middle label, and the entrywise L1 distance from each mix
     to the real middle sample is accumulated. Linear mixing systematically
     overshoots on datasets whose matrices vary geodesically with the label.
+    Geodesic mixes go through an :class:`EigenCache`.
     """
     if dataset.task != TASK_REGRESSION:
         raise ValueError("the label probe requires a regression dataset")
@@ -654,6 +636,7 @@ def incorrect_label_probe(
     labels = dataset.labels
     if len(np.unique(labels)) < 3:
         raise ValueError("need at least 3 distinct labels for the probe")
+    cache = EigenCache(dataset)
     d_v = np.empty(trials)
     d_r = np.empty(trials)
     for t in range(trials):
@@ -668,7 +651,9 @@ def incorrect_label_probe(
         w = (y2 - y3) / (y1 - y3)
         x1, x2, x3 = dataset.matrices[i1], dataset.matrices[i2], dataset.matrices[i3]
         x_v = w * x1 + (1.0 - w) * x3
-        x_r = r_mixup(x1, x3, y1, y3, 1.0 - w).matrix
+        x_r = r_mixup_cached(
+            cache._entry_at(i1), cache._entry_at(i3), y1, y3, 1.0 - w
+        ).matrix
         d_v[t] = np.abs(x_v - x2).sum()
         d_r[t] = np.abs(x_r - x2).sum()
     return ProbeResult(

@@ -6,9 +6,9 @@ incompatibility (strategy/task mismatch, invalid dataset for an operation),
 
 Reports are machine-readable (CSV or single-line JSON) on stdout; any human
 prose goes to stderr. Every subcommand with a ``--seed`` flag is
-bit-reproducible. ``--config FILE`` supplies ``key=value`` defaults that
-explicit flags override; unknown keys are rejected. The environment variable
-``SPD_AUGMENT_THREADS`` caps batch worker count (0 = auto).
+bit-reproducible; seeds are unsigned 64-bit integers. ``--config FILE``
+supplies ``key=value`` defaults that explicit flags override; unknown keys
+are rejected.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -28,8 +27,8 @@ from . import augment, regress, spdness
 from .data_io import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
+    FormatError,
     LabeledDataset,
-    SpdbFormatError,
     gen_labeled_dataset,
     gen_random_spd,
     gen_synthetic_series,
@@ -47,14 +46,13 @@ class _UsageError(Exception):
     """Bad flag combination detected after argparse."""
 
 
-def _workers() -> int:
-    raw = os.environ.get("SPD_AUGMENT_THREADS", "")
-    if not raw:
-        return 1
-    cap = int(raw)
-    if cap == 0:
-        return os.cpu_count() or 1
-    return max(1, cap)
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an unsigned 64-bit integer, got {text}"
+        )
+    return value
 
 
 def _emit_json(payload: dict) -> None:
@@ -161,9 +159,10 @@ def cmd_mix(args) -> int:
         keep_prob=args.keep_prob,
         cmix_bandwidth=args.bandwidth,
         seed=args.seed,
-        use_eigencache=args.cache == "on",
     )
-    samples = augment.augment_batch(dataset, config, args.count, workers=_workers())
+    if args.cache is not None:
+        print("note: --cache is deprecated and has no effect", file=sys.stderr)
+    samples = augment.augment_batch(dataset, config, args.count)
     if samples:
         matrices = np.stack([s.matrix for s in samples])
         first = samples[0].label
@@ -194,7 +193,7 @@ def cmd_mix(args) -> int:
             )
     _emit_json(
         {"strategy": args.strategy, "count": len(samples), "n": dataset.dim,
-         "seed": args.seed, "cache": args.cache, "output": str(args.output)}
+         "seed": args.seed, "output": str(args.output)}
     )
     return 0
 
@@ -425,7 +424,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--kind", required=True, choices=["log-linear", "clustered", "spd", "series"])
     p.add_argument("--n", type=int, required=True, help="matrix dimension / variable count")
     p.add_argument("--count", type=int, default=1, help="samples (or series files)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--t", type=int, default=None, help="series length (kind=series)")
     p.add_argument("--latent-rank", type=int, default=None, help="latent signals (kind=series)")
     p.add_argument("--noise", type=float, default=0.0)
@@ -444,9 +443,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--keep-prob", type=float, default=0.9)
     p.add_argument("--bandwidth", type=float, default=None, help="label kernel width (cmixup)")
     p.add_argument("--count", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache", choices=["on", "off"], default="off",
-                   help="use the precomputed eigendecomposition fast path")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--cache", choices=["on", "off"], default=None,
+                   help="deprecated, no effect")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_mix)
 
@@ -464,7 +463,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub("regress", "geodesic-vs-line regression comparison harness")
     p.add_argument("--input", required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sigma", type=float, default=None,
                    help="kernel bandwidth; default 8x each pair's distance")
     p.add_argument("--lambdas", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
@@ -474,14 +473,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub("probe", "incorrect-label probe on a regression dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_probe)
 
     p = sub("bench", "time direct vs cached geodesic mixing")
     p.add_argument("--n", default="8,50,120,360", help="comma-separated dimensions")
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)
 
@@ -499,7 +498,7 @@ def _coerce(action: argparse.Action, text: str):
     if action.type is not None:
         try:
             return action.type(text)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise _UsageError(f"config key {action.dest}: {exc}")
     return text
 
@@ -537,7 +536,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SpdbFormatError as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -30,6 +30,7 @@ from scipy.linalg import qr
 from .linalg import SpdMatrix, matmul, matrix_exp, matrix_log
 
 __all__ = [
+    "FormatError",
     "LabeledDataset",
     "SpdbFormatError",
     "gen_labeled_dataset",
@@ -51,7 +52,11 @@ TASK_CLASSIFICATION = "classification"
 TASK_REGRESSION = "regression"
 
 
-class SpdbFormatError(ValueError):
+class FormatError(ValueError):
+    """A file on disk is not in the format it is read as."""
+
+
+class SpdbFormatError(FormatError):
     """The bytes on disk do not form a valid SPDB file."""
 
 
@@ -144,9 +149,12 @@ def write_matrices(path, dataset: LabeledDataset) -> None:
         fh.write(_HEADER.pack(MAGIC, VERSION, n, count, flags))
         fh.write(payload)
     with open(_labels_path(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write("id,label\n")
-        for sample_id, label in zip(dataset.ids, dataset.labels):
-            fh.write(f"{sample_id},{_format_label(label)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "label"])
+        writer.writerows(
+            [sample_id, _format_label(label)]
+            for sample_id, label in zip(dataset.ids, dataset.labels)
+        )
 
 
 def _parse_labels(rows: list[tuple[str, str]], task: str) -> np.ndarray:
@@ -158,6 +166,9 @@ def _parse_labels(rows: list[tuple[str, str]], task: str) -> np.ndarray:
         return np.asarray(parsed, dtype=np.float64)
     values = [float(text) for _, text in rows]
     if task == TASK_CLASSIFICATION:
+        for (sample_id, text), value in zip(rows, values):
+            if not value.is_integer():
+                raise SpdbFormatError(f"sample {sample_id}: class id {text!r} is not an integer")
         return np.asarray([int(v) for v in values], dtype=np.int64)
     return np.asarray(values, dtype=np.float64)
 
@@ -228,18 +239,31 @@ def write_series_csv(path, series: np.ndarray, layout: str = "vars-as-rows") -> 
 
 
 def read_series_csv(path, layout: str = "vars-as-rows") -> np.ndarray:
-    """Read a series CSV; an optional non-numeric first row is a name header."""
+    """Read a series CSV; an optional non-numeric first row is a name header.
+
+    Empty or ragged files and non-numeric values raise :class:`FormatError`.
+    """
     if layout not in ("vars-as-rows", "vars-as-cols"):
         raise ValueError(f"unknown series layout {layout!r}")
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if rows:
+        try:
+            float(rows[0][1][0])
+        except ValueError:
+            rows = rows[1:]
     if not rows:
-        raise ValueError(f"empty series file {path}")
-    try:
-        float(rows[0][0])
-    except ValueError:
-        rows = rows[1:]
-    table = np.asarray([[float(v) for v in row] for row in rows])
+        raise FormatError(f"{path}: no data rows")
+    width = len(rows[0][1])
+    table = np.empty((len(rows), width))
+    for k, (line, row) in enumerate(rows):
+        if len(row) != width:
+            raise FormatError(f"{path}, line {line}: {len(row)} values, expected {width}")
+        try:
+            table[k] = [float(v) for v in row]
+        except ValueError as exc:
+            raise FormatError(f"{path}, line {line}: {exc}") from exc
     return table if layout == "vars-as-rows" else table.T
 
 

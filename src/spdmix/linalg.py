@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
@@ -166,7 +166,7 @@ def eig_sym(a: np.ndarray) -> EigenDecomposition:
         raise EigenConvergenceError(
             f"symmetric eigensolver failed to converge on a "
             f"{sym.shape[0]}x{sym.shape[0]} matrix with ||A||_F = "
-            f"{np.linalg.norm(sym):.6e}"
+            f"{fro_norm(sym):.6e}"
         ) from exc
     return EigenDecomposition(orthogonal=v, eigenvalues=w)
 
@@ -321,8 +321,3 @@ def log_det(s) -> float:
         )
     return float(np.sum(np.log(w)))
 
-
-def apply_spectral(s, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to the spectrum: ``O diag(fn(mu)) O^T``."""
-    dec = eig_sym(_as_matrix(s))
-    return dec.recompose(fn(dec.eigenvalues))

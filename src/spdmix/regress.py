@@ -67,6 +67,13 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> int:
     return a.shape[0]
 
 
+def _gaussian(d2, n: int, sigma: float, space: str):
+    """Normalizer and values of the Gaussian kernel at squared distances ``d2``."""
+    power = n * (n - 1) / 4.0 if space == SPACE_RIEMANNIAN else n / 2.0
+    norm = (2.0 * np.pi * sigma**2) ** -power
+    return norm, norm * np.exp(-d2 / (2.0 * sigma**2))
+
+
 def heat_kernel(s_i, s_hat, sigma: float) -> float:
     """Gaussian kernel in the manifold distance with heat-kernel normalizer.
 
@@ -80,8 +87,7 @@ def heat_kernel(s_i, s_hat, sigma: float) -> float:
     b = np.asarray(s_hat, dtype=np.float64)
     n = _check_dims(a, b)
     d = metrics.log_euclidean_distance(a, b)
-    norm = (2.0 * np.pi * sigma**2) ** (-n * (n - 1) / 4.0)
-    return float(norm * np.exp(-(d**2) / (2.0 * sigma**2)))
+    return float(_gaussian(d**2, n, sigma, SPACE_RIEMANNIAN)[1])
 
 
 def euclidean_kernel(s_i, s_hat, sigma: float) -> float:
@@ -92,37 +98,31 @@ def euclidean_kernel(s_i, s_hat, sigma: float) -> float:
     b = np.asarray(s_hat, dtype=np.float64)
     n = _check_dims(a, b)
     d = fro_norm(a - b)
-    norm = (2.0 * np.pi * sigma**2) ** (-n / 2.0)
-    return float(norm * np.exp(-(d**2) / (2.0 * sigma**2)))
+    return float(_gaussian(d**2, n, sigma, SPACE_EUCLIDEAN)[1])
 
 
-def _embeddings(matrices: np.ndarray, space: str) -> np.ndarray:
-    # Pairwise distances reduce to Euclidean distances between embeddings:
-    # log-matrices for the manifold metric, the matrices themselves otherwise.
-    if space == SPACE_RIEMANNIAN:
-        return np.stack([matrix_log(m) for m in matrices])
-    return np.asarray(matrices, dtype=np.float64)
+def _gram(matrices: np.ndarray, config: KernelConfig):
+    """Embeddings, squared pairwise distances, normalizer and kernel matrix.
 
-
-def _pairwise_sq_dists(emb: np.ndarray) -> np.ndarray:
+    Pairwise distances reduce to Euclidean distances between embeddings:
+    log-matrices for the manifold metric, the matrices themselves otherwise.
+    """
+    if config.space == SPACE_RIEMANNIAN:
+        emb = np.stack([matrix_log(m) for m in matrices])
+    else:
+        emb = np.asarray(matrices, dtype=np.float64)
     flat = emb.reshape(len(emb), -1)
     sq = np.sum(flat**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * flat @ flat.T
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    d2 = np.maximum(d2, 0.0)
+    norm, gram = _gaussian(d2, matrices.shape[1], config.sigma, config.space)
+    return emb, d2, norm, gram
 
 
 def gram_matrix(matrices, config: KernelConfig) -> np.ndarray:
     """Normalized kernel matrix over a set of samples."""
-    mats = np.asarray(matrices, dtype=np.float64)
-    n = mats.shape[1]
-    emb = _embeddings(mats, config.space)
-    d2 = _pairwise_sq_dists(emb)
-    if config.space == SPACE_RIEMANNIAN:
-        norm = (2.0 * np.pi * config.sigma**2) ** (-n * (n - 1) / 4.0)
-    else:
-        norm = (2.0 * np.pi * config.sigma**2) ** (-n / 2.0)
-    return norm * np.exp(-d2 / (2.0 * config.sigma**2))
+    return _gram(np.asarray(matrices, dtype=np.float64), config)[3]
 
 
 class KernelRidgePredictor:
@@ -164,14 +164,7 @@ def fit_kernel_ridge(train: LabeledDataset, config: KernelConfig) -> KernelRidge
         raise ValueError("kernel ridge regression requires a regression dataset")
     if len(train) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    mats = train.matrices
-    n = mats.shape[1]
-    emb = _embeddings(mats, config.space)
-    d2 = _pairwise_sq_dists(emb)
-    if config.space == SPACE_RIEMANNIAN:
-        norm = (2.0 * np.pi * config.sigma**2) ** (-n * (n - 1) / 4.0)
-    else:
-        norm = (2.0 * np.pi * config.sigma**2) ** (-n / 2.0)
+    emb, d2, norm, gram = _gram(train.matrices, config)
     if config.ridge == 0.0 and len(train) > 1:
         off = d2[np.triu_indices(len(train), k=1)]
         if np.min(off) <= 1e-20:  # squared distance; pairs within 1e-10
@@ -180,7 +173,6 @@ def fit_kernel_ridge(train: LabeledDataset, config: KernelConfig) -> KernelRidge
                 "distance <= 1e-10), so the ridge-free Gram matrix is "
                 "singular - refit with ridge > 0"
             )
-    gram = norm * np.exp(-d2 / (2.0 * config.sigma**2))
     y = train.labels.astype(np.float64)
     for jitter in _JITTER_LADDER:
         shifted = gram + (config.ridge + jitter * norm) * np.eye(len(gram))

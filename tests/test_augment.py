@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spdmix.augment import (
+    STRATEGIES,
     EigenCache,
     MixConfig,
     augment_batch,
@@ -153,7 +154,7 @@ class TestRMixupCached:
         ds = LabeledDataset(
             matrices=np.stack([np.diag([1.0, -1.0])]), labels=[0.0], task="regression"
         )
-        with pytest.raises(ValueError, match="clamp"):
+        with pytest.raises(ValueError, match="s000000.*clamp"):
             EigenCache.build(ds)
 
     def test_cache_entries_reconstruct_log_matrices(self):
@@ -475,13 +476,17 @@ class TestAugmentBatch:
             assert s1.label == s2.label
             assert s1.provenance == s2.provenance
 
-    def test_workers_do_not_change_results(self):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_longer_batch_extends_shorter(self, strategy):
+        # per-index (seed, k) streams: output k does not depend on count
         ds = regression_dataset(seed=34)
-        config = MixConfig(strategy="vmixup", seed=5)
-        serial = augment_batch(ds, config, 12, workers=1)
-        threaded = augment_batch(ds, config, 12, workers=4)
-        for s1, s2 in zip(serial, threaded):
+        config = MixConfig(strategy=strategy, seed=5)
+        short = augment_batch(ds, config, 8)
+        long = augment_batch(ds, config, 12)
+        for s1, s2 in zip(short, long[:8], strict=True):
             assert np.array_equal(s1.matrix, s2.matrix)
+            assert np.array_equal(s1.label, s2.label)
+            assert s1.provenance == s2.provenance
 
     def test_rmixup_outputs_all_spd(self):
         ds = regression_dataset(seed=35, count=12, n=6, cond=1e3)
@@ -490,16 +495,38 @@ class TestAugmentBatch:
             assert SpdMatrix.from_array(sample.matrix).min_eigenvalue > 0
 
     def test_cache_flag_matches_direct(self):
+        # every batch mix equals the three-decomposition r_mixup on its
+        # provenance pair and ratio, bit for bit
         ds = regression_dataset(seed=36, count=8, n=5)
-        direct = augment_batch(ds, MixConfig(strategy="rmixup", seed=9), 10)
-        cached = augment_batch(
-            ds, MixConfig(strategy="rmixup", seed=9, use_eigencache=True), 10
-        )
-        for s1, s2 in zip(direct, cached):
-            assert np.linalg.norm(s1.matrix - s2.matrix) <= 1e-8 * np.linalg.norm(
-                s1.matrix
+        out = augment_batch(ds, MixConfig(strategy="rmixup", seed=9), 10)
+        for sample in out:
+            p = sample.provenance
+            i, j = ds.ids.index(p.source_i), ds.ids.index(p.source_j)
+            direct = r_mixup(
+                ds.matrices[i], ds.matrices[j], ds.labels[i], ds.labels[j], p.lam,
+                (p.source_i, p.source_j),
             )
-            assert s1.provenance == s2.provenance
+            assert np.array_equal(sample.matrix, direct.matrix)
+            assert sample.label == direct.label
+            assert sample.provenance == direct.provenance
+
+    def test_rmixup_decomposes_only_used_samples(self):
+        # at most one decomposition per distinct source plus one per mix
+        ds = regression_dataset(seed=42, count=64, n=4)
+        with count_eig_calls() as counter:
+            augment_batch(ds, MixConfig(strategy="rmixup", seed=3), 4)
+        assert counter.count <= 12
+
+    def test_duplicate_ids_mix_their_own_matrices(self):
+        ds = regression_dataset(seed=43, count=6, n=4)
+        dup = LabeledDataset(
+            matrices=ds.matrices, labels=ds.labels, task="regression", ids=["x"] * 6
+        )
+        config = MixConfig(strategy="rmixup", seed=4)
+        for s1, s2 in zip(augment_batch(ds, config, 10), augment_batch(dup, config, 10)):
+            assert np.array_equal(s1.matrix, s2.matrix)
+        probe = incorrect_label_probe(ds, 20, np.random.default_rng(5))
+        assert incorrect_label_probe(dup, 20, np.random.default_rng(5)) == probe
 
     def test_classification_labels_stay_on_simplex(self):
         rng = np.random.default_rng(37)

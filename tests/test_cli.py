@@ -68,18 +68,23 @@ class TestGen:
 
 class TestMix:
     def test_cache_on_off_equivalence(self, capsys, tmp_path):
+        # --cache is deprecated: on, off and no flag write the same bytes
         src, _ = gen_dataset(capsys, tmp_path)
-        out_a = tmp_path / "a.spdb"
-        out_b = tmp_path / "b.spdb"
-        for out, cache in ((out_a, "off"), (out_b, "on")):
-            code, _, _ = run(
+        written = []
+        for cache in (("--cache", "off"), ("--cache", "on"), ()):
+            out = tmp_path / f"{cache[-1] if cache else 'none'}.spdb"
+            code, _, err = run(
                 capsys, "mix", "--input", str(src), "--strategy", "rmixup",
-                "--count", "16", "--seed", "5", "--cache", cache, "-o", str(out),
+                "--count", "16", "--seed", "5", *cache, "-o", str(out),
             )
             assert code == 0
-        da, db = read_matrices(out_a), read_matrices(out_b)
-        for ma, mb in zip(da.matrices, db.matrices):
-            assert np.linalg.norm(ma - mb) <= 1e-8 * np.linalg.norm(ma)
+            assert ("deprecated" in err) == bool(cache)
+            written.append([
+                out.read_bytes(),
+                out.with_name(out.stem + ".labels.csv").read_bytes(),
+                out.with_name(out.stem + ".provenance.csv").read_bytes(),
+            ])
+        assert written[0] == written[1] == written[2]
 
     def test_vmixup_outputs_psd(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path)
@@ -136,6 +141,22 @@ class TestMix:
         )
         assert code == 1
 
+    def test_out_of_range_seed_is_usage_error(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path)
+        out = str(tmp_path / "o.spdb")
+        commands = (
+            ("mix", "--input", str(src), "--strategy", "rmixup", "--count", "1", "-o", out),
+            ("gen", "--kind", "spd", "--n", "3", "-o", out),
+            ("regress", "--input", str(src)),
+            ("probe", "--input", str(src)),
+            ("bench", "--n", "3"),
+        )
+        for argv in commands:
+            for seed in ("-1", str(2**64)):
+                code, _, err = run(capsys, *argv, "--seed", seed)
+                assert code == 2, argv
+                assert "seed" in err
+
     def test_corrupt_input_is_io_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.spdb"
         bad.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -165,6 +186,13 @@ class TestDiagnose:
         ]
         assert len(means) == 5
         assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
+
+    def test_ragged_series_is_format_error(self, capsys, tmp_path):
+        series = tmp_path / "ragged.csv"
+        series.write_text("1.0,2.0,3.0\n4.0,5.0\n")
+        code, _, err = run(capsys, "diagnose", "--input", str(series))
+        assert code == 1
+        assert "ragged.csv" in err and "line 2" in err
 
     def test_spdb_input_requires_t(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path)
@@ -336,19 +364,3 @@ class TestConfigFile:
         )
         assert code == 0
 
-
-class TestThreadCap:
-    def test_env_var_worker_cap_preserves_results(self, capsys, tmp_path, monkeypatch):
-        src, _ = gen_dataset(capsys, tmp_path)
-        out_serial = tmp_path / "s1.spdb"
-        run(
-            capsys, "mix", "--input", str(src), "--strategy", "rmixup",
-            "--count", "8", "--seed", "4", "-o", str(out_serial),
-        )
-        monkeypatch.setenv("SPD_AUGMENT_THREADS", "4")
-        out_threaded = tmp_path / "s2.spdb"
-        run(
-            capsys, "mix", "--input", str(src), "--strategy", "rmixup",
-            "--count", "8", "--seed", "4", "-o", str(out_threaded),
-        )
-        assert out_serial.read_bytes()[18:] == out_threaded.read_bytes()[18:]

@@ -1,9 +1,15 @@
 """SPDB format roundtrips and synthetic generator properties."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdmix.data_io import (
+    FormatError,
     LabeledDataset,
     SpdbFormatError,
     gen_labeled_dataset,
@@ -112,6 +118,46 @@ class TestSpdbRoundtrip:
         with pytest.raises(SpdbFormatError, match="label-count mismatch"):
             read_matrices(path)
 
+    def test_ids_with_delimiters_roundtrip(self, tmp_path):
+        ds = small_regression_dataset(count=3)
+        ds.ids = ["a,b", 'say "hi"', "two\nlines"]
+        path = tmp_path / "ids.spdb"
+        write_matrices(path, ds)
+        assert read_matrices(path).ids == ds.ids
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(
+            st.text(st.characters(codec="utf-8").filter(str.isprintable)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_printable_ids_roundtrip(self, ids):
+        ds = LabeledDataset(
+            matrices=np.stack([np.eye(2)] * len(ids)),
+            labels=np.arange(len(ids)),
+            task="classification",
+            ids=ids,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.spdb"
+            write_matrices(path, ds)
+            back = read_matrices(path)
+        assert back.ids == ids
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_fractional_class_id_rejected(self, tmp_path):
+        ds = LabeledDataset(
+            matrices=np.stack([np.eye(2)] * 2), labels=[0, 1], task="classification"
+        )
+        path = tmp_path / "c.spdb"
+        write_matrices(path, ds)
+        labels = path.with_name("c.labels.csv")
+        labels.write_text(labels.read_text().replace(",1\n", ",1.7\n"))
+        with pytest.raises(SpdbFormatError, match="1.7"):
+            read_matrices(path)
+
     def test_missing_labels_sidecar(self, tmp_path):
         ds = small_regression_dataset()
         path = tmp_path / "s.spdb"
@@ -136,6 +182,21 @@ class TestSeriesCsv:
         path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
         back = read_series_csv(path, layout="vars-as-cols")
         np.testing.assert_array_equal(back, [[1.0, 3.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("1.0,2.0\n\n3.0\n", "line 3: 1 values, expected 2"),
+            ("1.0,2.0\n3.0,x\n", "line 2: could not convert"),
+            ("a,b\n", "no data rows"),
+        ],
+    )
+    def test_malformed_rows_name_file_and_line(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=match) as info:
+            read_series_csv(path)
+        assert "bad.csv" in str(info.value)
 
 
 class TestGenRandomSpd:
