@@ -9,19 +9,27 @@ dropping, per-edge generator sampling, and label-distance pairing.
 Every strategy takes an explicit ``numpy.random.Generator``;
 :func:`augment_batch` derives one stream per output index from
 ``(seed, index)`` so output ``k`` does not depend on the batch size or on
-the order in which outputs are produced.
+the order in which outputs are produced. Batched geodesic mixes (rmixup
+batches and the label probe) first draw every pair and ratio, then run
+stacked matrix logarithms and exponentials a chunk of matrices at a time.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import metrics
 from .data_io import TASK_CLASSIFICATION, TASK_REGRESSION, LabeledDataset
-from .linalg import NonPositiveEigenvalueError, matrix_exp, matrix_log
+from .linalg import (
+    EigenvalueOverflowError,
+    NonPositiveEigenvalueError,
+    matrix_exp,
+    matrix_log,
+)
 
 __all__ = [
     "EigenCache",
@@ -57,6 +65,17 @@ STRATEGIES = (
 )
 
 _PAIRWISE = {"rmixup", "vmixup", "dmixup", "gmixup", "cmixup"}
+
+# Bytes of matrices handed to one stacked eigensolve. It bounds the working
+# set of a batched mix at large n and still stacks thousands of matrices at
+# small n, where per-call overhead dominates.
+_CHUNK_BYTES = 4 << 20
+
+
+def _chunks(total: int, n: int) -> Iterator[slice]:
+    step = max(1, _CHUNK_BYTES // (8 * n * n))
+    for start in range(0, total, step):
+        yield slice(start, min(start + step, total))
 
 
 @dataclass(frozen=True)
@@ -165,8 +184,9 @@ class EigenCache:
 
     Geodesic mixing is linear in log coordinates, so mixing two cached
     samples costs one eigendecomposition instead of three. The logarithms
-    fill rows of one stack allocated up front; pages of a large stack become
-    resident only once written. Not thread-safe.
+    fill rows of one stack allocated up front, a chunk of samples per
+    stacked :func:`matrix_log`; pages of a large stack become resident only
+    once written. Not thread-safe.
     """
 
     def __init__(self, dataset: LabeledDataset):
@@ -178,27 +198,56 @@ class EigenCache:
     def build(cls, dataset: LabeledDataset) -> "EigenCache":
         """A cache with every sample's logarithm already computed."""
         cache = cls(dataset)
-        for k in range(len(dataset)):
-            cache._entry_at(k)
+        cache._fill(np.arange(len(dataset)))
         return cache
 
     def entry(self, sample_id: str) -> EigenCacheEntry:
         """The entry of the first sample carrying ``sample_id``."""
-        return self._entry_at(self._dataset.ids.index(sample_id))
-
-    def _entry_at(self, k: int) -> EigenCacheEntry:
-        if not self._filled[k]:
-            try:
-                self._logs[k] = matrix_log(self._dataset.matrices[k])
-            except NonPositiveEigenvalueError as exc:
-                raise NonPositiveEigenvalueError(
-                    f"sample {self._dataset.ids[k]} is not SPD; clamp it "
-                    f"before mixing ({exc})"
-                ) from exc
-            self._filled[k] = True
+        k = self._dataset.ids.index(sample_id)
+        self._fill([k])
         row = self._logs[k]
         row.flags.writeable = False
         return EigenCacheEntry(row)
+
+    def _fill(self, rows) -> None:
+        """Compute the logarithms of the samples in ``rows`` not yet held."""
+        rows = np.unique(np.asarray(rows, dtype=np.intp))
+        todo = rows[~self._filled[rows]]
+        for part in _chunks(len(todo), self._dataset.dim):
+            picked = todo[part]
+            try:
+                self._logs[picked] = matrix_log(self._dataset.matrices[picked])
+            except NonPositiveEigenvalueError as exc:
+                k = int(picked[exc.index])
+                raise NonPositiveEigenvalueError(
+                    f"sample {self._dataset.ids[k]} is not SPD; clamp it "
+                    f"before mixing ({exc})",
+                    index=k,
+                ) from exc
+            self._filled[picked] = True
+
+    def _mixes(
+        self, first: np.ndarray, second: np.ndarray, lams: np.ndarray
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """``exp((1-lam) log S_first + lam log S_second)`` row by row.
+
+        Yields ``(rows, stack)`` a chunk at a time; each matrix has the bits
+        :func:`r_mixup_cached` gives the same pair and ratio.
+        """
+        self._fill(np.concatenate([first, second]))
+        for part in _chunks(len(lams), self._dataset.dim):
+            w = lams[part, None, None]
+            log_mix = (1.0 - w) * self._logs[first[part]] + w * self._logs[second[part]]
+            try:
+                mixed = matrix_exp(log_mix)
+            except EigenvalueOverflowError as exc:
+                k = part.start + exc.index
+                ids = self._dataset.ids
+                raise EigenvalueOverflowError(
+                    f"mix {k} of samples {ids[first[k]]} and {ids[second[k]]}: {exc}",
+                    index=k,
+                ) from exc
+            yield part, mixed
 
 
 def r_mixup_cached(
@@ -512,6 +561,41 @@ def _one_hot(c: int, n_classes: int) -> np.ndarray:
     return out
 
 
+def _r_mixup_batch(
+    dataset: LabeledDataset, config: MixConfig, count: int, labels: np.ndarray
+) -> list[MixedSample]:
+    """rmixup in two phases: draw every pair and ratio from its own
+    ``(seed, k)`` stream, then mix through stacked eigensolves."""
+    size = len(dataset)
+    anchors, partners, lams = [], [], []
+    for k in range(count):
+        rng = np.random.default_rng([int(config.seed), k])
+        anchor = int(rng.integers(size))
+        anchors.append(anchor)
+        partners.append(_partner_uniform(anchor, size, rng))
+        lams.append(sample_beta(config.alpha, rng))
+    first, second = np.asarray(anchors, np.intp), np.asarray(partners, np.intp)
+    ratios = np.asarray(lams)
+    matrices = np.empty((count, dataset.dim, dataset.dim))
+    for part, mixed in EigenCache(dataset)._mixes(first, second, ratios):
+        matrices[part] = mixed
+    matrices.flags.writeable = False
+    w = ratios.reshape(-1, *([1] * (labels.ndim - 1)))
+    mixed_labels = (1.0 - w) * labels[first] + w * labels[second]
+    if mixed_labels.ndim == 1:
+        mixed_labels = mixed_labels.tolist()
+    ids = dataset.ids
+    return [
+        MixedSample(
+            matrix=matrices[k],
+            label=mixed_labels[k],
+            provenance=Provenance("rmixup", ids[a], ids[p], lam=lam),
+            spd_guaranteed=True,
+        )
+        for k, (a, p, lam) in enumerate(zip(anchors, partners, lams))
+    ]
+
+
 def augment_batch(
     dataset: LabeledDataset, config: MixConfig, count: int
 ) -> list[MixedSample]:
@@ -521,8 +605,8 @@ def augment_batch(
     so it is a pure function of (dataset, config, k): a longer batch extends
     a shorter one. Pair selection is anchor-then-partner, uniform without
     replacement, except the label-distance strategy. Geodesic mixes go
-    through an :class:`EigenCache`, so each source sample is decomposed once
-    and each mix once more.
+    through an :class:`EigenCache`, so each drawn source sample is
+    decomposed once and each mix once more, in stacked chunks.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -542,8 +626,13 @@ def augment_batch(
         )
     n_classes = dataset.n_classes if is_classification and not dataset.has_soft_labels else 0
 
+    if config.strategy == "rmixup":
+        if n_classes:
+            labels = np.eye(n_classes)[dataset.labels]
+        else:
+            labels = dataset.labels.astype(np.float64)
+        return _r_mixup_batch(dataset, config, count, labels)
     generator = g_mixup_fit(dataset) if config.strategy == "gmixup" else None
-    cache = EigenCache(dataset) if config.strategy == "rmixup" else None
     bandwidth = config.cmix_bandwidth
     if config.strategy == "cmixup" and bandwidth is None:
         if dataset.task == TASK_REGRESSION:
@@ -591,10 +680,6 @@ def augment_batch(
                 sources=sources,
             )
         y_a, y_p = label_of(anchor), label_of(partner)
-        if config.strategy == "rmixup":
-            return r_mixup_cached(
-                cache._entry_at(anchor), cache._entry_at(partner), y_a, y_p, lam, sources
-            )
         mat_a, mat_p = dataset.matrices[anchor], dataset.matrices[partner]
         if config.strategy == "dmixup":
             return d_mixup(mat_a, mat_p, y_a, y_p, lam, rng, sources)
@@ -627,7 +712,8 @@ def incorrect_label_probe(
     reproduces the middle label, and the entrywise L1 distance from each mix
     to the real middle sample is accumulated. Linear mixing systematically
     overshoots on datasets whose matrices vary geodesically with the label.
-    Geodesic mixes go through an :class:`EigenCache`.
+    All trials are drawn first; their geodesic mixes then go through an
+    :class:`EigenCache` in stacked chunks.
     """
     if dataset.task != TASK_REGRESSION:
         raise ValueError("the label probe requires a regression dataset")
@@ -636,7 +722,9 @@ def incorrect_label_probe(
     labels = dataset.labels
     if len(np.unique(labels)) < 3:
         raise ValueError("need at least 3 distinct labels for the probe")
-    cache = EigenCache(dataset)
+    mats = dataset.matrices
+    picked = np.empty((trials, 3), dtype=np.intp)
+    lams = np.empty(trials)
     d_v = np.empty(trials)
     d_r = np.empty(trials)
     for t in range(trials):
@@ -645,17 +733,14 @@ def incorrect_label_probe(
             y = labels[picks]
             if len(np.unique(y)) == 3:
                 break
-        order = np.argsort(y)
-        i1, i2, i3 = picks[order]
-        y1, y2, y3 = labels[i1], labels[i2], labels[i3]
-        w = (y2 - y3) / (y1 - y3)
-        x1, x2, x3 = dataset.matrices[i1], dataset.matrices[i2], dataset.matrices[i3]
-        x_v = w * x1 + (1.0 - w) * x3
-        x_r = r_mixup_cached(
-            cache._entry_at(i1), cache._entry_at(i3), y1, y3, 1.0 - w
-        ).matrix
-        d_v[t] = np.abs(x_v - x2).sum()
-        d_r[t] = np.abs(x_r - x2).sum()
+        i1, i2, i3 = picked[t] = picks[np.argsort(y)]
+        w = (labels[i2] - labels[i3]) / (labels[i1] - labels[i3])
+        lams[t] = 1.0 - w
+        d_v[t] = np.abs(w * mats[i1] + (1.0 - w) * mats[i3] - mats[i2]).sum()
+    mixes = EigenCache(dataset)._mixes(picked[:, 0], picked[:, 2], lams)
+    for part, x_r in mixes:
+        for t, x in enumerate(x_r, start=part.start):
+            d_r[t] = np.abs(x - mats[picked[t, 1]]).sum()
     return ProbeResult(
         mean_dv=float(d_v.mean()),
         mean_dr=float(d_r.mean()),

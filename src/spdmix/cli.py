@@ -14,7 +14,6 @@ are rejected.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -29,6 +28,7 @@ from .data_io import (
     TASK_REGRESSION,
     FormatError,
     LabeledDataset,
+    csv_writer,
     gen_labeled_dataset,
     gen_random_spd,
     gen_synthetic_series,
@@ -61,7 +61,7 @@ def _emit_json(payload: dict) -> None:
 
 def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv_writer(buf, [str(row[0]) for row in rows])
     writer.writerow(header)
     writer.writerows(rows)
     if out_path:
@@ -183,7 +183,7 @@ def cmd_mix(args) -> int:
     write_matrices(args.output, out)
     prov_path = Path(args.output).with_name(Path(args.output).stem + ".provenance.csv")
     with open(prov_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh, dataset.ids)
         writer.writerow(["id", "strategy", "source_i", "source_j", "lam", "mask_summary"])
         for sample_id, s in zip(out.ids, samples):
             p = s.provenance

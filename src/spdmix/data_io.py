@@ -33,6 +33,7 @@ __all__ = [
     "FormatError",
     "LabeledDataset",
     "SpdbFormatError",
+    "csv_writer",
     "gen_labeled_dataset",
     "gen_random_spd",
     "gen_synthetic_series",
@@ -124,6 +125,20 @@ class LabeledDataset:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
+def csv_writer(fh, ids):
+    """An LF-terminated ``csv.writer`` whose rows read back field for field.
+
+    Python 3.11's writer leaves a bare ``\r`` unquoted when the line
+    terminator is ``\n``, and a reader then ends the row there. When any of
+    ``ids`` (the free-text fields the file will hold) contains one, every
+    field is quoted.
+    """
+    quote_all = any("\r" in text for text in ids)
+    return csv.writer(
+        fh, lineterminator="\n", quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+    )
+
+
 def _labels_path(path: Path) -> Path:
     return path.with_name(path.stem + ".labels.csv")
 
@@ -149,7 +164,7 @@ def write_matrices(path, dataset: LabeledDataset) -> None:
         fh.write(_HEADER.pack(MAGIC, VERSION, n, count, flags))
         fh.write(payload)
     with open(_labels_path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh, dataset.ids)
         writer.writerow(["id", "label"])
         writer.writerows(
             [sample_id, _format_label(label)]
@@ -157,14 +172,23 @@ def write_matrices(path, dataset: LabeledDataset) -> None:
         )
 
 
+def _number(sample_id: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise SpdbFormatError(f"sample {sample_id}: label {text!r} is not a number") from None
+
+
 def _parse_labels(rows: list[tuple[str, str]], task: str) -> np.ndarray:
     if any(";" in text for _, text in rows):
-        parsed = [[float(v) for v in text.split(";")] for _, text in rows]
+        parsed = [
+            [_number(sample_id, v) for v in text.split(";")] for sample_id, text in rows
+        ]
         widths = {len(p) for p in parsed}
         if len(widths) > 1:
             raise SpdbFormatError("soft labels have inconsistent widths")
         return np.asarray(parsed, dtype=np.float64)
-    values = [float(text) for _, text in rows]
+    values = [_number(sample_id, text) for sample_id, text in rows]
     if task == TASK_CLASSIFICATION:
         for (sample_id, text), value in zip(rows, values):
             if not value.is_integer():
@@ -210,7 +234,16 @@ def read_matrices(path) -> LabeledDataset:
         header = next(reader, None)
         if header != ["id", "label"]:
             raise SpdbFormatError(f"labels CSV has header {header}, expected id,label")
-        rows = [(row[0], row[1]) for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise SpdbFormatError(
+                    f"{labels_file}, line {reader.line_num}: {len(row)} fields, "
+                    f"expected 2 (id,label)"
+                )
+            rows.append((row[0], row[1]))
     if len(rows) != count:
         raise SpdbFormatError(
             f"label-count mismatch: {count} matrices but {len(rows)} label rows"

@@ -28,7 +28,6 @@ from .linalg import (
     cholesky,
     fro_norm,
     log_det,
-    matmul,
     matrix_exp,
     matrix_log,
     matrix_power,
@@ -128,7 +127,7 @@ def geodesic(s_i, s_j, lam: float, metric: MetricKind = MetricKind.LOG_EUCLIDEAN
             return SpdMatrix.from_array((1.0 - lam) * a + lam * b)
         if metric is MetricKind.CHOLESKY:
             blend = (1.0 - lam) * cholesky(a) + lam * cholesky(b)
-            return SpdMatrix.from_array(matmul(blend, blend, transpose_b=True))
+            return SpdMatrix.from_array(blend @ blend.T)
         if metric is MetricKind.AFFINE_INVARIANT:
             return _geodesic_affine_invariant(a, b, lam)
         return _geodesic_bures_wasserstein(a, b, lam)
@@ -140,10 +139,10 @@ def _geodesic_affine_invariant(a: np.ndarray, b: np.ndarray, lam: float) -> SpdM
     half = matrix_power(a, 0.5)
     inv_half = matrix_power(a, -0.5)
     _warn_unstable(MetricKind.AFFINE_INVARIANT, 1.0 / inv_half.max_eigenvalue**2)
-    core = SpdMatrix.from_array(matmul(matmul(inv_half.array, b), inv_half.array))
+    core = SpdMatrix.from_array(inv_half.array @ b @ inv_half.array)
     _warn_unstable(MetricKind.AFFINE_INVARIANT, core.min_eigenvalue)
     powered = matrix_power(core, lam)
-    out = matmul(matmul(half.array, powered.array), half.array)
+    out = half.array @ powered.array @ half.array
     return SpdMatrix.from_array(symmetrize(out))
 
 
@@ -159,9 +158,9 @@ def bures_cross_sqrt(s_i, s_j) -> np.ndarray:
     half = matrix_power(a, 0.5)
     inv_half = matrix_power(a, -0.5)
     _warn_unstable(MetricKind.BURES_WASSERSTEIN, 1.0 / inv_half.max_eigenvalue**2)
-    core = SpdMatrix.from_array(matmul(matmul(half.array, b), half.array))
+    core = SpdMatrix.from_array(half.array @ b @ half.array)
     _warn_unstable(MetricKind.BURES_WASSERSTEIN, core.min_eigenvalue)
-    return matmul(matmul(half.array, matrix_power(core, 0.5).array), inv_half.array)
+    return half.array @ matrix_power(core, 0.5).array @ inv_half.array
 
 
 def _geodesic_bures_wasserstein(a: np.ndarray, b: np.ndarray, lam: float) -> SpdMatrix:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spdmix import augment
 from spdmix.augment import (
     STRATEGIES,
     EigenCache,
@@ -563,6 +564,101 @@ class TestAugmentBatch:
             MixConfig(strategy="rmixup", alpha=0.0)
         with pytest.raises(ValueError, match="keep_prob"):
             MixConfig(strategy="dropnode", keep_prob=1.0)
+
+
+class TestBatchedRMixup:
+    """rmixup batches draw every pair first, then mix in stacked chunks of a
+    fixed byte budget; chunking must not change a single bit."""
+
+    @staticmethod
+    def assert_matches_direct(ds, out, indices=None):
+        for k in range(len(out)) if indices is None else indices:
+            p = out[k].provenance
+            i, j = ds.ids.index(p.source_i), ds.ids.index(p.source_j)
+            direct = r_mixup(
+                ds.matrices[i], ds.matrices[j], ds.labels[i], ds.labels[j], p.lam,
+                (p.source_i, p.source_j),
+            )
+            assert np.array_equal(out[k].matrix, direct.matrix)
+            assert out[k].label == direct.label
+            assert out[k].provenance == direct.provenance
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 4])
+    def test_chunks_of_few_matrices_match_direct(self, monkeypatch, per_chunk):
+        n = 5
+        monkeypatch.setattr(augment, "_CHUNK_BYTES", per_chunk * 8 * n * n)
+        ds = regression_dataset(seed=60 + per_chunk, count=9, n=n)
+        out = augment_batch(ds, MixConfig(strategy="rmixup", seed=per_chunk), 11)
+        self.assert_matches_direct(ds, out)
+
+    def test_many_chunks_at_small_n(self):
+        # at n=8 the 4 MiB budget holds 8192 matrices: 8200 mixes span two
+        # chunks; check both sides of the seam
+        ds = regression_dataset(seed=61, count=32, n=8)
+        out = augment_batch(ds, MixConfig(strategy="rmixup", seed=2), 8200)
+        per_chunk = augment._CHUNK_BYTES // (8 * 8 * 8)
+        assert per_chunk < 8200
+        self.assert_matches_direct(ds, out, [0, 1, per_chunk - 1, per_chunk, 8199])
+
+    def test_budget_chunks_at_large_n(self):
+        # at n=360 the budget holds 4 matrices
+        ds = regression_dataset(seed=62, count=5, n=360)
+        out = augment_batch(ds, MixConfig(strategy="rmixup", seed=3), 6)
+        self.assert_matches_direct(ds, out)
+
+    def test_counts_distinct_sources_plus_mixes(self):
+        ds = regression_dataset(seed=63, count=40, n=3)
+        for count in (1, 7, 60):
+            with count_eig_calls() as counter:
+                out = augment_batch(ds, MixConfig(strategy="rmixup", seed=count), count)
+            sources = {s.provenance.source_i for s in out} | {s.provenance.source_j for s in out}
+            assert counter.count == len(sources) + count
+
+    def test_drawn_non_spd_sample_named(self):
+        ds = regression_dataset(seed=64, count=12, n=3)
+        config = MixConfig(strategy="rmixup", seed=8)
+        clean = augment_batch(ds, config, 3)
+        drawn = {s.provenance.source_i for s in clean} | {s.provenance.source_j for s in clean}
+        bad_drawn, bad_idle = sorted(drawn)[-1], sorted(set(ds.ids) - drawn)[0]
+
+        def broken(sample_id):
+            mats = ds.matrices.copy()
+            mats[ds.ids.index(sample_id)] = np.diag([1.0, -1.0, 2.0])
+            return LabeledDataset(matrices=mats, labels=ds.labels, task="regression")
+
+        with pytest.raises(ValueError, match=f"sample {bad_drawn} is not SPD.*clamp"):
+            augment_batch(broken(bad_drawn), config, 3)
+        for s1, s2 in zip(augment_batch(broken(bad_idle), config, 3), clean, strict=True):
+            assert np.array_equal(s1.matrix, s2.matrix)
+
+    def test_probe_independent_of_chunking(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        ds = gen_labeled_dataset(4, 20, "regression", "log-linear", rng, noise=0.1)
+        whole = incorrect_label_probe(ds, 40, np.random.default_rng(66))
+        monkeypatch.setattr(augment, "_CHUNK_BYTES", 3 * 8 * 4 * 4)
+        assert incorrect_label_probe(ds, 40, np.random.default_rng(66)) == whole
+
+    def test_probe_mixes_match_cached_path(self):
+        # the probe's geodesic error equals the one-trial-at-a-time
+        # r_mixup_cached evaluation on the same draws
+        rng = np.random.default_rng(67)
+        ds = gen_labeled_dataset(4, 20, "regression", "log-linear", rng, noise=0.1)
+        result = incorrect_label_probe(ds, 30, np.random.default_rng(68))
+        draws = np.random.default_rng(68)
+        cache = EigenCache.build(ds)
+        d_r = []
+        for _ in range(30):
+            while True:
+                picks = draws.choice(len(ds), size=3, replace=False)
+                if len(np.unique(ds.labels[picks])) == 3:
+                    break
+            i1, i2, i3 = picks[np.argsort(ds.labels[picks])]
+            w = (ds.labels[i2] - ds.labels[i3]) / (ds.labels[i1] - ds.labels[i3])
+            mix = r_mixup_cached(
+                cache.entry(ds.ids[i1]), cache.entry(ds.ids[i3]), 0.0, 1.0, 1.0 - w
+            )
+            d_r.append(np.abs(mix.matrix - ds.matrices[i2]).sum())
+        assert result.mean_dr == float(np.mean(d_r))
 
 
 class TestIncorrectLabelProbe:

@@ -312,6 +312,26 @@ class TestProbe:
         assert code == 3
 
 
+    def _cut_row(self, capsys, tmp_path, text):
+        src, _ = gen_dataset(capsys, tmp_path, kind="log-linear", n=4, count=10)
+        labels = src.with_name(src.stem + ".labels.csv")
+        lines = labels.read_text().splitlines()
+        lines[2] = text
+        labels.write_text("\n".join(lines) + "\n")
+        return run(capsys, "probe", "--input", str(src), "--trials", "5")
+
+    def test_labels_row_without_comma_exits_1(self, capsys, tmp_path):
+        code, out, err = self._cut_row(capsys, tmp_path, "s000001")
+        assert code == 1
+        assert out == ""
+        assert "log-linear.labels.csv, line 3" in err
+
+    def test_non_numeric_label_exits_1(self, capsys, tmp_path):
+        code, _, err = self._cut_row(capsys, tmp_path, "s000001,abc")
+        assert code == 1
+        assert "s000001" in err and "'abc'" in err
+
+
 class TestBench:
     def test_small_benchmark_reports_counts(self, capsys, tmp_path):
         code, out, err = run(
@@ -328,6 +348,28 @@ class TestBench:
             assert by_strategy[(n, "vmixup")]["eig_calls_per_mix"] == "0"
             assert float(by_strategy[(n, "rmixup-cached")]["precompute_seconds"]) > 0
         assert "speedup" in err
+
+
+class TestCarriageReturnIds:
+    def test_mix_outputs_read_back(self, capsys, tmp_path):
+        from spdmix.data_io import write_matrices
+
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        ds = read_matrices(src)
+        ds.ids = ["a\rb", "\r", "c", "d\r\n"]
+        write_matrices(src, ds)
+        out_path = tmp_path / "m.spdb"
+        code, _, _ = run(
+            capsys, "mix", "--input", str(src), "--strategy", "rmixup",
+            "--count", "6", "--seed", "1", "-o", str(out_path),
+        )
+        assert code == 0
+        prov = out_path.with_name("m.provenance.csv")
+        with open(prov, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6
+        for row in rows:
+            assert row["source_i"] in ds.ids and row["source_j"] in ds.ids
 
 
 class TestConfigFile:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdmix.data_io import (
@@ -125,14 +125,33 @@ class TestSpdbRoundtrip:
         write_matrices(path, ds)
         assert read_matrices(path).ids == ds.ids
 
+    def test_ids_with_bare_carriage_return_roundtrip(self, tmp_path):
+        ds = small_regression_dataset(count=3)
+        ds.ids = ["\r", "a\rb", "plain"]
+        path = tmp_path / "cr.spdb"
+        write_matrices(path, ds)
+        assert read_matrices(path).ids == ds.ids
+
+    def test_plain_ids_keep_minimal_quoting(self, tmp_path):
+        ds = small_regression_dataset(count=2)
+        ds.ids = ["a", "b,c"]
+        path = tmp_path / "q.spdb"
+        write_matrices(path, ds)
+        lines = path.with_name("q.labels.csv").read_text().splitlines()
+        assert lines[1].startswith("a,") and lines[2].startswith('"b,c",')
+
+    # printable characters plus both line-break characters
     @settings(deadline=None, max_examples=50)
     @given(
         st.lists(
-            st.text(st.characters(codec="utf-8").filter(str.isprintable)),
+            st.text(
+                st.characters(codec="utf-8").filter(lambda c: c.isprintable() or c in "\r\n")
+            ),
             min_size=1,
             max_size=4,
         )
     )
+    @example(["\r"])
     def test_printable_ids_roundtrip(self, ids):
         ds = LabeledDataset(
             matrices=np.stack([np.eye(2)] * len(ids)),
@@ -156,6 +175,41 @@ class TestSpdbRoundtrip:
         labels = path.with_name("c.labels.csv")
         labels.write_text(labels.read_text().replace(",1\n", ",1.7\n"))
         with pytest.raises(SpdbFormatError, match="1.7"):
+            read_matrices(path)
+
+    def test_non_numeric_label_rejected(self, tmp_path):
+        ds = small_regression_dataset(count=3)
+        path = tmp_path / "r.spdb"
+        write_matrices(path, ds)
+        labels = path.with_name("r.labels.csv")
+        lines = labels.read_text().splitlines()
+        lines[2] = "s000001,abc"
+        labels.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpdbFormatError, match="s000001.*'abc'"):
+            read_matrices(path)
+
+    def test_non_numeric_soft_label_rejected(self, tmp_path):
+        ds = LabeledDataset(
+            matrices=np.stack([np.eye(2)] * 2),
+            labels=[[0.5, 0.5], [1.0, 0.0]],
+            task="classification",
+        )
+        path = tmp_path / "soft.spdb"
+        write_matrices(path, ds)
+        labels = path.with_name("soft.labels.csv")
+        labels.write_text(labels.read_text().replace("1.0;0.0", "1.0;x"))
+        with pytest.raises(SpdbFormatError, match="s000001.*'x'"):
+            read_matrices(path)
+
+    def test_labels_row_without_comma_rejected(self, tmp_path):
+        ds = small_regression_dataset(count=3)
+        path = tmp_path / "cut.spdb"
+        write_matrices(path, ds)
+        labels = path.with_name("cut.labels.csv")
+        lines = labels.read_text().splitlines()
+        lines[2] = "s000001"
+        labels.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpdbFormatError, match="cut.labels.csv, line 3: 1 fields"):
             read_matrices(path)
 
     def test_missing_labels_sidecar(self, tmp_path):

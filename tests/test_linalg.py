@@ -300,3 +300,86 @@ class TestEigCallCounting:
             eig_sym(s)
         assert inner.count == 1
         assert outer.count == 3
+
+
+class TestStacks:
+    """Stacked inputs ``(..., n, n)``: one call gives each matrix the bits
+    it gets alone, counts one decomposition per matrix, and checks every
+    matrix on its own."""
+
+    @staticmethod
+    def spd_stack(seed, count, n):
+        rng = np.random.default_rng(seed)
+        return np.stack([gen_random_spd(n, 100.0, rng).array for _ in range(count)])
+
+    @pytest.mark.parametrize("n", [1, 5, 8, 50])
+    def test_matches_single_calls_bitwise(self, n):
+        stack = self.spd_stack(n, 6, n)
+        dec = eig_sym(stack)
+        logs = matrix_log(stack)
+        exps = matrix_exp(logs)
+        assert isinstance(exps, np.ndarray) and exps.shape == stack.shape
+        for k in range(len(stack)):
+            single = eig_sym(stack[k])
+            assert np.array_equal(dec.eigenvalues[k], single.eigenvalues)
+            assert np.array_equal(dec.orthogonal[k], single.orthogonal)
+            assert np.array_equal(logs[k], matrix_log(stack[k]))
+            assert np.array_equal(exps[k], matrix_exp(logs[k]).array)
+        for part in (slice(0, 1), slice(1, 4), slice(4, 6)):
+            assert np.array_equal(matrix_log(stack[part]), logs[part])
+
+    def test_higher_rank_stack(self):
+        stack = self.spd_stack(9, 6, 4)
+        logs = matrix_log(stack.reshape(2, 3, 4, 4))
+        assert logs.shape == (2, 3, 4, 4)
+        assert np.array_equal(logs.reshape(6, 4, 4), matrix_log(stack))
+
+    def test_counts_one_per_matrix(self):
+        stack = self.spd_stack(10, 7, 3)
+        with count_eig_calls() as c:
+            eig_sym(stack)
+        assert c.count == 7
+        with count_eig_calls() as c:
+            matrix_exp(matrix_log(stack))
+        assert c.count == 14
+        with count_eig_calls() as c:
+            eig_sym(stack.reshape(7, 1, 3, 3))
+        assert c.count == 7
+
+    def test_non_positive_matrix_named(self):
+        stack = self.spd_stack(11, 5, 3)
+        stack[3] = np.diag([1.0, -0.5, 2.0])
+        with pytest.raises(NonPositiveEigenvalueError, match="matrix 3 of the stack") as info:
+            matrix_log(stack)
+        assert info.value.index == 3
+
+    def test_overflow_matrix_named(self):
+        stack = np.zeros((4, 2, 2))
+        stack[2] = np.diag([750.0, 1.0])
+        with pytest.raises(EigenvalueOverflowError, match="matrix 2 of the stack") as info:
+            matrix_exp(stack)
+        assert info.value.index == 2
+
+    def test_asymmetric_matrix_named(self):
+        stack = np.stack([np.eye(2)] * 4)
+        stack[1] = [[1.0, 2.0], [0.0, 1.0]]
+        for fn in (symmetrize, eig_sym, matrix_log, matrix_exp):
+            with pytest.raises(ValueError, match="matrix 1 of the stack.*not symmetric"):
+                fn(stack)
+
+    def test_symmetry_tolerance_is_per_matrix(self):
+        # a drift small against a large matrix's norm still rejects a small one
+        stack = np.stack([1e6 * np.eye(2), np.eye(2)])
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="matrix 1 of the stack"):
+            symmetrize(stack)
+        assert np.array_equal(symmetrize(stack[:1]), stack[:1])
+
+    def test_non_finite_matrix_named(self):
+        stack = np.stack([np.eye(2)] * 3)
+        stack[2, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="matrix 2 of the stack.*finite"):
+            eig_sym(stack)
+
+    def test_empty_stack(self):
+        assert matrix_log(np.zeros((0, 3, 3))).shape == (0, 3, 3)
