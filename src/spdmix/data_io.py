@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import qr
 
-from .linalg import SpdMatrix, matmul, matrix_exp, matrix_log
+from .linalg import SpdMatrix, matrix_exp, matrix_log
 
 __all__ = [
     "FormatError",
@@ -316,7 +315,7 @@ def gen_random_spd(n: int, condition_target: float, rng: np.random.Generator) ->
         raise ValueError(f"dimension must be >= 1, got {n}")
     if condition_target < 1.0:
         raise ValueError(f"condition target must be >= 1, got {condition_target}")
-    q, _ = qr(rng.standard_normal((n, n)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     if condition_target == 1.0 or n == 1:
         w = np.ones(n)
     else:
@@ -325,7 +324,7 @@ def gen_random_spd(n: int, condition_target: float, rng: np.random.Generator) ->
         exponents[0] = 0.0
         exponents[-1] = span
         w = np.exp(np.sort(exponents) - span / 2.0)
-    arr = matmul(q * w, q, transpose_b=True)
+    arr = (q * w) @ q.T
     arr = (arr + arr.T) / 2.0
     return SpdMatrix._trusted(arr, float(w.min()), float(w.max()))
 

@@ -6,7 +6,9 @@ scaling-and-squaring, which keeps ``matrix_exp`` and ``matrix_log`` exact
 mutual inverses up to the accuracy of the decomposition itself.
 
 :func:`eig_sym` is that decomposition: ``numpy.linalg.eigh`` (LAPACK
-``syevd``) on one matrix or on a stack of shape ``(..., n, n)``.
+``syevd``) on one matrix or on a stack of shape ``(..., n, n)``. Its
+values-only twin :func:`eigvals_sym` (``eigvalsh``) is the only other
+eigensolver in spdmix, and :func:`count_eig_calls` counts both.
 :func:`symmetrize`, :meth:`EigenDecomposition.recompose`, :func:`matrix_log`
 and :func:`matrix_exp` accept stacks too and check every matrix of a stack on
 its own. A stacked call gives each matrix the same bits as a call on that
@@ -14,17 +16,23 @@ matrix alone, so batched and one-at-a-time callers agree exactly.
 
 All inputs and outputs are double-precision dense arrays. Functions are pure
 and thread-safe; :class:`SpdMatrix` instances are immutable.
+
+Solves and products run on numpy's OpenBLAS thread pool. scipy ships its own
+pool, and a multi-threaded call into one pool right after a call into the
+other runs 1.5-6x slower (measured at n=120 and n=360 on 2 vCPUs, in both
+directions), so this module calls scipy only for ``potrf``, after a failed
+Cholesky factorization, to name the pivot.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
@@ -38,9 +46,9 @@ __all__ = [
     "cholesky",
     "count_eig_calls",
     "eig_sym",
+    "eigvals_sym",
     "fro_norm",
     "log_det",
-    "matmul",
     "matrix_exp",
     "matrix_log",
     "matrix_power",
@@ -82,27 +90,11 @@ class CholeskyPivotError(ValueError):
         self.pivot = pivot
 
 
-def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm as a plain reduction, with no BLAS call.
-
-    numpy and scipy ship separate OpenBLAS thread pools. A call into one pool
-    leaves its threads spinning for a while, and the next multi-threaded call
-    into the other pool runs 1.5-6x slower (measured at n=120 and n=360 on
-    2 vCPUs, in both directions). Every eigensolve here runs on numpy's pool.
-    """
+def fro_norm(a: np.ndarray) -> float | np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix of a stack ``(..., n, n)``,
+    as a plain reduction with no BLAS call."""
     arr = np.asarray(a, dtype=np.float64)
-    return float(np.sqrt(np.einsum("...i,...i->", arr.ravel(), arr.ravel())))
-
-
-def matmul(a: np.ndarray, b: np.ndarray, *, transpose_b: bool = False) -> np.ndarray:
-    """float64 matrix product through scipy's BLAS, for code that otherwise
-    calls scipy LAPACK (see :func:`fro_norm`)."""
-    return dgemm(1.0, a, b, trans_b=1 if transpose_b else 0)
-
-
-def _fro_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of ``(..., n, n)``."""
-    return np.sqrt(np.einsum("...ij,...ij->...", a, a))
+    return np.sqrt(np.einsum("...ij,...ij->...", arr, arr))
 
 
 def _first(bad: np.ndarray):
@@ -118,6 +110,13 @@ def _which(index) -> str:
     return "" if index is None else f"matrix {index} of the stack: "
 
 
+def _square(a) -> np.ndarray:
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
 def symmetrize(a: np.ndarray, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     """Return the exactly symmetric part of ``a``, rejecting real asymmetry.
 
@@ -127,15 +126,13 @@ def symmetrize(a: np.ndarray, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     ``a`` may be a stack ``(..., n, n)``; each matrix is checked against its
     own norm.
     """
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    arr = _square(a)
     if not np.isfinite(arr).all():
         k = _first(~np.isfinite(arr).all(axis=(-2, -1)))
         raise ValueError(f"{_which(k)}matrix contains non-finite entries")
     arr_t = arr.swapaxes(-1, -2)
-    norm = _fro_norms(arr)
-    drift = _fro_norms(arr - arr_t)
+    norm = fro_norm(arr)
+    drift = fro_norm(arr - arr_t)
     bad = drift > rtol * np.maximum(norm, np.finfo(np.float64).tiny)
     if bad.any():
         k = _first(bad)
@@ -162,28 +159,43 @@ class EigenDecomposition(NamedTuple):
         return (out + out.swapaxes(-1, -2)) / 2.0
 
 
+@dataclass
 class EigCallCounter:
-    """Counts eigendecompositions observed while a context is active."""
+    """Decompositions seen in a :func:`count_eig_calls` scope, one per matrix:
+    ``count`` in all, ``values_only`` of them by :func:`eigvals_sym`."""
 
-    def __init__(self) -> None:
-        self.count = 0
+    count: int = 0
+    values_only: int = 0
 
 
-_ACTIVE_COUNTERS: list[EigCallCounter] = []
-_COUNTER_LOCK = threading.Lock()
+# The counters of every enclosing count_eig_calls scope, innermost last.
+_COUNTERS: ContextVar[tuple[EigCallCounter, ...]] = ContextVar("eig_counters", default=())
 
 
 @contextmanager
 def count_eig_calls() -> Iterator[EigCallCounter]:
-    """Context manager instrumenting how many times ``eig_sym`` runs."""
+    """Count the :func:`eig_sym` and :func:`eigvals_sym` solves made in this context."""
     counter = EigCallCounter()
-    with _COUNTER_LOCK:
-        _ACTIVE_COUNTERS.append(counter)
+    token = _COUNTERS.set(_COUNTERS.get() + (counter,))
     try:
         yield counter
     finally:
-        with _COUNTER_LOCK:
-            _ACTIVE_COUNTERS.remove(counter)
+        _COUNTERS.reset(token)
+
+
+def _solve(solver, sym: np.ndarray, *, values_only: bool):
+    """Run a numpy eigensolver on a matrix or stack, counting one per matrix."""
+    matrices = math.prod(sym.shape[:-2])
+    for counter in _COUNTERS.get():
+        counter.count += matrices
+        counter.values_only += matrices if values_only else 0
+    try:
+        return solver(sym)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(
+            f"symmetric eigensolver failed to converge on input of shape "
+            f"{sym.shape}, largest ||A||_F = {float(np.max(fro_norm(sym))):.6e}"
+        ) from exc
 
 
 def eig_sym(a: np.ndarray) -> EigenDecomposition:
@@ -202,28 +214,19 @@ def eig_sym(a: np.ndarray) -> EigenDecomposition:
         If the underlying solver does not converge; the message carries the
         matrix dimension and Frobenius norm for diagnosis.
     """
-    sym = symmetrize(a)
-    n = sym.shape[-1]
-    flat = sym.reshape(-1, n, n) if sym.ndim > 3 else sym
-    if _ACTIVE_COUNTERS:
-        matrices = flat.shape[0] if flat.ndim == 3 else 1
-        with _COUNTER_LOCK:
-            for counter in _ACTIVE_COUNTERS:
-                counter.count += matrices
-    try:
-        w, v = np.linalg.eigh(flat)
-    except np.linalg.LinAlgError as exc:
-        norms = _fro_norms(flat)
-        what = f"a {n}x{n} matrix" if flat.ndim == 2 else (
-            f"a stack of {flat.shape[0]} {n}x{n} matrices, the largest"
-        )
-        raise EigenConvergenceError(
-            f"symmetric eigensolver failed to converge on {what} with "
-            f"||A||_F = {float(np.max(norms)):.6e}"
-        ) from exc
-    return EigenDecomposition(
-        orthogonal=v.reshape(sym.shape), eigenvalues=w.reshape(sym.shape[:-1])
-    )
+    w, v = _solve(np.linalg.eigh, symmetrize(a), values_only=False)
+    return EigenDecomposition(orthogonal=v, eigenvalues=w)
+
+
+def eigvals_sym(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
+    stack, without eigenvectors (``numpy.linalg.eigvalsh``).
+
+    ``a`` must be exactly symmetric, as :func:`symmetrize` returns it or an
+    :class:`SpdMatrix` holds it: the solver reads only the lower triangle.
+    Counted and checked for convergence like :func:`eig_sym`.
+    """
+    return _solve(np.linalg.eigvalsh, _square(a), values_only=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,12 +248,8 @@ class SpdMatrix:
         if isinstance(a, SpdMatrix):
             return a
         arr = symmetrize(a, rtol=rtol)
-        w = np.linalg.eigvalsh(arr)
-        if w[0] <= 0.0:
-            raise NonPositiveEigenvalueError(
-                f"matrix is not positive definite: min eigenvalue "
-                f"{w[0]:.6e} <= 0; clamp non-positive eigenvalues first"
-            )
+        w = eigvals_sym(arr)
+        _require_positive(w, "SpdMatrix")
         arr.setflags(write=False)
         return cls(arr, float(w[0]), float(w[-1]))
 
@@ -278,6 +277,20 @@ def _as_matrix(a) -> np.ndarray:
     return a.array if isinstance(a, SpdMatrix) else np.asarray(a, dtype=np.float64)
 
 
+def _require_positive(mu: np.ndarray, what: str) -> None:
+    """Reject a spectrum, or a stack of them, whose smallest eigenvalue is <= 0."""
+    low = mu[..., 0]
+    bad = low <= 0.0
+    if bad.any():
+        k = _first(bad)
+        raise NonPositiveEigenvalueError(
+            f"{_which(k)}{what} requires a strictly positive spectrum; found min "
+            f"eigenvalue {low[() if k is None else k]:.6e} <= 0. Clamp the matrix "
+            f"to SPD first (spdmix never clamps silently).",
+            index=k,
+        )
+
+
 def matrix_log(s) -> np.ndarray:
     """Matrix logarithm ``O diag(log mu) O^T`` of a positive definite matrix,
     or of each matrix of a stack.
@@ -287,18 +300,8 @@ def matrix_log(s) -> np.ndarray:
     for a stack, its ``index`` names the first offending matrix.
     """
     dec = eig_sym(_as_matrix(s))
-    mu = dec.eigenvalues
-    low = mu[..., 0]
-    bad = low <= 0.0
-    if bad.any():
-        k = _first(bad)
-        raise NonPositiveEigenvalueError(
-            f"{_which(k)}matrix_log requires a strictly positive spectrum; found "
-            f"min eigenvalue {low[() if k is None else k]:.6e} <= 0. Clamp the "
-            f"matrix to SPD first (this function never clamps silently).",
-            index=k,
-        )
-    return dec.recompose(np.log(mu))
+    _require_positive(dec.eigenvalues, "matrix_log")
+    return dec.recompose(np.log(dec.eigenvalues))
 
 
 def matrix_exp(h) -> SpdMatrix | np.ndarray:
@@ -331,14 +334,11 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
 
 
 def matrix_power(s, p: float) -> SpdMatrix:
-    """Real matrix power ``S^p = O diag(mu^p) O^T`` of an SPD matrix."""
-    dec = eig_sym(_as_matrix(s))
+    """Real matrix power ``S^p = O diag(mu^p) O^T`` of an SPD matrix, or of
+    the matrix an :class:`EigenDecomposition` ``s`` describes."""
+    dec = s if isinstance(s, EigenDecomposition) else eig_sym(_as_matrix(s))
     mu = dec.eigenvalues
-    if mu[0] <= 0.0:
-        raise NonPositiveEigenvalueError(
-            f"matrix_power requires a strictly positive spectrum; found min "
-            f"eigenvalue {mu[0]:.6e} <= 0"
-        )
+    _require_positive(mu, "matrix_power")
     if p == 0.0:
         n = mu.shape[0]
         return SpdMatrix._trusted(np.eye(n), 1.0, 1.0)
@@ -384,11 +384,7 @@ def log_det(s) -> float:
     Determinants are handled in log-space only; the raw determinant of a
     large matrix overflows float64 long before the log does.
     """
-    w = np.linalg.eigvalsh(s.array if isinstance(s, SpdMatrix) else symmetrize(s))
-    if w[0] <= 0.0:
-        raise NonPositiveEigenvalueError(
-            f"log_det requires a strictly positive spectrum; found min "
-            f"eigenvalue {w[0]:.6e} <= 0"
-        )
+    w = eigvals_sym(s.array if isinstance(s, SpdMatrix) else symmetrize(s))
+    _require_positive(w, "log_det")
     return float(np.sum(np.log(w)))
 

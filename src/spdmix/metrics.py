@@ -26,12 +26,12 @@ import numpy as np
 from .linalg import (
     SpdMatrix,
     cholesky,
+    eig_sym,
     fro_norm,
     log_det,
     matrix_exp,
     matrix_log,
     matrix_power,
-    symmetrize,
 )
 
 __all__ = [
@@ -136,14 +136,14 @@ def geodesic(s_i, s_j, lam: float, metric: MetricKind = MetricKind.LOG_EUCLIDEAN
 
 
 def _geodesic_affine_invariant(a: np.ndarray, b: np.ndarray, lam: float) -> SpdMatrix:
-    half = matrix_power(a, 0.5)
-    inv_half = matrix_power(a, -0.5)
+    dec = eig_sym(a)
+    half = matrix_power(dec, 0.5)
+    inv_half = matrix_power(dec, -0.5)
     _warn_unstable(MetricKind.AFFINE_INVARIANT, 1.0 / inv_half.max_eigenvalue**2)
-    core = SpdMatrix.from_array(inv_half.array @ b @ inv_half.array)
-    _warn_unstable(MetricKind.AFFINE_INVARIANT, core.min_eigenvalue)
+    core = eig_sym(inv_half.array @ b @ inv_half.array)
     powered = matrix_power(core, lam)
-    out = half.array @ powered.array @ half.array
-    return SpdMatrix.from_array(symmetrize(out))
+    _warn_unstable(MetricKind.AFFINE_INVARIANT, float(core.eigenvalues[0]))
+    return SpdMatrix.from_array(half.array @ powered.array @ half.array)
 
 
 def bures_cross_sqrt(s_i, s_j) -> np.ndarray:
@@ -155,12 +155,14 @@ def bures_cross_sqrt(s_i, s_j) -> np.ndarray:
     The result squared reproduces ``S_i @ S_j`` to 1e-7 relative.
     """
     a, b = _check_pair(s_i, s_j)
-    half = matrix_power(a, 0.5)
-    inv_half = matrix_power(a, -0.5)
+    dec = eig_sym(a)
+    half = matrix_power(dec, 0.5)
+    inv_half = matrix_power(dec, -0.5)
     _warn_unstable(MetricKind.BURES_WASSERSTEIN, 1.0 / inv_half.max_eigenvalue**2)
-    core = SpdMatrix.from_array(half.array @ b @ half.array)
-    _warn_unstable(MetricKind.BURES_WASSERSTEIN, core.min_eigenvalue)
-    return half.array @ matrix_power(core, 0.5).array @ inv_half.array
+    core = eig_sym(half.array @ b @ half.array)
+    root = matrix_power(core, 0.5)
+    _warn_unstable(MetricKind.BURES_WASSERSTEIN, float(core.eigenvalues[0]))
+    return half.array @ root.array @ inv_half.array
 
 
 def _geodesic_bures_wasserstein(a: np.ndarray, b: np.ndarray, lam: float) -> SpdMatrix:
@@ -172,7 +174,7 @@ def _geodesic_bures_wasserstein(a: np.ndarray, b: np.ndarray, lam: float) -> Spd
         + lam**2 * b
         + lam * (1.0 - lam) * (cross + cross.T)
     )
-    return SpdMatrix.from_array(symmetrize(out))
+    return SpdMatrix.from_array(out)
 
 
 def log_euclidean_distance(s_i, s_j) -> float:

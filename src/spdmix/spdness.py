@@ -2,9 +2,9 @@
 
 A mean-centered covariance of ``n`` variables over ``t`` steps has rank at
 most ``min(n, t - 1)``, so strict positive definiteness needs ``t >= n + 1``
-observations. :func:`spdness_report` quantifies how close a matrix comes
-(the percentage of eigenvalues above 1e-6), and :func:`clamp_to_spd` repairs
-the few non-positive modes without touching the rest of the spectrum.
+observations. :func:`spdness_report` quantifies how close a matrix comes (the
+percentage of eigenvalues above 1e-6 of its mean diagonal); :func:`clamp_to_spd`
+repairs the few non-positive modes without touching the rest of the spectrum.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
-from .linalg import SpdMatrix, eig_sym, symmetrize
+from .linalg import NonPositiveEigenvalueError, SpdMatrix, eig_sym, eigvals_sym, symmetrize
 
 __all__ = [
     "CLAMP_FLOOR_DEFAULT",
@@ -30,8 +29,8 @@ __all__ = [
 
 # Replacement value for non-positive eigenvalues when repairing a matrix.
 CLAMP_FLOOR_DEFAULT = 1e-6
-# An eigenvalue counts as "positive" for SPD-ness above this threshold,
-# independent of the clamp floor.
+# An eigenvalue counts as "positive" for SPD-ness above this threshold times
+# the mean diagonal (1 for a correlation matrix), independent of the clamp floor.
 SPDNESS_THRESHOLD = 1e-6
 
 
@@ -99,13 +98,10 @@ def clamp_to_spd(s: np.ndarray, floor: float = CLAMP_FLOOR_DEFAULT) -> SpdMatrix
     """
     if floor <= 0.0:
         raise ValueError(f"clamp floor must be positive, got {floor}")
-    if isinstance(s, SpdMatrix):
-        return s
-    arr = symmetrize(s)
-    w = eigh(arr, eigvals_only=True, check_finite=False)
-    if w[0] > 0.0:
-        return SpdMatrix._trusted(arr, float(w[0]), float(w[-1]))
-    dec = eig_sym(arr)
+    try:
+        return SpdMatrix.from_array(s)
+    except NonPositiveEigenvalueError:
+        dec = eig_sym(s)
     clamped = dec.eigenvalues.copy()
     clamped[clamped <= 0.0] = floor
     out = dec.recompose(clamped)
@@ -115,22 +111,28 @@ def clamp_to_spd(s: np.ndarray, floor: float = CLAMP_FLOOR_DEFAULT) -> SpdMatrix
 def spdness_report(s: np.ndarray, n: int, t: int) -> SpdnessReport:
     """Count eigenvalues above the SPD-ness threshold for an (n, t)-series matrix.
 
-    ``spdness_pct`` is ``100 * positive_count / n``; ``is_spd`` requires every
-    eigenvalue to clear the threshold. The count is checked against the
-    centering rank bound ``min(n, t - 1)``.
+    The threshold is ``SPDNESS_THRESHOLD`` times the mean diagonal, so the
+    count does not depend on scale; a matrix with non-positive trace is
+    rejected. ``spdness_pct`` is ``100 * positive_count / n``; ``is_spd``
+    requires every eigenvalue to clear the threshold. The count is checked
+    against the centering rank bound ``min(n, t - 1)``.
     """
     arr = symmetrize(s)
     if arr.shape[0] != n:
         raise ValueError(f"matrix dimension {arr.shape[0]} does not match n={n}")
     if t < 2:
         raise ValueError(f"series length must be at least 2, got t={t}")
-    w = np.sort(eigh(arr, eigvals_only=True, check_finite=False))
-    positive = int(np.sum(w > SPDNESS_THRESHOLD))
+    scale = np.trace(arr) / n
+    if scale <= 0.0:
+        raise ValueError(f"matrix has non-positive trace {scale * n:.6e}")
+    threshold = SPDNESS_THRESHOLD * scale
+    w = eigvals_sym(arr)
+    positive = int(np.sum(w > threshold))
     bound = min(n, t - 1)
     if positive > bound:
         raise ValueError(
             f"invariant violation: {positive} eigenvalues above "
-            f"{SPDNESS_THRESHOLD:g} exceeds the rank bound min(n, t-1) = {bound} "
+            f"{threshold:g} exceeds the rank bound min(n, t-1) = {bound} "
             f"for n={n}, t={t}"
         )
     return SpdnessReport(

@@ -7,7 +7,8 @@ import json
 import numpy as np
 
 from spdmix.cli import main
-from spdmix.data_io import read_matrices
+from spdmix.data_io import TASK_REGRESSION, LabeledDataset, read_matrices, write_matrices
+from spdmix.spdness import covariance
 
 
 def run(capsys, *argv):
@@ -207,6 +208,18 @@ class TestDiagnose:
         sample_rows = [r for r in rows if r["id"] != "aggregate"]
         assert len(sample_rows) == 5
         assert all(r["is_spd"] == "1" for r in sample_rows)
+
+    def test_spdb_covariance_count_is_scale_free(self, capsys, tmp_path):
+        # rank 19 whatever the units; the absolute 1e-6 threshold failed the
+        # 1e6-scaled matrix with a false rank-bound violation (exit 3)
+        series = np.random.default_rng(0).standard_normal((60, 20))
+        src = tmp_path / "cov.spdb"
+        mats = np.stack([covariance(scale * series) for scale in (1.0, 1e6, 1e-6)])
+        write_matrices(src, LabeledDataset(mats, np.zeros(3), TASK_REGRESSION))
+        code, out, err = run(capsys, "diagnose", "--input", str(src), "--t", "20")
+        assert code == 0, err
+        rows = [r for r in csv.DictReader(io.StringIO(out)) if r["id"] != "aggregate"]
+        assert [r["positive_count"] for r in rows] == ["19"] * 3
 
     def test_invalid_sweep_length_exits_2(self, capsys, tmp_path):
         series = tmp_path / "s.csv"

@@ -4,6 +4,9 @@ Ground truths: explicit recomposition, numpy's LU-based determinant, and
 elementwise scalar functions on diagonal matrices.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +15,14 @@ from hypothesis import strategies as st
 from spdmix.data_io import gen_random_spd
 from spdmix.linalg import (
     CholeskyPivotError,
+    EigenConvergenceError,
     EigenvalueOverflowError,
     NonPositiveEigenvalueError,
     SpdMatrix,
     cholesky,
     count_eig_calls,
     eig_sym,
+    eigvals_sym,
     log_det,
     matrix_exp,
     matrix_log,
@@ -300,6 +305,88 @@ class TestEigCallCounting:
             eig_sym(s)
         assert inner.count == 1
         assert outer.count == 3
+
+    def test_values_only_solves_counted(self):
+        s = SpdMatrix.from_array(np.diag([1.0, 2.0, 3.0]))
+        for solve in (
+            lambda: SpdMatrix.from_array(np.eye(3)),
+            lambda: log_det(np.eye(3)),
+            lambda: log_det(s),
+            lambda: eigvals_sym(np.eye(3)),
+        ):
+            with count_eig_calls() as c:
+                solve()
+            assert (c.count, c.values_only) == (1, 1)
+        with count_eig_calls() as c:
+            eig_sym(np.eye(3))
+            eigvals_sym(np.zeros((5, 3, 3)))
+        assert (c.count, c.values_only) == (6, 5)
+
+
+class TestEigvalsSym:
+    @pytest.mark.parametrize("n", [1, 5, 50])
+    def test_matches_full_decomposition(self, n):
+        stack = TestStacks.spd_stack(n, 4, n)
+        w = eigvals_sym(stack)
+        assert w.shape == (4, n)
+        for k in range(4):
+            assert np.array_equal(w[k], eigvals_sym(stack[k]))
+            np.testing.assert_allclose(
+                w[k], eig_sym(stack[k]).eigenvalues, rtol=1e-12, atol=1e-14
+            )
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            eigvals_sym(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("name, solve", [("eigh", eig_sym), ("eigvalsh", eigvals_sym)])
+    def test_convergence_failure_names_input(self, monkeypatch, name, solve):
+        def fail(a):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(EigenConvergenceError, match=r"shape \(3, 2, 2\).*2\.0"):
+            solve(np.stack([np.eye(2), 2.0 * np.eye(2) / np.sqrt(2.0), np.eye(2)]))
+
+
+class TestOneBackend:
+    """Every symmetric eigensolve goes through ``spdmix.linalg``, on numpy's
+    BLAS pool; scipy stays where numpy lacks the feature."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "spdmix"
+    SCIPY_ALLOWED = {
+        "linalg.py": {"get_lapack_funcs"},
+        "regress.py": {"cho_factor", "cho_solve", "LinAlgError"},
+    }
+
+    def modules(self):
+        paths = sorted(self.SRC.glob("*.py"))
+        assert paths
+        return [(p.name, ast.parse(p.read_text(), filename=str(p))) for p in paths]
+
+    def test_scipy_imports_confined(self):
+        found: dict[str, set[str]] = {}
+        for name, tree in self.modules():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    roots = {a.name.split(".")[0] for a in node.names}
+                    assert "scipy" not in roots, name
+                elif isinstance(node, ast.ImportFrom):
+                    if (node.module or "").split(".")[0] == "scipy":
+                        found.setdefault(name, set()).update(a.name for a in node.names)
+        assert found == self.SCIPY_ALLOWED
+
+    def test_numpy_eigensolvers_only_in_linalg(self):
+        for name, tree in self.modules():
+            calls = [
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr.startswith("eig")
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+            ]
+            assert name == "linalg.py" or not calls, (name, calls)
 
 
 class TestStacks:

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdmix.data_io import gen_random_spd
-from spdmix.linalg import log_det, matrix_log
+from spdmix.linalg import (
+    SpdMatrix,
+    count_eig_calls,
+    log_det,
+    matrix_log,
+    matrix_power,
+    symmetrize,
+)
 from spdmix.metrics import (
     MetricKind,
     StabilityWarning,
@@ -116,10 +123,66 @@ class TestGeodesicValidation:
 
     def test_stability_warning_on_tiny_eigenvalues(self):
         tiny = np.diag([1e-12, 1.0])
-        with pytest.warns(StabilityWarning):
-            geodesic(tiny, np.eye(2), 0.5, MetricKind.AFFINE_INVARIANT)
-        with pytest.warns(StabilityWarning):
-            bures_cross_sqrt(tiny, np.eye(2))
+        for a, b in ((tiny, np.eye(2)), (np.eye(2), tiny)):  # endpoint, then core
+            with pytest.warns(StabilityWarning):
+                geodesic(a, b, 0.5, MetricKind.AFFINE_INVARIANT)
+            with pytest.warns(StabilityWarning):
+                bures_cross_sqrt(a, b)
+
+
+class TestDecompositionCounts:
+    @pytest.mark.parametrize(
+        "metric, total, values_only",
+        [
+            (MetricKind.LOG_EUCLIDEAN, 3, 0),
+            (MetricKind.EUCLIDEAN, 1, 1),
+            (MetricKind.CHOLESKY, 1, 1),
+            (MetricKind.AFFINE_INVARIANT, 3, 1),
+            (MetricKind.BURES_WASSERSTEIN, 3, 1),
+        ],
+    )
+    def test_geodesic_counts(self, metric, total, values_only):
+        s_i, s_j = random_pair(30)
+        with count_eig_calls() as c:
+            geodesic(s_i, s_j, 0.3, metric)
+        assert (c.count, c.values_only) == (total, values_only)
+
+
+def reference_affine_invariant(a, b, lam):
+    half = matrix_power(a, 0.5).array
+    inv_half = matrix_power(a, -0.5).array
+    core = SpdMatrix.from_array(inv_half @ b @ inv_half)
+    out = half @ matrix_power(core, lam).array @ half
+    return SpdMatrix.from_array(symmetrize(out))
+
+
+def reference_bures_wasserstein(a, b, lam):
+    half = matrix_power(a, 0.5).array
+    inv_half = matrix_power(a, -0.5).array
+    core = SpdMatrix.from_array(half @ b @ half)
+    cross = half @ matrix_power(core, 0.5).array @ inv_half
+    out = (1.0 - lam) ** 2 * a + lam**2 * b + lam * (1.0 - lam) * (cross + cross.T)
+    return SpdMatrix.from_array(symmetrize(out))
+
+
+class TestOneDecompositionGeodesics:
+    """The affine-invariant and Bures-Wasserstein geodesics decompose each
+    matrix once and give the bits of the composition that decomposed ``A``
+    twice and validated the congruence separately."""
+
+    @pytest.mark.parametrize("n", [2, 8, 50])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize(
+        "metric, reference",
+        [
+            (MetricKind.AFFINE_INVARIANT, reference_affine_invariant),
+            (MetricKind.BURES_WASSERSTEIN, reference_bures_wasserstein),
+        ],
+    )
+    def test_matches_reference_bitwise(self, n, lam, metric, reference):
+        a, b = (s.array for s in random_pair(40 + n, n=n, cond=1e3))
+        out = geodesic(a, b, lam, metric)
+        assert np.array_equal(out.array, reference(a, b, lam).array)
 
 
 class TestBuresCrossSqrt:

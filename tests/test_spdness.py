@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spdmix.data_io import gen_synthetic_series
+from spdmix.linalg import SpdMatrix, count_eig_calls
 from spdmix.spdness import (
     CLAMP_FLOOR_DEFAULT,
     clamp_to_spd,
@@ -131,6 +132,19 @@ class TestClampToSpd:
         with pytest.raises(ValueError, match="positive"):
             clamp_to_spd(np.eye(2), floor=0.0)
 
+    @pytest.mark.parametrize(
+        "s, total, values_only",
+        [
+            (np.diag([1.0, 2.0, 3.0]), 1, 1),  # SPD: the spectrum alone decides
+            (np.diag([0.0, 2.0, 3.0]), 2, 1),  # repair needs the eigenvectors too
+            (SpdMatrix.from_array(np.eye(3)), 0, 0),  # already validated
+        ],
+    )
+    def test_counts_its_decompositions(self, s, total, values_only):
+        with count_eig_calls() as c:
+            clamp_to_spd(s)
+        assert (c.count, c.values_only) == (total, values_only)
+
 
 class TestSpdnessReport:
     def test_identity_is_fully_spd(self):
@@ -157,6 +171,31 @@ class TestSpdnessReport:
     def test_violation_raises(self):
         with pytest.raises(ValueError, match="rank bound"):
             spdness_report(np.eye(4), n=4, t=3)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+    def test_count_does_not_depend_on_scale(self, scale):
+        # rank 19 = t - 1; an absolute threshold counted 39 (exceeding the
+        # rank bound) at 1e6 and 0 at 1e-6
+        series = np.random.default_rng(0).standard_normal((60, 20))
+        rep = spdness_report(covariance(scale * series), n=60, t=20)
+        assert rep.positive_count == 19
+
+    def test_unit_diagonal_keeps_absolute_threshold(self):
+        # unit diagonal, eigenvalues 1 +- r per block: 2e-6 counts, 0.5e-6 not
+        cor = np.eye(4)
+        cor[0, 1] = cor[1, 0] = 1.0 - 2e-6
+        cor[2, 3] = cor[3, 2] = 1.0 - 0.5e-6
+        rep = spdness_report(cor, n=4, t=100)
+        assert rep.positive_count == 3
+
+    def test_non_positive_trace_rejected(self):
+        with pytest.raises(ValueError, match="non-positive trace"):
+            spdness_report(np.diag([1.0, -2.0]), n=2, t=10)
+
+    def test_counts_one_values_only_solve(self):
+        with count_eig_calls() as c:
+            spdness_report(np.eye(4), n=4, t=100)
+        assert (c.count, c.values_only) == (1, 1)
 
     def test_monotone_spdness_in_length(self):
         n = 16
