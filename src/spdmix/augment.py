@@ -209,6 +209,15 @@ class EigenCache:
         row.flags.writeable = False
         return EigenCacheEntry(row)
 
+    def log_stack(self, rows) -> np.ndarray:
+        """Read-only stack of the log-matrices, indexed like the dataset,
+        after computing those of the samples in ``rows``; a row that was
+        never requested holds no defined value."""
+        self._fill(rows)
+        logs = self._logs.view()
+        logs.flags.writeable = False
+        return logs
+
     def _fill(self, rows) -> None:
         """Compute the logarithms of the samples in ``rows`` not yet held."""
         rows = np.unique(np.asarray(rows, dtype=np.intp))

@@ -276,19 +276,16 @@ def cmd_regress(args) -> int:
         raise ValueError("the comparison requires non-negative labels")
     lambdas = _parse_float_list(args.lambdas, "--lambdas")
     rng = np.random.default_rng(args.seed)
+    pairs = np.empty((max(args.trials, 0), 2), dtype=np.intp)
+    for pair in pairs:
+        a = int(rng.integers(len(dataset)))
+        b = int(rng.integers(len(dataset) - 1))
+        pair[:] = a, b + 1 if b >= a else b
+    tables = regress.theorem1_trials(dataset, pairs[:, 0], pairs[:, 1], lambdas, args.sigma)
     header = ["pair", "lam", "err_geodesic", "err_line", "violation", "ordering_violation"]
     rows: list[list] = []
     violations = 0
-    for trial in range(args.trials):
-        a = int(rng.integers(len(dataset)))
-        b = int(rng.integers(len(dataset) - 1))
-        b = b + 1 if b >= a else b
-        s_a, s_b = dataset.matrices[a], dataset.matrices[b]
-        sigma = args.sigma if args.sigma is not None else regress.default_harness_sigma(s_a, s_b)
-        config = regress.KernelConfig(sigma=sigma)
-        table = regress.theorem1_harness(
-            s_a, s_b, float(dataset.labels[a]), float(dataset.labels[b]), lambdas, config
-        )
+    for (a, b), table in zip(pairs.tolist(), tables):
         pair = f"{dataset.ids[a]}:{dataset.ids[b]}"
         for row in table:
             violations += int(row.loss_violation)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -274,17 +275,55 @@ def read_series_csv(path, layout: str = "vars-as-rows") -> np.ndarray:
     """Read a series CSV; an optional non-numeric first row is a name header.
 
     Empty or ragged files and non-numeric values raise :class:`FormatError`.
+    Values are parsed by ``np.loadtxt``; a file it rejects is read again row
+    by row with ``float()``, which names the offending line.
     """
     if layout not in ("vars-as-rows", "vars-as-cols"):
         raise ValueError(f"unknown series layout {layout!r}")
+    table = _parse_series_table(path)
+    if table is None:
+        table = _parse_series_rows(path)
+    return table if layout == "vars-as-rows" else table.T
+
+
+def _is_header(row: list[str]) -> bool:
+    try:
+        float(row[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _parse_series_table(path) -> np.ndarray | None:
+    """The data rows as one ``np.loadtxt`` table, or ``None`` where loadtxt
+    fails or finds no data."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next((row for row in reader if row), None)
+        if first is None:
+            return None
+        header_lines = reader.line_num if _is_header(first) else 0
+        fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # loadtxt only warns about a file without data rows
+                warnings.simplefilter("error")
+                # comments=None: the default "#" would drop text float() rejects
+                table = np.loadtxt(
+                    fh, delimiter=",", comments=None, ndmin=2, skiprows=header_lines
+                )
+        except (ValueError, UserWarning):
+            return None
+    return table if table.size else None
+
+
+def _parse_series_rows(path) -> np.ndarray:
+    """The data rows parsed one by one; errors name the file and line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row]
-    if rows:
-        try:
-            float(rows[0][1][0])
-        except ValueError:
-            rows = rows[1:]
+    if rows and _is_header(rows[0][1]):
+        rows = rows[1:]
     if not rows:
         raise FormatError(f"{path}: no data rows")
     width = len(rows[0][1])
@@ -296,7 +335,7 @@ def read_series_csv(path, layout: str = "vars-as-rows") -> np.ndarray:
             table[k] = [float(v) for v in row]
         except ValueError as exc:
             raise FormatError(f"{path}, line {line}: {exc}") from exc
-    return table if layout == "vars-as-rows" else table.T
+    return table
 
 
 def _sym_gauss(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -19,8 +19,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from . import metrics
+from .augment import EigenCache, _chunks
 from .data_io import TASK_REGRESSION, LabeledDataset
-from .linalg import fro_norm, matrix_log
+from .linalg import NonPositiveEigenvalueError, fro_norm, matrix_log
 
 __all__ = [
     "GeodesicRegressionModel",
@@ -34,6 +35,7 @@ __all__ = [
     "heat_kernel",
     "predict_two_sample",
     "theorem1_harness",
+    "theorem1_trials",
     "vec_log_upper",
 ]
 
@@ -42,6 +44,9 @@ SPACE_EUCLIDEAN = "euclidean"
 
 # Jitter escalation when a ridge-free Gram matrix is numerically singular.
 _JITTER_LADDER = (0.0, 1e-10, 1e-8)
+
+# Default harness bandwidth, in multiples of the pair's distance.
+_SIGMA_MULTIPLIER = 8.0
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,14 @@ def euclidean_kernel(s_i, s_hat, sigma: float) -> float:
     return float(_gaussian(d**2, n, sigma, SPACE_EUCLIDEAN)[1])
 
 
+def _logs(matrices: np.ndarray) -> np.ndarray:
+    """Logarithm of every matrix of a stack, one stacked call per chunk."""
+    out = np.empty_like(matrices)
+    for part in _chunks(len(matrices), matrices.shape[-1]):
+        out[part] = matrix_log(matrices[part])
+    return out
+
+
 def _gram(matrices: np.ndarray, config: KernelConfig):
     """Embeddings, squared pairwise distances, normalizer and kernel matrix.
 
@@ -108,7 +121,7 @@ def _gram(matrices: np.ndarray, config: KernelConfig):
     log-matrices for the manifold metric, the matrices themselves otherwise.
     """
     if config.space == SPACE_RIEMANNIAN:
-        emb = np.stack([matrix_log(m) for m in matrices])
+        emb = _logs(matrices)
     else:
         emb = np.asarray(matrices, dtype=np.float64)
     flat = emb.reshape(len(emb), -1)
@@ -214,11 +227,14 @@ def vec_log_upper(s) -> np.ndarray:
     the Frobenius inner product of the log-matrices, so linear regression in
     these coordinates is exactly geodesic regression.
     """
-    h = matrix_log(s)
-    n = h.shape[0]
-    iu = np.triu_indices(n)
-    vec = h[iu].copy()
-    vec[iu[0] != iu[1]] *= np.sqrt(2.0)
+    return _vec_upper(matrix_log(s))
+
+
+def _vec_upper(h: np.ndarray) -> np.ndarray:
+    """Scaled upper triangle of a symmetric matrix, or of each of a stack."""
+    iu = np.triu_indices(h.shape[-1])
+    vec = h[..., iu[0], iu[1]]
+    vec[..., iu[0] != iu[1]] *= np.sqrt(2.0)
     return vec
 
 
@@ -244,7 +260,7 @@ def geodesic_regression_fit(train: LabeledDataset) -> GeodesicRegressionModel:
         raise ValueError("geodesic regression requires regression labels")
     if len(train) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    feats = np.stack([vec_log_upper(m) for m in train.matrices])
+    feats = _vec_upper(_logs(train.matrices))
     y = train.labels.astype(np.float64)
     x_mean = feats.mean(axis=0)
     y_mean = float(y.mean())
@@ -301,6 +317,13 @@ def theorem1_harness(
     loss violation raises ``ValueError`` carrying the offending row; by
     default the full table is returned for the caller to inspect, never a
     silent pass.
+
+    Geodesic mixes are linear in log coordinates, so the harness
+    decomposes each distinct endpoint once and each interior line point once
+    more, the line points in stacked chunks of at most 4 MiB; a line point
+    whose bytes equal an endpoint's (``lam`` 0 and 1) reuses that endpoint's
+    logarithm. One pair on the default 11-value grid costs 2 + 9 = 11
+    eigensolves. This is the one-pair case of :func:`theorem1_trials`.
     """
     if y_i < 0.0 or y_j < 0.0:
         raise ValueError(
@@ -309,57 +332,170 @@ def theorem1_harness(
     a = np.asarray(s_i, dtype=np.float64)
     b = np.asarray(s_j, dtype=np.float64)
     _check_dims(a, b)
-    log_a = matrix_log(a)
-    log_b = matrix_log(b)
-    d_ij = fro_norm(log_a - log_b)
-    if d_ij <= 1e-12:
-        raise ValueError("endpoints coincide; the two-sample system is singular")
-    two_sig_sq = 2.0 * config.sigma**2
-    k_ij = float(np.exp(-d_ij / two_sig_sq))
-    rows = []
-    for lam in lambdas:
-        lam = float(lam)
+    lams = _ratios(lambdas)
+    logs = np.stack([matrix_log(a), matrix_log(b)])
+    tables = _tables(
+        np.stack([a, b]), logs, np.array([0]), np.array([1]), [y_i, y_j], lams,
+        config.sigma, strict=strict,
+    )
+    return tables[0]
+
+
+def theorem1_trials(
+    dataset: LabeledDataset, first, second, lambdas, sigma: float | None = None
+) -> list[list[HarnessRow]]:
+    """:func:`theorem1_harness` tables of the pairs ``(first[t], second[t])``.
+
+    ``first`` and ``second`` index samples of ``dataset``. ``sigma=None``
+    gives each pair :func:`default_harness_sigma`'s bandwidth, from the same
+    logarithms. Every drawn sample is decomposed once, through an
+    :class:`EigenCache`, and every interior line point once, in stacked
+    chunks of at most 4 MiB; the tables equal the per-pair calls bit for
+    bit. Errors come in this order: a bad ratio or bandwidth (before any
+    solve), a drawn sample that is not SPD, then the first coincident pair
+    in draw order.
+    """
+    lams = _ratios(lambdas)
+    if sigma is not None:
+        KernelConfig(sigma=sigma)  # rejects a non-positive bandwidth
+    first = np.asarray(first, dtype=np.intp)
+    second = np.asarray(second, dtype=np.intp)
+    logs = EigenCache(dataset).log_stack(np.concatenate([first, second]))
+    labels = dataset.labels.astype(np.float64).tolist()
+    return _tables(dataset.matrices, logs, first, second, labels, lams, sigma)
+
+
+def _ratios(lambdas) -> list[float]:
+    lams = [float(lam) for lam in lambdas]
+    for lam in lams:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"mix ratio must lie in [0, 1], got {lam}")
-        log_geo = (1.0 - lam) * log_a + lam * log_b
-        line = (1.0 - lam) * a + lam * b
-        log_line = matrix_log(line)
-        k_i_geo = float(np.exp(-fro_norm(log_geo - log_a) / two_sig_sq))
-        k_j_geo = float(np.exp(-fro_norm(log_geo - log_b) / two_sig_sq))
-        k_i_line = float(np.exp(-fro_norm(log_line - log_a) / two_sig_sq))
-        k_j_line = float(np.exp(-fro_norm(log_line - log_b) / two_sig_sq))
-        pred_geo = predict_two_sample(y_i, y_j, k_ij, k_i_geo, k_j_geo)
-        pred_line = predict_two_sample(y_i, y_j, k_ij, k_i_line, k_j_line)
-        y_mix = (1.0 - lam) * y_i + lam * y_j
-        err_geo = (pred_geo - y_mix) ** 2
-        err_line = (pred_line - y_mix) ** 2
-        loss_violation = err_geo > err_line + LOSS_SLACK
-        ordering_violation = (
+    return lams
+
+
+def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
+    """Harness tables of the pairs ``(first[t], second[t])`` of ``mats``.
+
+    ``logs`` holds the logarithm of every matrix a pair uses and ``labels``
+    every label, as Python floats. Pair checks come first, in pair order;
+    then the four distances of every (pair, ratio) row are reduced a chunk
+    of rows at a time; the predictions stay scalar arithmetic per row.
+    """
+    n = mats.shape[-1]
+    per = len(lams)
+    d_ij = np.empty(len(first))
+    for part in _chunks(len(first), n):
+        d_ij[part] = fro_norm(logs[first[part]] - logs[second[part]])
+    two_sig_sq = np.empty(len(first))
+    k_ij = []
+    for t, d in enumerate(d_ij):
+        s = sigma
+        if s is None:
+            if d <= 0.0:
+                raise ValueError("endpoints coincide; no usable bandwidth")
+            s = _SIGMA_MULTIPLIER * d
+        if d <= 1e-12:
+            raise ValueError("endpoints coincide; the two-sample system is singular")
+        two_sig_sq[t] = 2.0 * s**2
+        k_ij.append(float(np.exp(-d / two_sig_sq[t])))
+
+    ratio = np.asarray(lams)
+    kernel = np.empty((len(first) * per, 4))
+    for part in _chunks(len(kernel), n):
+        t, l = np.divmod(np.arange(part.start, part.stop), per)
+        dist = _row_distances(mats, logs, first[t], second[t], ratio[l])
+        kernel[part] = np.exp(-dist / two_sig_sq[t][:, None])
+
+    tables = []
+    rows = iter(kernel.tolist())
+    for t in range(len(first)):
+        y_i, y_j = labels[first[t]], labels[second[t]]
+        table = []
+        for lam in lams:
+            k_i_geo, k_j_geo, k_i_line, k_j_line = next(rows)
+            row = _row(y_i, y_j, lam, k_ij[t], k_i_geo, k_j_geo, k_i_line, k_j_line)
+            if strict and row.loss_violation:
+                raise ValueError(
+                    f"geodesic mix lost the loss comparison at lam={lam}: "
+                    f"pred_geodesic={row.pred_geodesic!r}, "
+                    f"pred_line={row.pred_line!r}, y_mix={row.y_mix!r}, "
+                    f"labels=({y_i}, {y_j}), k_ij={k_ij[t]!r}"
+                )
+            table.append(row)
+        tables.append(table)
+    return tables
+
+
+def _row_distances(mats, logs, i, j, lam) -> np.ndarray:
+    """Log-Euclidean distances of each row's geodesic and line points from
+    its endpoints ``i`` and ``j``, as ``(rows, 4)``: geodesic-i, geodesic-j,
+    line-i, line-j. Works in place on two row-sized buffers."""
+
+    def gather(stack, rows, out):
+        # mode="clip" writes straight into ``out``; "raise" would buffer
+        return np.take(stack, rows, axis=0, out=out, mode="clip")
+
+    w = lam[:, None, None]
+    dist = np.empty((len(lam), 4))
+    point = logs[i]
+    point *= 1.0 - w
+    other = logs[j]
+    other *= w
+    point += other
+    for col, ends in ((0, i), (1, j)):
+        dist[:, col] = fro_norm(np.subtract(point, gather(logs, ends, other), out=other))
+
+    gather(mats, i, point)
+    point *= 1.0 - w
+    gather(mats, j, other)
+    other *= w
+    point += other
+    # a line point whose bytes equal an endpoint's has that endpoint's log
+    bits = point.view(np.int64)
+    at_i = (bits == gather(mats, i, other).view(np.int64)).all(axis=(1, 2))
+    at_j = ~at_i & (bits == gather(mats, j, other).view(np.int64)).all(axis=(1, 2))
+    del other
+    solve = np.flatnonzero(~(at_i | at_j))
+    if len(solve):
+        try:
+            point[solve] = matrix_log(point[solve])
+        except NonPositiveEigenvalueError as exc:
+            k = solve[exc.index]
+            raise NonPositiveEigenvalueError(
+                f"the line point at lam={float(lam[k])} between matrices {i[k]} and "
+                f"{j[k]} is not SPD ({exc})"
+            ) from exc
+    point[at_i] = logs[i[at_i]]
+    point[at_j] = logs[j[at_j]]
+    other = np.empty_like(point)
+    for col, ends in ((2, i), (3, j)):
+        dist[:, col] = fro_norm(np.subtract(point, gather(logs, ends, other), out=other))
+    return dist
+
+
+def _row(y_i, y_j, lam, k_ij, k_i_geo, k_j_geo, k_i_line, k_j_line) -> HarnessRow:
+    pred_geo = predict_two_sample(y_i, y_j, k_ij, k_i_geo, k_j_geo)
+    pred_line = predict_two_sample(y_i, y_j, k_ij, k_i_line, k_j_line)
+    y_mix = (1.0 - lam) * y_i + lam * y_j
+    err_geo = (pred_geo - y_mix) ** 2
+    err_line = (pred_line - y_mix) ** 2
+    return HarnessRow(
+        lam=lam,
+        y_mix=y_mix,
+        pred_geodesic=pred_geo,
+        pred_line=pred_line,
+        err_geodesic_sq=err_geo,
+        err_line_sq=err_line,
+        loss_violation=bool(err_geo > err_line + LOSS_SLACK),
+        ordering_violation=bool(
             pred_line < -ORDERING_SLACK
             or pred_line > pred_geo + ORDERING_SLACK
             or pred_geo > y_mix + ORDERING_SLACK
-        )
-        row = HarnessRow(
-            lam=lam,
-            y_mix=y_mix,
-            pred_geodesic=pred_geo,
-            pred_line=pred_line,
-            err_geodesic_sq=err_geo,
-            err_line_sq=err_line,
-            loss_violation=bool(loss_violation),
-            ordering_violation=bool(ordering_violation),
-        )
-        if strict and loss_violation:
-            raise ValueError(
-                f"geodesic mix lost the loss comparison at lam={lam}: "
-                f"pred_geodesic={pred_geo!r}, pred_line={pred_line!r}, "
-                f"y_mix={y_mix!r}, labels=({y_i}, {y_j}), k_ij={k_ij!r}"
-            )
-        rows.append(row)
-    return rows
+        ),
+    )
 
 
-def default_harness_sigma(s_i, s_j, multiplier: float = 8.0) -> float:
+def default_harness_sigma(s_i, s_j, multiplier: float = _SIGMA_MULTIPLIER) -> float:
     """Wide-kernel bandwidth for one pair: ``multiplier`` times their distance.
 
     Narrow kernels push the two-sample comparison out of the smooth regime

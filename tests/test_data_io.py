@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from spdmix.data_io import (
     FormatError,
@@ -20,6 +21,7 @@ from spdmix.data_io import (
     write_matrices,
     write_series_csv,
 )
+from spdmix import data_io
 from spdmix.linalg import SpdMatrix, matrix_log
 from spdmix.metrics import log_euclidean_distance
 
@@ -230,6 +232,48 @@ class TestSeriesCsv:
         write_series_csv(path, series, layout=layout)
         back = read_series_csv(path, layout=layout)
         np.testing.assert_array_equal(back, series)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, max_side=7),
+            elements=st.floats(allow_nan=False),
+        ),
+        st.sampled_from(["vars-as-rows", "vars-as-cols"]),
+        st.booleans(),
+    )
+    def test_roundtrip_bit_exact_through_loadtxt(self, series, layout, header):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            write_series_csv(path, series, layout=layout)
+            if header:
+                width = series.shape[0 if layout == "vars-as-cols" else 1]
+                names = ",".join(f"v{k}" for k in range(width))
+                path.write_text(names + "\n" + path.read_text())
+            back = read_series_csv(path, layout=layout)
+            table = data_io._parse_series_table(path)
+            rows = data_io._parse_series_rows(path)
+        assert back.shape == series.shape
+        assert np.array_equal(back.view(np.uint64), series.view(np.uint64))
+        assert table is not None
+        assert np.array_equal(table.view(np.uint64), rows.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "text",
+        ['"1.0",2.0\n3.0,4.0\n', "1_0,2\n3,4\n", "a,b\n\n\n1,2\r\n3,4\r\n"],
+    )
+    def test_rows_loadtxt_rejects_or_skips_read_as_before(self, tmp_path, text):
+        path = tmp_path / "odd.csv"
+        path.write_text(text, newline="")
+        rows = data_io._parse_series_rows(path)
+        assert np.array_equal(read_series_csv(path), rows)
+
+    def test_hash_is_a_value_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text("1.0,2.0\n3.0,4.0#x\n")
+        with pytest.raises(FormatError, match="line 2: could not convert"):
+            read_series_csv(path)
 
     def test_header_row_skipped(self, tmp_path):
         path = tmp_path / "h.csv"

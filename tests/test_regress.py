@@ -1,12 +1,20 @@
 """Kernel, kernel ridge, geodesic regression, and comparison harness tests."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from spdmix.data_io import LabeledDataset, gen_random_spd
+from spdmix import augment, regress
+from spdmix.cli import main
+from spdmix.data_io import LabeledDataset, gen_random_spd, write_matrices
+from spdmix.linalg import NonPositiveEigenvalueError, count_eig_calls, fro_norm, matrix_log
 from spdmix.metrics import geodesic, log_euclidean_distance
 from spdmix.regress import (
+    LOSS_SLACK,
+    ORDERING_SLACK,
     GeodesicRegressionModel,
+    HarnessRow,
     KernelConfig,
     default_harness_sigma,
     euclidean_kernel,
@@ -313,3 +321,227 @@ class TestTheoremHarness:
         for lam in np.linspace(0, 1, 9):
             mixed = geodesic(mats[0], mats[1], float(lam))
             assert abs(log_euclidean_distance(mats[0], mixed) - lam * d) <= 1e-8
+
+
+def per_ratio_harness(s_i, s_j, y_i, y_j, lambdas, sigma):
+    """The harness as one matrix at a time: a logarithm per endpoint and per
+    line point, a kernel value per distance."""
+    log_a, log_b = matrix_log(s_i), matrix_log(s_j)
+    d_ij = fro_norm(log_a - log_b)
+    if d_ij <= 1e-12:
+        raise ValueError("endpoints coincide; the two-sample system is singular")
+    two_sig_sq = 2.0 * sigma**2
+    k_ij = float(np.exp(-d_ij / two_sig_sq))
+    rows = []
+    for lam in map(float, lambdas):
+        log_geo = (1.0 - lam) * log_a + lam * log_b
+        log_line = matrix_log((1.0 - lam) * s_i + lam * s_j)
+        k = [
+            float(np.exp(-fro_norm(point - end) / two_sig_sq))
+            for point in (log_geo, log_line)
+            for end in (log_a, log_b)
+        ]
+        pred_geo = predict_two_sample(y_i, y_j, k_ij, k[0], k[1])
+        pred_line = predict_two_sample(y_i, y_j, k_ij, k[2], k[3])
+        y_mix = (1.0 - lam) * y_i + lam * y_j
+        err_geo, err_line = (pred_geo - y_mix) ** 2, (pred_line - y_mix) ** 2
+        ordering = (
+            pred_line < -ORDERING_SLACK
+            or pred_line > pred_geo + ORDERING_SLACK
+            or pred_geo > y_mix + ORDERING_SLACK
+        )
+        rows.append(HarnessRow(
+            lam, y_mix, pred_geo, pred_line, err_geo, err_line,
+            bool(err_geo > err_line + LOSS_SLACK), bool(ordering),
+        ))
+    return rows
+
+
+def draws(count, trials, seed):
+    """The pairs ``regress`` draws: anchor, then a distinct partner."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(trials):
+        a = int(rng.integers(count))
+        b = int(rng.integers(count - 1))
+        pairs.append((a, b + 1 if b >= a else b))
+    return pairs
+
+
+def per_pair_csv(ds, trials, seed, lambdas, sigma=None):
+    """``regress`` stdout as one harness call per pair, each pair with its
+    own :func:`default_harness_sigma` unless ``sigma`` is given."""
+    lines = ["pair,lam,err_geodesic,err_line,violation,ordering_violation"]
+    for a, b in draws(len(ds), trials, seed):
+        s_a, s_b = ds.matrices[a], ds.matrices[b]
+        sig = sigma if sigma is not None else default_harness_sigma(s_a, s_b)
+        rows = per_ratio_harness(
+            s_a, s_b, float(ds.labels[a]), float(ds.labels[b]), lambdas, sig
+        )
+        for row in rows:
+            lines.append(
+                f"{ds.ids[a]}:{ds.ids[b]},{row.lam!r},{row.err_geodesic_sq!r},"
+                f"{row.err_line_sq!r},{int(row.loss_violation)},"
+                f"{int(row.ordering_violation)}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+DEFAULT_GRID = [k / 10 for k in range(11)]
+
+
+def bits(rows):
+    return [repr(astuple(row)) for row in rows]
+
+
+class TestBatchedHarness:
+    @pytest.mark.parametrize(
+        "lambdas",
+        [DEFAULT_GRID, [0.25, 0.5], [1.0, 0.0, 0.5], [0.0, 1e-300, 1.0 - 1e-17, 1.0]],
+    )
+    def test_matches_per_ratio_loop(self, lambdas):
+        for seed in range(6):
+            a, b = spd_set(400 + seed, 2, n=5, cond=200.0)
+            y_i, y_j = np.random.default_rng(seed).uniform(size=2)
+            sigma = default_harness_sigma(a, b)
+            got = theorem1_harness(a, b, y_i, y_j, lambdas, KernelConfig(sigma=sigma))
+            assert bits(got) == bits(per_ratio_harness(a, b, y_i, y_j, lambdas, sigma))
+
+    def test_default_grid_counts_eleven_solves(self):
+        a, b = spd_set(410, 2, n=6)
+        with count_eig_calls() as c:
+            theorem1_harness(a, b, 0.2, 0.7, DEFAULT_GRID, KernelConfig(sigma=3.0))
+        assert c.count == 11
+
+    def test_bad_ratio_rejected_before_any_solve(self):
+        a, b = spd_set(411, 2, n=3)
+        with count_eig_calls() as c, pytest.raises(ValueError, match="mix ratio"):
+            theorem1_harness(a, b, 0.2, 0.7, [0.5, 1.5], KernelConfig(sigma=1.0))
+        assert c.count == 0
+
+    def test_non_spd_line_point_named(self, monkeypatch):
+        a, b = spd_set(413, 2, n=3)
+
+        def failing_log(stack):
+            if stack.ndim == 2:
+                return matrix_log(stack)
+            raise NonPositiveEigenvalueError("negative", index=1)
+
+        monkeypatch.setattr(regress, "matrix_log", failing_log)
+        with pytest.raises(NonPositiveEigenvalueError, match="lam=0.5 between matrices 0 and 1"):
+            theorem1_harness(a, b, 0.2, 0.7, [0.0, 0.3, 0.5, 1.0], KernelConfig(sigma=1.0))
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    def test_library_fits_independent_of_chunking(self, monkeypatch, per_chunk):
+        ds = regression_dataset(seed=412, count=7, n=4)
+        config = KernelConfig(sigma=2.0)
+        logs = np.stack([matrix_log(m) for m in ds.matrices])
+        gram = gram_matrix(ds.matrices, config)
+        feats = np.stack([vec_log_upper(m) for m in ds.matrices])
+        monkeypatch.setattr(augment, "_CHUNK_BYTES", per_chunk * 8 * 4 * 4)
+        assert np.array_equal(gram_matrix(ds.matrices, config), gram)
+        flat = logs.reshape(len(logs), -1)
+        sq = np.sum(flat**2, axis=1)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * flat @ flat.T, 0.0)
+        np.fill_diagonal(d2, 0.0)
+        assert np.array_equal(gram, (2 * np.pi * 4.0) ** -3.0 * np.exp(-d2 / 8.0))
+        model = geodesic_regression_fit(ds)
+        x_mean = feats.mean(axis=0)
+        y = ds.labels - ds.labels.mean()
+        weights = np.linalg.lstsq(feats - x_mean, y, rcond=None)[0]
+        assert np.array_equal(model.weights, weights)
+
+
+class TestRegressCli:
+    """``regress`` on the batched core against one harness call per pair."""
+
+    def dataset(self, tmp_path, count=9, n=5, seed=420, edit=None):
+        ds = regression_dataset(seed=seed, count=count, n=n)
+        if edit is not None:
+            edit(ds.matrices)
+        path = tmp_path / "ds.spdb"
+        write_matrices(path, ds)
+        return ds, path
+
+    def run(self, capsys, path, *extra):
+        code = main(["regress", "--input", str(path), *extra])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "extra, lambdas, sigma",
+        [
+            ((), DEFAULT_GRID, None),
+            (("--lambdas", "0.25,0.5"), [0.25, 0.5], None),
+            (("--sigma", "2.0"), DEFAULT_GRID, 2.0),
+            (("--trials", "0"), DEFAULT_GRID, None),
+        ],
+    )
+    def test_stdout_matches_per_pair_loop(self, capsys, tmp_path, extra, lambdas, sigma):
+        ds, path = self.dataset(tmp_path)
+        trials = 0 if "--trials" in extra else 30
+        code, out, _ = self.run(capsys, path, "--trials", "30", "--seed", "4", *extra)
+        assert code in (0, 4)
+        assert out == per_pair_csv(ds, trials, 4, lambdas, sigma)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    def test_stdout_independent_of_chunking(self, capsys, tmp_path, monkeypatch, per_chunk):
+        ds, path = self.dataset(tmp_path)
+        monkeypatch.setattr(augment, "_CHUNK_BYTES", per_chunk * 8 * 5 * 5)
+        code, out, _ = self.run(capsys, path, "--trials", "7", "--seed", "5")
+        assert code == 0
+        assert out == per_pair_csv(ds, 7, 5, DEFAULT_GRID)
+
+    @pytest.mark.parametrize("grid", [None, "0,1e-300,0.5,1", "0.25,0.5"])
+    def test_solve_ledger(self, capsys, tmp_path, grid):
+        ds, path = self.dataset(tmp_path, count=12)
+        lambdas = DEFAULT_GRID if grid is None else [float(v) for v in grid.split(",")]
+        extra = () if grid is None else ("--lambdas", grid)
+        with count_eig_calls() as c:
+            code, _, _ = self.run(capsys, path, "--trials", "20", "--seed", "6", *extra)
+        assert code == 0
+        pairs = draws(len(ds), 20, 6)
+        sources = {k for pair in pairs for k in pair}
+        interior = 0
+        for a, b in pairs:
+            s_a, s_b = ds.matrices[a], ds.matrices[b]
+            for lam in lambdas:
+                line = ((1.0 - lam) * s_a + lam * s_b).tobytes()
+                interior += line not in (s_a.tobytes(), s_b.tobytes())
+        assert c.count == len(sources) + interior
+        if grid is None:
+            assert interior == 20 * 9
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [((), "no usable bandwidth"), (("--sigma", "2.0"), "two-sample system is singular")],
+    )
+    def test_duplicated_matrix_message(self, capsys, tmp_path, extra, message):
+        def duplicate(mats):
+            mats[2] = mats[0]
+
+        ds, path = self.dataset(tmp_path, count=3, edit=duplicate)
+        sigma = 2.0 if extra else None
+        with pytest.raises(ValueError, match=message):
+            per_pair_csv(ds, 10, 1, DEFAULT_GRID, sigma)
+        code, out, err = self.run(capsys, path, "--trials", "10", "--seed", "1", *extra)
+        assert code == 3
+        assert message in err and out == ""
+
+    def test_drawn_non_spd_sample_named(self, capsys, tmp_path):
+        def break_one(mats):
+            mats[3] = np.diag([1.0, -1.0, 2.0, 3.0, 4.0])
+
+        ds, path = self.dataset(tmp_path, edit=break_one)
+        assert any(3 in pair for pair in draws(len(ds), 10, 2))
+        code, out, err = self.run(capsys, path, "--trials", "10", "--seed", "2")
+        assert code == 3
+        assert f"sample {ds.ids[3]} is not SPD" in err and out == ""
+
+    def test_bad_ratio_exits_3_before_any_solve(self, capsys, tmp_path):
+        _, path = self.dataset(tmp_path)
+        with count_eig_calls() as c:
+            code, out, err = self.run(capsys, path, "--lambdas", "0.5,1.5")
+        assert code == 3 and out == ""
+        assert "mix ratio must lie in [0, 1], got 1.5" in err
+        assert c.count == 0
