@@ -275,8 +275,9 @@ def read_series_csv(path, layout: str = "vars-as-rows") -> np.ndarray:
     """Read a series CSV; an optional non-numeric first row is a name header.
 
     Empty or ragged files and non-numeric values raise :class:`FormatError`.
-    Values are parsed by ``np.loadtxt``; a file it rejects is read again row
-    by row with ``float()``, which names the offending line.
+    A leading UTF-8 byte-order mark is skipped. Values are parsed by
+    ``np.loadtxt``; a file it rejects is read again row by row with
+    ``float()``, which names the offending line.
     """
     if layout not in ("vars-as-rows", "vars-as-cols"):
         raise ValueError(f"unknown series layout {layout!r}")
@@ -297,7 +298,7 @@ def _is_header(row: list[str]) -> bool:
 def _parse_series_table(path) -> np.ndarray | None:
     """The data rows as one ``np.loadtxt`` table, or ``None`` where loadtxt
     fails or finds no data."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         first = next((row for row in reader if row), None)
         if first is None:
@@ -319,7 +320,7 @@ def _parse_series_table(path) -> np.ndarray | None:
 
 def _parse_series_rows(path) -> np.ndarray:
     """The data rows parsed one by one; errors name the file and line."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row]
     if rows and _is_header(rows[0][1]):

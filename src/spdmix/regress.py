@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from . import metrics
 from .augment import EigenCache, _chunks
@@ -169,9 +168,10 @@ class KernelRidgePredictor:
 def fit_kernel_ridge(train: LabeledDataset, config: KernelConfig) -> KernelRidgePredictor:
     """Fit the kernel ridge predictor on a regression dataset.
 
-    The Gram matrix is factored by Cholesky, escalating through tiny jitters
-    (0, 1e-10, 1e-8) on top of the configured ridge before giving up;
-    numerically coincident samples need an explicit ridge.
+    The Gram matrix is factored by ``np.linalg.cholesky``, escalating through
+    tiny jitters (0, 1e-10, 1e-8) on top of the configured ridge; the weights
+    solve ``L z = y`` and ``L^T w = z`` with the first factor ``L`` found.
+    Numerically coincident samples need an explicit ridge.
     """
     if train.task != TASK_REGRESSION:
         raise ValueError("kernel ridge regression requires a regression dataset")
@@ -190,10 +190,10 @@ def fit_kernel_ridge(train: LabeledDataset, config: KernelConfig) -> KernelRidge
     for jitter in _JITTER_LADDER:
         shifted = gram + (config.ridge + jitter * norm) * np.eye(len(gram))
         try:
-            factor = cho_factor(shifted, check_finite=False)
-        except LinAlgError:
+            low = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
             continue
-        weights = cho_solve(factor, y, check_finite=False)
+        weights = np.linalg.solve(low.T, np.linalg.solve(low, y))
         return KernelRidgePredictor(emb, weights, norm, config)
     raise ValueError(
         "Gram matrix is singular even after jitter; training samples are "

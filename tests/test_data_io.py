@@ -281,6 +281,26 @@ class TestSeriesCsv:
         back = read_series_csv(path, layout="vars-as-cols")
         np.testing.assert_array_equal(back, [[1.0, 3.0], [2.0, 4.0]])
 
+    @pytest.mark.parametrize("layout", ["vars-as-rows", "vars-as-cols"])
+    def test_byte_order_mark_keeps_first_row(self, tmp_path, layout):
+        # the mark made the first field unparseable, so the first data row
+        # was taken for a name header and dropped without an error
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n")
+        expected = np.array([[1.0, 2.0], [3.0, 4.0]])
+        if layout == "vars-as-cols":
+            expected = expected.T
+        np.testing.assert_array_equal(read_series_csv(path, layout=layout), expected)
+        np.testing.assert_array_equal(data_io._parse_series_table(path), [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(data_io._parse_series_rows(path), [[1, 2], [3, 4]])
+
+    def test_byte_order_mark_before_header_drops_only_header(self, tmp_path):
+        path = tmp_path / "bom_header.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1.0,2.0\n3.0,4.0\n")
+        np.testing.assert_array_equal(read_series_csv(path), [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(data_io._parse_series_table(path), [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(data_io._parse_series_rows(path), [[1, 2], [3, 4]])
+
     @pytest.mark.parametrize(
         "text, match",
         [

@@ -5,11 +5,14 @@ elementwise scalar functions on diagonal matrices.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdmix.data_io import gen_random_spd
@@ -209,6 +212,60 @@ class TestCholesky:
             cholesky(bad)
         assert info.value.pivot == 2
 
+    @staticmethod
+    def leading_minor_oracle(arr, margin):
+        """``(pivot, decided)``: the first leading minor whose smallest
+        eigenvalue is below ``-margin`` (``None`` if none is), decided only
+        when every earlier minor sits above ``+margin``."""
+        for k in range(1, arr.shape[0] + 1):
+            low = float(eigvals_sym(arr[:k, :k])[0])
+            if low < -margin:
+                return k - 1, True
+            if low <= margin:
+                return None, False
+        return None, True
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 12),
+    )
+    def test_pivot_matches_leading_minor_oracle(self, n, seed, negative_at):
+        # S = L D L^T with unit lower-triangular L: the leading minor of order
+        # k is positive definite exactly while d_1..d_k > 0, so the first
+        # negative d sits at the first indefinite minor (none if past n)
+        rng = np.random.default_rng(seed)
+        ell = np.tril(rng.standard_normal((n, n)), -1) + np.eye(n)
+        signs = rng.choice([-1.0, 1.0], n)
+        signs[:negative_at] = 1.0
+        signs[negative_at : negative_at + 1] = -1.0
+        d = signs * 10.0 ** rng.uniform(-2.0, 2.0, n)
+        arr = symmetrize((ell * d) @ ell.T)
+        margin = 1e-8 * float(np.linalg.norm(arr))
+        pivot, decided = self.leading_minor_oracle(arr, margin)
+        assume(decided)
+        if pivot is None:
+            ell_out = cholesky(arr)
+            assert np.linalg.norm(ell_out @ ell_out.T - arr) <= 1e-10 * np.linalg.norm(arr)
+            return
+        with pytest.raises(CholeskyPivotError) as info:
+            cholesky(arr)
+        assert info.value.pivot == pivot
+        assert str(info.value) == (
+            f"Cholesky failed at pivot index {pivot}: leading minor of "
+            f"order {pivot + 1} is not positive definite"
+        )
+
+    def test_no_eigensolves_on_success_or_failure(self):
+        s = gen_random_spd(8, 100.0, np.random.default_rng(12))
+        with count_eig_calls() as c:
+            cholesky(s)
+        assert (c.count, c.values_only) == (0, 0)
+        with count_eig_calls() as c, pytest.raises(CholeskyPivotError):
+            cholesky(np.diag([1.0, 2.0, 3.0, -1.0, 5.0]))
+        assert (c.count, c.values_only) == (0, 0)
+
 
 class TestLogDet:
     def test_identity_is_zero(self):
@@ -350,31 +407,43 @@ class TestEigvalsSym:
 
 
 class TestOneBackend:
-    """Every symmetric eigensolve goes through ``spdmix.linalg``, on numpy's
-    BLAS pool; scipy stays where numpy lacks the feature."""
+    """spdmix depends on numpy alone: every eigensolve, factorization and
+    solve runs on numpy's one LAPACK/BLAS build, and every symmetric
+    eigensolve goes through ``spdmix.linalg``."""
 
     SRC = Path(__file__).resolve().parents[1] / "src" / "spdmix"
-    SCIPY_ALLOWED = {
-        "linalg.py": {"get_lapack_funcs"},
-        "regress.py": {"cho_factor", "cho_solve", "LinAlgError"},
-    }
 
     def modules(self):
-        paths = sorted(self.SRC.glob("*.py"))
+        paths = sorted(self.SRC.rglob("*.py"))
         assert paths
         return [(p.name, ast.parse(p.read_text(), filename=str(p))) for p in paths]
 
     def test_scipy_imports_confined(self):
-        found: dict[str, set[str]] = {}
+        # confined to nothing: no module of the package imports scipy
         for name, tree in self.modules():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     roots = {a.name.split(".")[0] for a in node.names}
-                    assert "scipy" not in roots, name
                 elif isinstance(node, ast.ImportFrom):
-                    if (node.module or "").split(".")[0] == "scipy":
-                        found.setdefault(name, set()).update(a.name for a in node.names)
-        assert found == self.SCIPY_ALLOWED
+                    roots = {(node.module or "").split(".")[0]}
+                else:
+                    continue
+                assert "scipy" not in roots, (name, node.lineno)
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(self.SRC.parent), env.get("PYTHONPATH")) if p
+        )
+        probe = (
+            "import sys, spdmix.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_numpy_eigensolvers_only_in_linalg(self):
         for name, tree in self.modules():

@@ -147,6 +147,24 @@ class TestDecompositionCounts:
             geodesic(s_i, s_j, 0.3, metric)
         assert (c.count, c.values_only) == (total, values_only)
 
+    @pytest.mark.parametrize(
+        "metric, total, values_only",
+        [
+            (MetricKind.LOG_EUCLIDEAN, 6, 3),
+            (MetricKind.EUCLIDEAN, 4, 4),
+            (MetricKind.CHOLESKY, 4, 4),
+            (MetricKind.AFFINE_INVARIANT, 6, 4),
+            (MetricKind.BURES_WASSERSTEIN, 6, 4),
+        ],
+    )
+    def test_swelling_check_counts(self, metric, total, values_only):
+        # the geodesic's solves plus one values-only log_det per endpoint and
+        # one for the mix; the spectra the geodesic already has are not reused
+        s_i, s_j = random_pair(30)
+        with count_eig_calls() as c:
+            swelling_check(s_i, s_j, 0.3, metric)
+        assert (c.count, c.values_only) == (total, values_only)
+
 
 def reference_affine_invariant(a, b, lam):
     half = matrix_power(a, 0.5).array
