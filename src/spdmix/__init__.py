@@ -17,6 +17,7 @@ from .augment import (
     MixedSample,
     augment_batch,
     incorrect_label_probe,
+    mix_dataset,
     r_mixup,
     r_mixup_cached,
     sample_beta,

@@ -7,11 +7,12 @@ baselines: linear interpolation, per-edge discrete swapping, node/edge
 dropping, per-edge generator sampling, and label-distance pairing.
 
 Every strategy takes an explicit ``numpy.random.Generator``;
-:func:`augment_batch` derives one stream per output index from
+:func:`mix_dataset` derives one stream per output index from
 ``(seed, index)`` so output ``k`` does not depend on the batch size or on
-the order in which outputs are produced. Batched geodesic mixes (rmixup
-batches and the label probe) first draw every pair and ratio, then run
-stacked matrix logarithms and exponentials a chunk of matrices at a time.
+the order in which outputs are produced, and writes every output into one
+stack. Batched geodesic mixes (rmixup batches and the label probe) first
+draw every pair and ratio, then run stacked matrix logarithms and
+exponentials a chunk of matrices at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "g_mixup_fit",
     "g_mixup_sample",
     "incorrect_label_probe",
+    "mix_dataset",
     "r_mixup",
     "r_mixup_cached",
     "sample_beta",
@@ -65,6 +67,9 @@ STRATEGIES = (
 )
 
 _PAIRWISE = {"rmixup", "vmixup", "dmixup", "gmixup", "cmixup"}
+
+# Strategies whose outputs are SPD for SPD inputs (cmixup mixes linearly).
+_SPD_OUTPUT = {"rmixup", "vmixup", "cmixup"}
 
 # Bytes of matrices handed to one stacked eigensolve. It bounds the working
 # set of a batched mix at large n and still stacks thousands of matrices at
@@ -564,137 +569,127 @@ def _partner_uniform(anchor: int, size: int, rng: np.random.Generator) -> int:
     return j + 1 if j >= anchor else j
 
 
-def _one_hot(c: int, n_classes: int) -> np.ndarray:
-    out = np.zeros(n_classes)
-    out[int(c)] = 1.0
-    return out
+def _strategy_inputs(
+    dataset: LabeledDataset, config: MixConfig
+) -> tuple[EdgeGenerator | None, float | None]:
+    """The fitted edge generator (gmixup) and label-kernel width (cmixup),
+    after checking the labels suit the strategy."""
+    if config.strategy not in ("gmixup", "cmixup"):
+        return None, None
+    if dataset.task == TASK_CLASSIFICATION and dataset.has_soft_labels:
+        raise ValueError(f"{config.strategy} needs hard class labels, got soft labels")
+    if config.strategy == "gmixup":
+        return g_mixup_fit(dataset), None
+    if config.cmix_bandwidth is not None or dataset.task == TASK_CLASSIFICATION:
+        return None, config.cmix_bandwidth or 1.0
+    spread = float(dataset.labels.std())
+    if spread == 0.0:
+        raise ValueError(
+            "cmixup bandwidth default is the label standard deviation, "
+            "which is zero for this dataset; pass cmix_bandwidth"
+        )
+    return None, spread
 
 
-def _r_mixup_batch(
-    dataset: LabeledDataset, config: MixConfig, count: int, labels: np.ndarray
-) -> list[MixedSample]:
-    """rmixup in two phases: draw every pair and ratio from its own
-    ``(seed, k)`` stream, then mix through stacked eigensolves."""
+def mix_dataset(
+    dataset: LabeledDataset, config: MixConfig, count: int
+) -> tuple[LabeledDataset, list[Provenance]]:
+    """Mix ``count`` samples under one configuration into a new dataset.
+
+    Output ``k`` is computed from the stream seeded by ``(config.seed, k)``,
+    so it is a pure function of (dataset, config, k): a longer batch extends
+    a shorter one. Pair selection is anchor-then-partner, uniform without
+    replacement, except the label-distance strategy. Every output fills a
+    row of one matrix stack and one label array; hard class ids enter as
+    one-hot rows. rmixup draws every pair and ratio first, then mixes through
+    an :class:`EigenCache`: each drawn source is decomposed once and each mix
+    once more, in stacked chunks. Output ids are ``m000000, ...``; the output
+    holds correlation matrices only when gmixup draws from correlation input.
+    """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    strategy = config.strategy
     size = len(dataset)
-    anchors, partners, lams = [], [], []
+    if size == 0 or (strategy in _PAIRWISE and size < 2):
+        if count:
+            raise ValueError(f"dataset too small for strategy {strategy!r}")
+        generator, bandwidth = None, None
+    else:
+        generator, bandwidth = _strategy_inputs(dataset, config)
+    hard = dataset.task == TASK_CLASSIFICATION and not dataset.has_soft_labels
+    n_classes = dataset.n_classes if hard else 0
+    source_labels = (
+        np.eye(n_classes)[dataset.labels] if hard else np.asarray(dataset.labels, np.float64)
+    )
+    matrices = np.empty((count, dataset.dim, dataset.dim))
+    labels = np.empty((count, *source_labels.shape[1:]))
+    provenance: list[Provenance] = []
+    pairs = np.empty((count, 2), dtype=np.intp)
+    lams = np.empty(count)
     for k in range(count):
         rng = np.random.default_rng([int(config.seed), k])
         anchor = int(rng.integers(size))
-        anchors.append(anchor)
-        partners.append(_partner_uniform(anchor, size, rng))
-        lams.append(sample_beta(config.alpha, rng))
-    first, second = np.asarray(anchors, np.intp), np.asarray(partners, np.intp)
-    ratios = np.asarray(lams)
-    matrices = np.empty((count, dataset.dim, dataset.dim))
-    for part, mixed in EigenCache(dataset)._mixes(first, second, ratios):
-        matrices[part] = mixed
-    matrices.flags.writeable = False
-    w = ratios.reshape(-1, *([1] * (labels.ndim - 1)))
-    mixed_labels = (1.0 - w) * labels[first] + w * labels[second]
-    if mixed_labels.ndim == 1:
-        mixed_labels = mixed_labels.tolist()
-    ids = dataset.ids
-    return [
-        MixedSample(
-            matrix=matrices[k],
-            label=mixed_labels[k],
-            provenance=Provenance("rmixup", ids[a], ids[p], lam=lam),
-            spd_guaranteed=True,
-        )
-        for k, (a, p, lam) in enumerate(zip(anchors, partners, lams))
-    ]
+        mat_a, y_a, src_a = dataset.matrices[anchor], source_labels[anchor], dataset.ids[anchor]
+        if strategy == "dropnode":
+            sample = drop_node(mat_a, y_a, config.keep_prob, rng, src_a)
+        elif strategy == "dropedge":
+            sample = drop_edge(mat_a, y_a, config.keep_prob, rng, src_a)
+        else:
+            if strategy == "cmixup":
+                partner = c_mixup_pair(dataset, anchor, bandwidth, rng)
+            else:
+                partner = _partner_uniform(anchor, size, rng)
+            lam = sample_beta(config.alpha, rng)
+            sources = (src_a, dataset.ids[partner])
+            if strategy == "rmixup":
+                pairs[k] = anchor, partner
+                lams[k] = lam
+                provenance.append(Provenance("rmixup", *sources, lam=lam))
+                continue
+            mat_p, y_p = dataset.matrices[partner], source_labels[partner]
+            if strategy == "gmixup":
+                sample = g_mixup_sample(
+                    generator, dataset.labels[anchor], dataset.labels[partner], lam, rng,
+                    n_classes or None, sources,
+                )
+            elif strategy == "dmixup":
+                sample = d_mixup(mat_a, mat_p, y_a, y_p, lam, rng, sources)
+            else:
+                sample = v_mixup(mat_a, mat_p, y_a, y_p, lam, sources)
+        matrices[k] = sample.matrix
+        labels[k] = sample.label
+        provenance.append(sample.provenance)
+    if strategy == "rmixup" and count:
+        first, second = pairs[:, 0], pairs[:, 1]
+        for part, mixed in EigenCache(dataset)._mixes(first, second, lams):
+            matrices[part] = mixed
+        w = lams.reshape(-1, *([1] * (labels.ndim - 1)))
+        labels[:] = (1.0 - w) * source_labels[first] + w * source_labels[second]
+    mixed_set = LabeledDataset(
+        matrices=matrices,
+        labels=labels,
+        task=dataset.task,
+        is_correlation=dataset.is_correlation and strategy == "gmixup",
+        ids=[f"m{k:06d}" for k in range(count)],
+    )
+    return mixed_set, provenance
 
 
 def augment_batch(
     dataset: LabeledDataset, config: MixConfig, count: int
 ) -> list[MixedSample]:
-    """Generate ``count`` augmented samples under one configuration.
-
-    Output ``k`` is computed from the stream seeded by ``(config.seed, k)``,
-    so it is a pure function of (dataset, config, k): a longer batch extends
-    a shorter one. Pair selection is anchor-then-partner, uniform without
-    replacement, except the label-distance strategy. Geodesic mixes go
-    through an :class:`EigenCache`, so each drawn source sample is
-    decomposed once and each mix once more, in stacked chunks.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if len(dataset) == 0 or (config.strategy in _PAIRWISE and len(dataset) < 2):
-        if count > 0:
-            raise ValueError(
-                f"dataset too small for strategy {config.strategy!r}"
-            )
-        return []
-    is_classification = dataset.task == TASK_CLASSIFICATION
-    if is_classification and dataset.has_soft_labels and config.strategy in (
-        "gmixup",
-        "cmixup",
-    ):
-        raise ValueError(
-            f"{config.strategy} needs hard class labels, got soft labels"
-        )
-    n_classes = dataset.n_classes if is_classification and not dataset.has_soft_labels else 0
-
-    if config.strategy == "rmixup":
-        if n_classes:
-            labels = np.eye(n_classes)[dataset.labels]
-        else:
-            labels = dataset.labels.astype(np.float64)
-        return _r_mixup_batch(dataset, config, count, labels)
-    generator = g_mixup_fit(dataset) if config.strategy == "gmixup" else None
-    bandwidth = config.cmix_bandwidth
-    if config.strategy == "cmixup" and bandwidth is None:
-        if dataset.task == TASK_REGRESSION:
-            spread = float(dataset.labels.std())
-            if spread == 0.0:
-                raise ValueError(
-                    "cmixup bandwidth default is the label standard deviation, "
-                    "which is zero for this dataset; pass cmix_bandwidth"
-                )
-            bandwidth = spread
-        else:
-            bandwidth = 1.0
-
-    def label_of(k: int):
-        if is_classification and not dataset.has_soft_labels:
-            return _one_hot(dataset.labels[k], n_classes)
-        return dataset.labels[k]
-
-    def make(k: int) -> MixedSample:
-        rng = np.random.default_rng([int(config.seed), k])
-        anchor = int(rng.integers(len(dataset)))
-        src_a = dataset.ids[anchor]
-        if config.strategy == "dropnode":
-            return drop_node(
-                dataset.matrices[anchor], label_of(anchor), config.keep_prob, rng, src_a
-            )
-        if config.strategy == "dropedge":
-            return drop_edge(
-                dataset.matrices[anchor], label_of(anchor), config.keep_prob, rng, src_a
-            )
-        if config.strategy == "cmixup":
-            partner = c_mixup_pair(dataset, anchor, bandwidth, rng)
-        else:
-            partner = _partner_uniform(anchor, len(dataset), rng)
-        lam = sample_beta(config.alpha, rng)
-        sources = (src_a, dataset.ids[partner])
-        if config.strategy == "gmixup":
-            return g_mixup_sample(
-                generator,
-                dataset.labels[anchor],
-                dataset.labels[partner],
-                lam,
-                rng,
-                n_classes=n_classes or None,
-                sources=sources,
-            )
-        y_a, y_p = label_of(anchor), label_of(partner)
-        mat_a, mat_p = dataset.matrices[anchor], dataset.matrices[partner]
-        if config.strategy == "dmixup":
-            return d_mixup(mat_a, mat_p, y_a, y_p, lam, rng, sources)
-        return v_mixup(mat_a, mat_p, y_a, y_p, lam, sources)
-
-    return [make(k) for k in range(count)]
+    """:func:`mix_dataset` as one :class:`MixedSample` per output; each
+    sample's matrix is a read-only row of the one output stack."""
+    mixed_set, provenance = mix_dataset(dataset, config, count)
+    mixed_set.matrices.flags.writeable = False
+    labels = mixed_set.labels
+    if labels.ndim == 1:
+        labels = labels.tolist()
+    spd = config.strategy in _SPD_OUTPUT
+    return [
+        MixedSample(matrix, label, prov, spd)
+        for matrix, label, prov in zip(mixed_set.matrices, labels, provenance)
+    ]
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,18 @@ def _seed(text: str) -> int:
     return value
 
 
+def _count(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return value
+
+    return count
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -162,37 +174,19 @@ def cmd_mix(args) -> int:
     )
     if args.cache is not None:
         print("note: --cache is deprecated and has no effect", file=sys.stderr)
-    samples = augment.augment_batch(dataset, config, args.count)
-    if samples:
-        matrices = np.stack([s.matrix for s in samples])
-        first = samples[0].label
-        if np.ndim(first) == 1:
-            labels = np.stack([np.asarray(s.label) for s in samples])
-        else:
-            labels = np.asarray([float(s.label) for s in samples])
-    else:
-        matrices = np.zeros((0, dataset.dim, dataset.dim))
-        labels = np.zeros(0)
-    out = LabeledDataset(
-        matrices=matrices,
-        labels=labels,
-        task=dataset.task,
-        is_correlation=dataset.is_correlation and args.strategy == "gmixup",
-        ids=[f"m{k:06d}" for k in range(len(samples))],
-    )
+    out, provenance = augment.mix_dataset(dataset, config, args.count)
     write_matrices(args.output, out)
     prov_path = Path(args.output).with_name(Path(args.output).stem + ".provenance.csv")
     with open(prov_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh, dataset.ids)
         writer.writerow(["id", "strategy", "source_i", "source_j", "lam", "mask_summary"])
-        for sample_id, s in zip(out.ids, samples):
-            p = s.provenance
-            writer.writerow(
-                [sample_id, p.strategy, p.source_i, p.source_j or "",
-                 "" if p.lam is None else repr(p.lam), p.mask_summary or ""]
-            )
+        writer.writerows(
+            [sample_id, p.strategy, p.source_i, p.source_j or "",
+             "" if p.lam is None else repr(p.lam), p.mask_summary or ""]
+            for sample_id, p in zip(out.ids, provenance)
+        )
     _emit_json(
-        {"strategy": args.strategy, "count": len(samples), "n": dataset.dim,
+        {"strategy": args.strategy, "count": len(out), "n": dataset.dim,
          "seed": args.seed, "output": str(args.output)}
     )
     return 0
@@ -272,15 +266,14 @@ def cmd_regress(args) -> int:
         raise ValueError("the regression harness requires a regression dataset")
     if len(dataset) < 2:
         raise ValueError("need at least 2 samples")
-    if len(dataset) and float(np.min(dataset.labels)) < 0.0:
+    if float(np.min(dataset.labels)) < 0.0:
         raise ValueError("the comparison requires non-negative labels")
     lambdas = _parse_float_list(args.lambdas, "--lambdas")
     rng = np.random.default_rng(args.seed)
-    pairs = np.empty((max(args.trials, 0), 2), dtype=np.intp)
+    pairs = np.empty((args.trials, 2), dtype=np.intp)
     for pair in pairs:
         a = int(rng.integers(len(dataset)))
-        b = int(rng.integers(len(dataset) - 1))
-        pair[:] = a, b + 1 if b >= a else b
+        pair[:] = a, augment._partner_uniform(a, len(dataset), rng)
     tables = regress.theorem1_trials(dataset, pairs[:, 0], pairs[:, 1], lambdas, args.sigma)
     header = ["pair", "lam", "err_geodesic", "err_line", "violation", "ordering_violation"]
     rows: list[list] = []
@@ -305,8 +298,6 @@ def cmd_regress(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    if args.trials < 1:
-        raise _UsageError("--trials must be at least 1")
     dataset = read_matrices(args.input)
     rng = np.random.default_rng(args.seed)
     result = augment.incorrect_label_probe(dataset, args.trials, rng)
@@ -420,7 +411,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub("gen", "generate synthetic datasets or series")
     p.add_argument("--kind", required=True, choices=["log-linear", "clustered", "spd", "series"])
     p.add_argument("--n", type=int, required=True, help="matrix dimension / variable count")
-    p.add_argument("--count", type=int, default=1, help="samples (or series files)")
+    p.add_argument("--count", type=_count(1), default=1, help="samples (or series files)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--t", type=int, default=None, help="series length (kind=series)")
     p.add_argument("--latent-rank", type=int, default=None, help="latent signals (kind=series)")
@@ -439,7 +430,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--alpha", type=float, default=1.0, help="Beta shape for the mix ratio")
     p.add_argument("--keep-prob", type=float, default=0.9)
     p.add_argument("--bandwidth", type=float, default=None, help="label kernel width (cmixup)")
-    p.add_argument("--count", type=int, default=0)
+    p.add_argument("--count", type=_count(0), default=0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cache", choices=["on", "off"], default=None,
                    help="deprecated, no effect")
@@ -459,7 +450,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub("regress", "geodesic-vs-line regression comparison harness")
     p.add_argument("--input", required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count(0), default=100)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sigma", type=float, default=None,
                    help="kernel bandwidth; default 8x each pair's distance")
@@ -469,14 +460,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub("probe", "incorrect-label probe on a regression dataset")
     p.add_argument("--input", required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_count(1), default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_probe)
 
     p = sub("bench", "time direct vs cached geodesic mixing")
     p.add_argument("--n", default="8,50,120,360", help="comma-separated dimensions")
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--batch", type=_count(1), default=64)
+    p.add_argument("--reps", type=_count(1), default=3)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)
@@ -485,13 +476,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _coerce(action: argparse.Action, text: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        low = text.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return isinstance(action, argparse._StoreTrueAction)
-        if low in ("0", "false", "no", "off"):
-            return isinstance(action, argparse._StoreFalseAction)
-        raise _UsageError(f"config key {action.dest}: cannot parse boolean {text!r}")
     if action.type is not None:
         try:
             return action.type(text)
@@ -502,7 +486,7 @@ def _coerce(action: argparse.Action, text: str):
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

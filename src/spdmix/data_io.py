@@ -20,6 +20,7 @@ mixing) are stored as ``;``-joined simplex weights in the same column.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -159,10 +160,10 @@ def write_matrices(path, dataset: LabeledDataset) -> None:
     flags = (FLAG_CORRELATION if dataset.is_correlation else 0) | (
         FLAG_REGRESSION if dataset.task == TASK_REGRESSION else 0
     )
-    payload = np.ascontiguousarray(dataset.matrices, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(dataset.matrices, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, n, count, flags))
-        fh.write(payload)
+        fh.write(payload.data)
     with open(_labels_path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh, dataset.ids)
         writer.writerow(["id", "label"])
@@ -205,31 +206,30 @@ def read_matrices(path) -> LabeledDataset:
     mismatch, truncated payload, or label-count mismatch), never garbage data.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise SpdbFormatError(f"truncated header: {len(raw)} bytes in {path}")
-    magic, version, n, count, flags = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise SpdbFormatError(f"bad magic {magic!r} in {path}")
-    if version != VERSION:
-        raise SpdbFormatError(f"version mismatch: file has {version}, expected {VERSION}")
-    expected = count * n * n * 8
-    got = len(raw) - _HEADER.size
-    if got != expected:
-        raise SpdbFormatError(
-            f"truncated payload: expected {expected} bytes for count={count}, "
-            f"n={n}, found {got}"
-        )
-    matrices = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(
-        np.float64
-    )
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise SpdbFormatError(f"truncated header: {size} bytes in {path}")
+        magic, version, n, count, flags = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise SpdbFormatError(f"bad magic {magic!r} in {path}")
+        if version != VERSION:
+            raise SpdbFormatError(f"version mismatch: file has {version}, expected {VERSION}")
+        expected = count * n * n * 8
+        got = size - _HEADER.size
+        if got != expected:
+            raise SpdbFormatError(
+                f"truncated payload: expected {expected} bytes for count={count}, "
+                f"n={n}, found {got}"
+            )
+        matrices = np.fromfile(fh, dtype="<f8", count=count * n * n)
     matrices = matrices.reshape(count, n, n)
     task = TASK_REGRESSION if flags & FLAG_REGRESSION else TASK_CLASSIFICATION
 
     labels_file = _labels_path(path)
     if not labels_file.exists():
         raise SpdbFormatError(f"missing labels sidecar {labels_file}")
-    with open(labels_file, encoding="utf-8", newline="") as fh:
+    with open(labels_file, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["id", "label"]:

@@ -3,11 +3,21 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
+import pytest
 
+from spdmix import augment
 from spdmix.cli import main
-from spdmix.data_io import TASK_REGRESSION, LabeledDataset, read_matrices, write_matrices
+from spdmix.data_io import (
+    TASK_REGRESSION,
+    LabeledDataset,
+    gen_labeled_dataset,
+    read_matrices,
+    write_matrices,
+)
+from spdmix.linalg import count_eig_calls
 from spdmix.spdness import covariance
 
 
@@ -168,6 +178,185 @@ class TestMix:
         assert code == 1
 
 
+def oracle_mix(dataset, strategy, count, seed, out_path):
+    """``mix`` one sample at a time through the public per-sample functions;
+    writes the three files ``mix`` writes and returns the drawn source rows."""
+    hard = dataset.task == "classification" and not dataset.has_soft_labels
+
+    def label(k):
+        if not hard:
+            return dataset.labels[k]
+        row = np.zeros(dataset.n_classes)
+        row[dataset.labels[k]] = 1.0
+        return row
+
+    generator = augment.g_mixup_fit(dataset) if strategy == "gmixup" else None
+    bandwidth = float(dataset.labels.std()) if dataset.task == "regression" else 1.0
+    samples, drawn = [], set()
+    for k in range(count):
+        rng = np.random.default_rng([seed, k])
+        a = int(rng.integers(len(dataset)))
+        mat_a, src_a = dataset.matrices[a], dataset.ids[a]
+        if strategy == "dropnode":
+            samples.append(augment.drop_node(mat_a, label(a), 0.9, rng, src_a))
+            continue
+        if strategy == "dropedge":
+            samples.append(augment.drop_edge(mat_a, label(a), 0.9, rng, src_a))
+            continue
+        if strategy == "cmixup":
+            b = augment.c_mixup_pair(dataset, a, bandwidth, rng)
+        else:
+            b = int(rng.integers(len(dataset) - 1))
+            b += b >= a
+        lam = augment.sample_beta(1.0, rng)
+        drawn |= {a, b}
+        args = (mat_a, dataset.matrices[b], label(a), label(b), lam)
+        sources = (src_a, dataset.ids[b])
+        if strategy == "rmixup":
+            samples.append(augment.r_mixup(*args, sources))
+        elif strategy == "dmixup":
+            samples.append(augment.d_mixup(*args, rng, sources))
+        elif strategy == "gmixup":
+            samples.append(augment.g_mixup_sample(
+                generator, dataset.labels[a], dataset.labels[b], lam, rng,
+                dataset.n_classes if hard else None, sources,
+            ))
+        else:
+            samples.append(augment.v_mixup(*args, sources))
+    if samples:
+        matrices = np.stack([s.matrix for s in samples])
+        labels = np.array([s.label for s in samples], dtype=np.float64)
+    else:
+        matrices, labels = np.zeros((0, dataset.dim, dataset.dim)), np.zeros(0)
+    ids = [f"m{k:06d}" for k in range(count)]
+    write_matrices(out_path, LabeledDataset(
+        matrices, labels, dataset.task,
+        is_correlation=dataset.is_correlation and strategy == "gmixup", ids=ids,
+    ))
+    with open(out_path.with_name(out_path.stem + ".provenance.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "strategy", "source_i", "source_j", "lam", "mask_summary"])
+        for sample_id, sample in zip(ids, samples):
+            p = sample.provenance
+            writer.writerow([sample_id, p.strategy, p.source_i, p.source_j or "",
+                             "" if p.lam is None else repr(p.lam), p.mask_summary or ""])
+    return drawn
+
+
+def mix_files(path):
+    return [path.read_bytes()] + [
+        path.with_name(path.stem + suffix).read_bytes()
+        for suffix in (".labels.csv", ".provenance.csv")
+    ]
+
+
+@pytest.fixture(scope="module")
+def mix_inputs(tmp_path_factory):
+    """Regression (flagged as correlation matrices, so gmixup's flag rule
+    shows), hard 3-class and soft-label inputs."""
+    root = tmp_path_factory.mktemp("mix_inputs")
+    rng = np.random.default_rng(90)
+    reg = gen_labeled_dataset(4, 12, "regression", "log-linear", rng, noise=0.1)
+    reg.is_correlation = True
+    classes = gen_labeled_dataset(
+        4, 12, "classification", "clustered", rng, noise=0.1, n_classes=3
+    )
+    soft = LabeledDataset(
+        classes.matrices, np.eye(3)[classes.labels] * 0.75 + 0.25 / 3, "classification"
+    )
+    paths = {}
+    for name, ds in (("regression", reg), ("classes", classes), ("soft", soft)):
+        paths[name] = root / f"{name}.spdb"
+        write_matrices(paths[name], ds)
+    return paths
+
+
+class TestMixOracle:
+    """``mix`` writes, byte for byte, what one-at-a-time mixing through the
+    public per-sample functions writes, with the eigensolves of one batch."""
+
+    # class-conditional strategies reject soft labels
+    @pytest.mark.parametrize("source, count, strategy", [
+        (source, count, strategy)
+        for source, count in (("regression", 23), ("classes", 23), ("soft", 23),
+                              ("regression", 0))
+        for strategy in augment.STRATEGIES
+        if not (source == "soft" and strategy in ("gmixup", "cmixup"))
+    ])
+    def test_matches_per_sample_oracle(
+        self, capsys, tmp_path, mix_inputs, source, count, strategy
+    ):
+        src = mix_inputs[source]
+        out = tmp_path / "mix.spdb"
+        with count_eig_calls() as counter:
+            code, stdout, err = run(
+                capsys, "mix", "--input", str(src), "--strategy", strategy,
+                "--count", str(count), "--seed", "13", "-o", str(out),
+            )
+        assert code == 0, err
+        assert json.loads(stdout)["count"] == count
+        expected = tmp_path / "oracle.spdb"
+        drawn = oracle_mix(read_matrices(src), strategy, count, 13, expected)
+        assert mix_files(out) == mix_files(expected)
+        assert counter.count == (len(drawn) + count if strategy == "rmixup" else 0)
+
+
+class TestMixMemory:
+    @pytest.mark.parametrize("strategy", augment.STRATEGIES)
+    def test_peak_is_one_copy_of_each_stack(self, capsys, tmp_path, strategy):
+        # 64 inputs -> 1000 outputs at n=50: the input, the logs (rmixup)
+        # and the 19.1 MiB output are each held once; mixing rmixup in
+        # stacked chunks adds a few chunks on top
+        n, inputs, outputs = 50, 64, 1000
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=n, count=inputs)
+        in_bytes, out_bytes = inputs * n * n * 8, outputs * n * n * 8
+        if strategy == "rmixup":
+            budget = 2 * in_bytes + out_bytes + 6 * augment._CHUNK_BYTES
+        else:
+            budget = in_bytes + out_bytes + (1 << 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code, _, err = run(
+                capsys, "mix", "--input", str(src), "--strategy", strategy,
+                "--count", str(outputs), "--seed", "3", "-o", str(tmp_path / "m.spdb"),
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB"
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("mix", "--count", "-2"),
+        ("regress", "--trials", "-3"),
+        ("gen", "--count", "0"),
+        ("probe", "--trials", "0"),
+        ("bench", "--batch", "0"),
+        ("bench", "--reps", "0"),
+    ])
+    def test_below_minimum_is_usage_error(self, capsys, tmp_path, command, flag, value):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        out = str(tmp_path / "o.spdb")
+        argv = {
+            "mix": ["mix", "--input", str(src), "--strategy", "rmixup", "-o", out],
+            "regress": ["regress", "--input", str(src)],
+            "gen": ["gen", "--kind", "spd", "--n", "3", "-o", out],
+            "probe": ["probe", "--input", str(src)],
+            "bench": ["bench", "--n", "3"],
+        }[command]
+        code, stdout, err = run(capsys, *argv, flag, value)
+        assert (code, stdout) == (2, "")
+        assert flag in err and "at least" in err
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n")
+        code, stdout, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert flag[2:] in err and "at least" in err
+
+
 class TestDiagnose:
     def test_sweep_is_monotone_on_synthetic_series(self, capsys, tmp_path):
         series = tmp_path / "ser.csv"
@@ -287,6 +476,16 @@ class TestRegress:
         code, _, _ = run(capsys, "regress", "--input", str(src), "--trials", "1")
         assert code == 3
 
+    def test_labels_sidecar_with_byte_order_mark(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=4, count=6)
+        code, plain, _ = run(capsys, "regress", "--input", str(src), "--trials", "3")
+        assert code == 0
+        labels = src.with_name(src.stem + ".labels.csv")
+        labels.write_bytes(b"\xef\xbb\xbf" + labels.read_bytes())
+        code, out, err = run(capsys, "regress", "--input", str(src), "--trials", "3")
+        assert code == 0, err
+        assert out == plain
+
     def test_negative_labels_exit_3(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path, kind="spd")
         ds = read_matrices(src)
@@ -398,6 +597,16 @@ class TestConfigFile:
         summary = json.loads(out)
         assert summary["count"] == 7  # from config
         assert summary["seed"] == 123  # flag wins
+
+    def test_config_with_byte_order_mark(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="log-linear", n=4, count=10)
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed=5")
+        code, out, err = run(capsys, "probe", "--config", str(cfg), "--input", str(src),
+                             "--trials", "5")
+        assert code == 0, err
+        assert out == run(capsys, "probe", "--input", str(src), "--trials", "5",
+                          "--seed", "5")[1]
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
