@@ -10,9 +10,15 @@ Every strategy takes an explicit ``numpy.random.Generator``;
 :func:`mix_dataset` derives one stream per output index from
 ``(seed, index)`` so output ``k`` does not depend on the batch size or on
 the order in which outputs are produced, and writes every output into one
-stack. Batched geodesic mixes (rmixup batches and the label probe) first
-draw every pair and ratio, then run stacked matrix logarithms and
-exponentials a chunk of matrices at a time.
+stack. Each baseline has one implementation, a private row kernel that
+writes one output in place into a row of that stack; the public per-sample
+functions (:func:`v_mixup`, :func:`d_mixup`, ...) are its one-row calls.
+What the kernels read that is the same for every output (the mirror index
+of the triangle a mask or edge draw lives on, gmixup's per-edge means and
+spreads, cmixup's float labels and index) is built once per mix.
+Batched geodesic mixes (rmixup batches and the label probe) first draw every
+pair and ratio, then run stacked matrix logarithms and exponentials a chunk
+of matrices at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "EigenCacheEntry",
     "EdgeGenerator",
     "MixConfig",
+    "MixProvenance",
     "MixedSample",
     "ProbeResult",
     "Provenance",
@@ -67,6 +74,9 @@ STRATEGIES = (
 )
 
 _PAIRWISE = {"rmixup", "vmixup", "dmixup", "gmixup", "cmixup"}
+
+# Strategies that summarise a random mask in their provenance.
+_MASKED = {"dmixup", "dropnode", "dropedge"}
 
 # Strategies whose outputs are SPD for SPD inputs (cmixup mixes linearly).
 _SPD_OUTPUT = {"rmixup", "vmixup", "cmixup"}
@@ -288,14 +298,56 @@ def r_mixup_cached(
     )
 
 
+def _upper_mirror(n: int, k: int) -> tuple[int, np.ndarray]:
+    """The entry count of ``np.triu_indices(n, k)`` and an ``(n, n)`` index
+    that maps every entry to the position of its upper-triangle twin in that
+    order, so ``draws[index]`` mirrors draws made on the triangle; with
+    ``k=1`` the diagonal maps one past the end."""
+    rows, cols = np.triu_indices(n, k)
+    index = np.full((n, n), len(rows), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return len(rows), index
+
+
+def _v_mixup_row(out: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float) -> None:
+    np.multiply(a, 1.0 - lam, out=out)
+    out += lam * b
+
+
+def _d_mixup_row(out, a, b, lam: float, rng: np.random.Generator, upper) -> str:
+    """``upper`` is ``_upper_mirror(n, 0)``; returns the mask summary."""
+    size, mirror = upper
+    take_j = rng.random(size) < lam
+    np.copyto(out, a)
+    np.copyto(out, b, where=take_j[mirror])
+    return f"swapped={int(take_j.sum())}/{size}"
+
+
+def _drop_node_row(out, a, keep_prob: float, rng: np.random.Generator) -> str:
+    keep = rng.random(len(a)) < keep_prob
+    scale = keep.astype(np.float64)
+    np.multiply(a, np.outer(scale, scale), out=out)
+    return f"kept={int(keep.sum())}/{len(a)}"
+
+
+def _drop_edge_row(out, a, keep_prob: float, rng: np.random.Generator, upper) -> str:
+    """``upper`` is ``_upper_mirror(n, 1)``; the diagonal is always kept."""
+    size, mirror = upper
+    keep = rng.random(size) < keep_prob
+    np.multiply(a, np.append(keep, True)[mirror], out=out)
+    return f"kept={int(keep.sum())}/{size}"
+
+
 def v_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
     """Linear mix ``(1-lam) S_i + lam S_j``; SPD inputs give an SPD output
     (convex cone), but the determinant can inflate past both endpoints."""
     a = np.asarray(s_i, dtype=np.float64)
     b = np.asarray(s_j, dtype=np.float64)
     _check_same_shape(a, b)
+    out = np.empty_like(a)
+    _v_mixup_row(out, a, b, lam)
     return MixedSample(
-        matrix=(1.0 - lam) * a + lam * b,
+        matrix=out,
         label=_mix_labels(y_i, y_j, lam),
         provenance=Provenance("vmixup", sources[0], sources[1], lam=lam),
         spd_guaranteed=True,
@@ -313,23 +365,12 @@ def d_mixup(
     a = np.asarray(s_i, dtype=np.float64)
     b = np.asarray(s_j, dtype=np.float64)
     _check_same_shape(a, b)
-    n = a.shape[0]
-    upper = np.triu_indices(n)
-    take_j = rng.random(len(upper[0])) < lam
-    mask = np.zeros((n, n), dtype=bool)
-    mask[upper] = take_j
-    mask |= mask.T
-    swapped = int(take_j.sum())
+    out = np.empty_like(a)
+    summary = _d_mixup_row(out, a, b, lam, rng, _upper_mirror(len(a), 0))
     return MixedSample(
-        matrix=np.where(mask, b, a),
+        matrix=out,
         label=_mix_labels(y_i, y_j, lam),
-        provenance=Provenance(
-            "dmixup",
-            sources[0],
-            sources[1],
-            lam=lam,
-            mask_summary=f"swapped={swapped}/{len(take_j)}",
-        ),
+        provenance=Provenance("dmixup", sources[0], sources[1], lam=lam, mask_summary=summary),
         spd_guaranteed=False,
     )
 
@@ -347,16 +388,12 @@ def drop_node(
     if not 0.0 < keep_prob < 1.0:
         raise ValueError(f"keep_prob must lie in (0, 1), got {keep_prob}")
     a = np.asarray(s, dtype=np.float64)
-    keep = rng.random(a.shape[0]) < keep_prob
-    scale = keep.astype(np.float64)
+    out = np.empty_like(a)
+    summary = _drop_node_row(out, a, keep_prob, rng)
     return MixedSample(
-        matrix=a * np.outer(scale, scale),
+        matrix=out,
         label=y,
-        provenance=Provenance(
-            "dropnode",
-            source,
-            mask_summary=f"kept={int(keep.sum())}/{a.shape[0]}",
-        ),
+        provenance=Provenance("dropnode", source, mask_summary=summary),
         spd_guaranteed=False,
     )
 
@@ -372,21 +409,12 @@ def drop_edge(
     if not 0.0 < keep_prob < 1.0:
         raise ValueError(f"keep_prob must lie in (0, 1), got {keep_prob}")
     a = np.asarray(s, dtype=np.float64)
-    n = a.shape[0]
-    upper = np.triu_indices(n, k=1)
-    keep = rng.random(len(upper[0])) < keep_prob
-    mask = np.zeros((n, n), dtype=bool)
-    mask[upper] = keep
-    mask |= mask.T
-    np.fill_diagonal(mask, True)
+    out = np.empty_like(a)
+    summary = _drop_edge_row(out, a, keep_prob, rng, _upper_mirror(len(a), 1))
     return MixedSample(
-        matrix=a * mask,
+        matrix=out,
         label=y,
-        provenance=Provenance(
-            "dropedge",
-            source,
-            mask_summary=f"kept={int(keep.sum())}/{len(keep)}",
-        ),
+        provenance=Provenance("dropedge", source, mask_summary=summary),
         spd_guaranteed=False,
     )
 
@@ -470,6 +498,44 @@ def g_mixup_fit(dataset: LabeledDataset) -> EdgeGenerator:
     )
 
 
+class _EdgeDraws:
+    """A fitted :class:`EdgeGenerator`'s per-edge constants on the upper
+    triangle, built once for every sample drawn from it."""
+
+    def __init__(self, gen: EdgeGenerator):
+        self.is_correlation = gen.is_correlation
+        self.upper = _upper_mirror(gen.dim, 0)
+        rows, cols = np.triu_indices(gen.dim)
+        if gen.task == TASK_CLASSIFICATION:
+            self.class_means = {c: m[rows, cols] for c, m in gen.class_means.items()}
+            self.class_vars = {c: s[rows, cols] ** 2 for c, s in gen.class_stds.items()}
+        else:
+            corr = gen.edge_label_corr
+            self.slope = ((gen.edge_std / gen.label_std) * corr)[rows, cols]
+            self.label_mean = gen.label_mean
+            self.edge_mean = gen.edge_mean[rows, cols]
+            var = (1.0 - corr**2) * gen.edge_std**2
+            self.spread = np.sqrt(np.maximum(var[rows, cols], 0.0))
+
+    def fill(self, out, lam: float, rng: np.random.Generator, classes=None, y_mix=None) -> None:
+        """Draw one sample into ``out``: from the ``lam``-blend of two class
+        generators ``classes=(c_i, c_j)``, or conditioned on ``y_mix``."""
+        if classes is not None:
+            c_i, c_j = classes
+            mean = (1.0 - lam) * self.class_means[c_i] + lam * self.class_means[c_j]
+            var = (1.0 - lam) ** 2 * self.class_vars[c_i] + lam**2 * self.class_vars[c_j]
+            spread = np.sqrt(np.maximum(var, 0.0))
+        else:
+            mean = self.edge_mean + self.slope * (y_mix - self.label_mean)
+            spread = self.spread
+        size, mirror = self.upper
+        draws = mean + spread * rng.standard_normal(size)
+        draws += 0.0  # -0.0 becomes 0.0, as in the sum that mirrors a triangle
+        np.take(draws, mirror, out=out)
+        if self.is_correlation:
+            np.fill_diagonal(out, 1.0)
+
+
 def g_mixup_sample(
     gen: EdgeGenerator,
     y_i,
@@ -488,41 +554,68 @@ def g_mixup_sample(
     correlation-matrix datasets. Edges are drawn on the upper triangle and
     mirrored.
     """
-    n = gen.dim
+    out = np.empty((gen.dim, gen.dim))
     if gen.task == TASK_CLASSIFICATION:
         c_i, c_j = int(y_i), int(y_j)
         if gen.class_means is None or c_i not in gen.class_means or c_j not in gen.class_means:
             raise ValueError(f"generator has no fitted class for ({y_i}, {y_j})")
-        mean = (1.0 - lam) * gen.class_means[c_i] + lam * gen.class_means[c_j]
-        var = (1.0 - lam) ** 2 * gen.class_stds[c_i] ** 2 + lam**2 * gen.class_stds[c_j] ** 2
         classes = n_classes if n_classes is not None else max(gen.class_means) + 1
         label_i = np.zeros(classes)
         label_i[c_i] = 1.0
         label_j = np.zeros(classes)
         label_j[c_j] = 1.0
         label = _mix_labels(label_i, label_j, lam)
+        _EdgeDraws(gen).fill(out, lam, rng, classes=(c_i, c_j))
     else:
         if gen.edge_mean is None:
             raise ValueError("generator was not fitted for regression")
-        y_mix = _mix_labels(float(y_i), float(y_j), lam)
-        shift = (gen.edge_std / gen.label_std) * gen.edge_label_corr * (y_mix - gen.label_mean)
-        mean = gen.edge_mean + shift
-        var = (1.0 - gen.edge_label_corr**2) * gen.edge_std**2
-        label = y_mix
-    upper = np.triu_indices(n)
-    spread = np.sqrt(np.maximum(var[upper], 0.0))
-    draws = mean[upper] + spread * rng.standard_normal(len(upper[0]))
-    mat = np.zeros((n, n))
-    mat[upper] = draws
-    mat = mat + np.triu(mat, k=1).T
-    if gen.is_correlation:
-        np.fill_diagonal(mat, 1.0)
+        label = _mix_labels(float(y_i), float(y_j), lam)
+        _EdgeDraws(gen).fill(out, lam, rng, y_mix=label)
     return MixedSample(
-        matrix=mat,
+        matrix=out,
         label=label,
         provenance=Provenance("gmixup", sources[0], sources[1], lam=lam),
         spd_guaranteed=False,
     )
+
+
+class _Partners:
+    """Label-distance partner draws over one dataset. Each draw builds its
+    anchor's candidates and normalised weights with a few array operations,
+    so a mix holds O(dataset size) memory whatever it draws."""
+
+    def __init__(self, dataset: LabeledDataset, bandwidth: float):
+        if len(dataset) < 2:
+            raise ValueError("need at least 2 samples to pick a partner")
+        if not bandwidth > 0.0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        self._classes = dataset.task == TASK_CLASSIFICATION
+        if self._classes and dataset.has_soft_labels:
+            raise ValueError("label-distance pairing needs hard class ids")
+        self._labels = dataset.labels if self._classes else dataset.labels.astype(np.float64)
+        self._index = np.arange(len(dataset))
+        self._bandwidth = bandwidth
+
+    def draw(self, anchor: int, rng: np.random.Generator) -> int:
+        y = self._labels
+        weights = None
+        if self._classes:
+            candidates = np.flatnonzero(y == y[anchor])
+            candidates = candidates[candidates != anchor]
+        else:
+            candidates = self._index[self._index != anchor]
+            logits = -((y[anchor] - y[candidates]) ** 2) / (2.0 * self._bandwidth**2)
+            logits -= logits.max()
+            weights = np.exp(logits)
+            weights /= weights.sum()
+        if not len(candidates):
+            warnings.warn(
+                f"anchor {anchor} is the only sample of its class; pairing it with itself",
+                UserWarning,
+                stacklevel=3,
+            )
+            return anchor
+        return int(rng.choice(candidates, p=weights))
 
 
 def c_mixup_pair(
@@ -538,30 +631,7 @@ def c_mixup_pair(
     uniform sampling within the anchor's class. A singleton class falls back
     to the anchor itself with a warning.
     """
-    if len(dataset) < 2:
-        raise ValueError("need at least 2 samples to pick a partner")
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    candidates = np.array([k for k in range(len(dataset)) if k != anchor_index])
-    if dataset.task == TASK_CLASSIFICATION:
-        if dataset.has_soft_labels:
-            raise ValueError("label-distance pairing needs hard class ids")
-        same = candidates[dataset.labels[candidates] == dataset.labels[anchor_index]]
-        if len(same) == 0:
-            warnings.warn(
-                f"anchor {anchor_index} is the only sample of its class; "
-                f"pairing it with itself",
-                UserWarning,
-                stacklevel=2,
-            )
-            return anchor_index
-        return int(rng.choice(same))
-    y = dataset.labels.astype(np.float64)
-    logits = -((y[anchor_index] - y[candidates]) ** 2) / (2.0 * bandwidth**2)
-    logits -= logits.max()
-    weights = np.exp(logits)
-    weights /= weights.sum()
-    return int(rng.choice(candidates, p=weights))
+    return _Partners(dataset, bandwidth).draw(anchor_index, rng)
 
 
 def _partner_uniform(anchor: int, size: int, rng: np.random.Generator) -> int:
@@ -569,108 +639,154 @@ def _partner_uniform(anchor: int, size: int, rng: np.random.Generator) -> int:
     return j + 1 if j >= anchor else j
 
 
-def _strategy_inputs(
-    dataset: LabeledDataset, config: MixConfig
-) -> tuple[EdgeGenerator | None, float | None]:
-    """The fitted edge generator (gmixup) and label-kernel width (cmixup),
-    after checking the labels suit the strategy."""
-    if config.strategy not in ("gmixup", "cmixup"):
-        return None, None
+def _mix_constants(dataset: LabeledDataset, config: MixConfig):
+    """What a strategy's row kernel reads for every output of one mix: the
+    mirror index of the triangle it draws on (dmixup, dropedge), the edge
+    generator's constants (gmixup) or the partner sampler (cmixup), after
+    checking the labels suit the strategy."""
+    strategy = config.strategy
+    if strategy in ("dmixup", "dropedge"):
+        return _upper_mirror(dataset.dim, 0 if strategy == "dmixup" else 1)
+    if strategy not in ("gmixup", "cmixup"):
+        return None
     if dataset.task == TASK_CLASSIFICATION and dataset.has_soft_labels:
-        raise ValueError(f"{config.strategy} needs hard class labels, got soft labels")
-    if config.strategy == "gmixup":
-        return g_mixup_fit(dataset), None
+        raise ValueError(f"{strategy} needs hard class labels, got soft labels")
+    if strategy == "gmixup":
+        return _EdgeDraws(g_mixup_fit(dataset))
     if config.cmix_bandwidth is not None or dataset.task == TASK_CLASSIFICATION:
-        return None, config.cmix_bandwidth or 1.0
+        return _Partners(dataset, config.cmix_bandwidth or 1.0)
     spread = float(dataset.labels.std())
     if spread == 0.0:
         raise ValueError(
             "cmixup bandwidth default is the label standard deviation, "
             "which is zero for this dataset; pass cmix_bandwidth"
         )
-    return None, spread
+    return _Partners(dataset, spread)
+
+
+@dataclass(frozen=True)
+class MixProvenance:
+    """The :class:`Provenance` of every output of one mix, a column per
+    field: entry ``k`` of a column describes output ``k``, and a column the
+    strategy does not record is ``None``. Iterating yields one
+    :class:`Provenance` per output."""
+
+    strategy: str
+    source_i: list[str]
+    source_j: list[str] | None = None
+    lam: np.ndarray | None = None
+    mask_summary: list[str] | None = None
+
+    CSV_HEADER = ("id", "strategy", "source_i", "source_j", "lam", "mask_summary")
+
+    def __len__(self) -> int:
+        return len(self.source_i)
+
+    def _columns(self, absent):
+        fill = [absent] * len(self)
+        lams = fill if self.lam is None else self.lam.tolist()
+        return ([self.strategy] * len(self), self.source_i, self.source_j or fill,
+                lams, self.mask_summary or fill)
+
+    def __iter__(self) -> Iterator[Provenance]:
+        return map(Provenance, *self._columns(None))
+
+    def csv_rows(self, ids) -> Iterator[tuple]:
+        """The provenance CSV rows that follow :attr:`CSV_HEADER`, one per
+        output: an absent column is blank and a ratio is written by ``repr``."""
+        strategy, source_i, source_j, lams, masks = self._columns("")
+        if self.lam is not None:
+            lams = map(repr, lams)
+        return zip(ids, strategy, source_i, source_j, lams, masks)
 
 
 def mix_dataset(
     dataset: LabeledDataset, config: MixConfig, count: int
-) -> tuple[LabeledDataset, list[Provenance]]:
+) -> tuple[LabeledDataset, MixProvenance]:
     """Mix ``count`` samples under one configuration into a new dataset.
 
     Output ``k`` is computed from the stream seeded by ``(config.seed, k)``,
     so it is a pure function of (dataset, config, k): a longer batch extends
     a shorter one. Pair selection is anchor-then-partner, uniform without
-    replacement, except the label-distance strategy. Every output fills a
-    row of one matrix stack and one label array; hard class ids enter as
-    one-hot rows. rmixup draws every pair and ratio first, then mixes through
-    an :class:`EigenCache`: each drawn source is decomposed once and each mix
-    once more, in stacked chunks. Output ids are ``m000000, ...``; the output
-    holds correlation matrices only when gmixup draws from correlation input.
+    replacement, except the label-distance strategy. A baseline's row kernel
+    writes output ``k`` in place into row ``k`` of one matrix stack allocated
+    up front; labels are mixed for all outputs at once after the draws, hard
+    class ids as one-hot rows. rmixup draws every pair and ratio first, then
+    mixes through an :class:`EigenCache`: each drawn source is decomposed
+    once and each mix once more, in stacked chunks. Output ids are
+    ``m000000, ...``; the output holds correlation matrices only when gmixup
+    draws from correlation input.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     strategy = config.strategy
     size = len(dataset)
-    if size == 0 or (strategy in _PAIRWISE and size < 2):
+    pairwise = strategy in _PAIRWISE
+    if size == 0 or (pairwise and size < 2):
         if count:
             raise ValueError(f"dataset too small for strategy {strategy!r}")
-        generator, bandwidth = None, None
+        table = None
     else:
-        generator, bandwidth = _strategy_inputs(dataset, config)
+        table = _mix_constants(dataset, config)
     hard = dataset.task == TASK_CLASSIFICATION and not dataset.has_soft_labels
-    n_classes = dataset.n_classes if hard else 0
-    source_labels = (
-        np.eye(n_classes)[dataset.labels] if hard else np.asarray(dataset.labels, np.float64)
-    )
+    y = dataset.labels.tolist() if strategy == "gmixup" else None
+    sources = dataset.matrices
     matrices = np.empty((count, dataset.dim, dataset.dim))
-    labels = np.empty((count, *source_labels.shape[1:]))
-    provenance: list[Provenance] = []
-    pairs = np.empty((count, 2), dtype=np.intp)
+    anchors = np.empty(count, dtype=np.intp)
+    partners = np.empty(count, dtype=np.intp)
     lams = np.empty(count)
+    summaries: list[str] = []
     for k in range(count):
         rng = np.random.default_rng([int(config.seed), k])
-        anchor = int(rng.integers(size))
-        mat_a, y_a, src_a = dataset.matrices[anchor], source_labels[anchor], dataset.ids[anchor]
+        anchor = anchors[k] = int(rng.integers(size))
+        out, mat_a = matrices[k], sources[anchor]
         if strategy == "dropnode":
-            sample = drop_node(mat_a, y_a, config.keep_prob, rng, src_a)
-        elif strategy == "dropedge":
-            sample = drop_edge(mat_a, y_a, config.keep_prob, rng, src_a)
+            summaries.append(_drop_node_row(out, mat_a, config.keep_prob, rng))
+            continue
+        if strategy == "dropedge":
+            summaries.append(_drop_edge_row(out, mat_a, config.keep_prob, rng, table))
+            continue
+        if strategy == "cmixup":
+            partner = table.draw(anchor, rng)
         else:
-            if strategy == "cmixup":
-                partner = c_mixup_pair(dataset, anchor, bandwidth, rng)
-            else:
-                partner = _partner_uniform(anchor, size, rng)
-            lam = sample_beta(config.alpha, rng)
-            sources = (src_a, dataset.ids[partner])
-            if strategy == "rmixup":
-                pairs[k] = anchor, partner
-                lams[k] = lam
-                provenance.append(Provenance("rmixup", *sources, lam=lam))
-                continue
-            mat_p, y_p = dataset.matrices[partner], source_labels[partner]
-            if strategy == "gmixup":
-                sample = g_mixup_sample(
-                    generator, dataset.labels[anchor], dataset.labels[partner], lam, rng,
-                    n_classes or None, sources,
-                )
-            elif strategy == "dmixup":
-                sample = d_mixup(mat_a, mat_p, y_a, y_p, lam, rng, sources)
-            else:
-                sample = v_mixup(mat_a, mat_p, y_a, y_p, lam, sources)
-        matrices[k] = sample.matrix
-        labels[k] = sample.label
-        provenance.append(sample.provenance)
+            partner = _partner_uniform(anchor, size, rng)
+        lam = sample_beta(config.alpha, rng)
+        partners[k], lams[k] = partner, lam
+        if strategy == "dmixup":
+            summaries.append(_d_mixup_row(out, mat_a, sources[partner], lam, rng, table))
+        elif strategy == "gmixup" and hard:
+            table.fill(out, lam, rng, classes=(y[anchor], y[partner]))
+        elif strategy == "gmixup":
+            table.fill(out, lam, rng, y_mix=(1.0 - lam) * y[anchor] + lam * y[partner])
+        elif strategy != "rmixup":
+            _v_mixup_row(out, mat_a, sources[partner], lam)
     if strategy == "rmixup" and count:
-        first, second = pairs[:, 0], pairs[:, 1]
-        for part, mixed in EigenCache(dataset)._mixes(first, second, lams):
+        for part, mixed in EigenCache(dataset)._mixes(anchors, partners, lams):
             matrices[part] = mixed
-        w = lams.reshape(-1, *([1] * (labels.ndim - 1)))
-        labels[:] = (1.0 - w) * source_labels[first] + w * source_labels[second]
+    source_labels = (
+        np.eye(dataset.n_classes)[dataset.labels]
+        if hard
+        else np.asarray(dataset.labels, np.float64)
+    )
+    if pairwise:
+        w = lams.reshape(-1, *([1] * (source_labels.ndim - 1)))
+        labels = (1.0 - w) * source_labels[anchors] + w * source_labels[partners]
+    else:
+        labels = source_labels[anchors]
     mixed_set = LabeledDataset(
         matrices=matrices,
         labels=labels,
         task=dataset.task,
         is_correlation=dataset.is_correlation and strategy == "gmixup",
         ids=[f"m{k:06d}" for k in range(count)],
+    )
+    ids = dataset.ids
+    provenance = MixProvenance(
+        strategy,
+        source_i=[ids[a] for a in anchors.tolist()],
+        source_j=[ids[b] for b in partners.tolist()] if pairwise else None,
+        lam=lams if pairwise else None,
+        mask_summary=summaries if strategy in _MASKED else None,
     )
     return mixed_set, provenance
 

@@ -179,12 +179,8 @@ def cmd_mix(args) -> int:
     prov_path = Path(args.output).with_name(Path(args.output).stem + ".provenance.csv")
     with open(prov_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh, dataset.ids)
-        writer.writerow(["id", "strategy", "source_i", "source_j", "lam", "mask_summary"])
-        writer.writerows(
-            [sample_id, p.strategy, p.source_i, p.source_j or "",
-             "" if p.lam is None else repr(p.lam), p.mask_summary or ""]
-            for sample_id, p in zip(out.ids, provenance)
-        )
+        writer.writerow(provenance.CSV_HEADER)
+        writer.writerows(provenance.csv_rows(out.ids))
     _emit_json(
         {"strategy": args.strategy, "count": len(out), "n": dataset.dim,
          "seed": args.seed, "output": str(args.output)}

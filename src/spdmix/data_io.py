@@ -144,12 +144,15 @@ def _labels_path(path: Path) -> Path:
     return path.with_name(path.stem + ".labels.csv")
 
 
-def _format_label(value) -> str:
-    if np.ndim(value) == 1:
-        return ";".join(repr(float(v)) for v in np.asarray(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _format_labels(labels) -> list[str]:
+    """The sidecar text of every label: an integer class id as is, a float
+    by ``repr``, a soft-label row as its ``;``-joined weights."""
+    labels = np.asarray(labels)
+    if labels.ndim == 2:
+        return [";".join(map(repr, row)) for row in labels.astype(np.float64).tolist()]
+    if labels.dtype.kind in "iu":
+        return list(map(str, labels.tolist()))
+    return list(map(repr, labels.astype(np.float64).tolist()))
 
 
 def write_matrices(path, dataset: LabeledDataset) -> None:
@@ -167,10 +170,7 @@ def write_matrices(path, dataset: LabeledDataset) -> None:
     with open(_labels_path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh, dataset.ids)
         writer.writerow(["id", "label"])
-        writer.writerows(
-            [sample_id, _format_label(label)]
-            for sample_id, label in zip(dataset.ids, dataset.labels)
-        )
+        writer.writerows(zip(dataset.ids, _format_labels(dataset.labels)))
 
 
 def _number(sample_id: str, text: str) -> float:

@@ -489,6 +489,12 @@ class TestAugmentBatch:
             assert np.array_equal(s1.label, s2.label)
             assert s1.provenance == s2.provenance
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_provenance_names_the_strategy(self, strategy):
+        ds = regression_dataset(seed=38)
+        out = augment_batch(ds, MixConfig(strategy=strategy, seed=6), 5)
+        assert [s.provenance.strategy for s in out] == [strategy] * 5
+
     def test_rmixup_outputs_all_spd(self):
         ds = regression_dataset(seed=35, count=12, n=6, cond=1e3)
         out = augment_batch(ds, MixConfig(strategy="rmixup", seed=1), 100)

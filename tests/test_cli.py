@@ -130,6 +130,19 @@ class TestMix:
         assert all(r["strategy"] == "dmixup" for r in rows)
         assert all(r["mask_summary"].startswith("swapped=") for r in rows)
 
+    @pytest.mark.parametrize("kind", ["log-linear", "clustered"])
+    def test_cmixup_provenance_names_cmixup(self, capsys, tmp_path, kind):
+        # cmixup rows used to say vmixup, the kernel its pairs are mixed with
+        src, _ = gen_dataset(capsys, tmp_path, kind=kind)
+        out = tmp_path / "c.spdb"
+        code, _, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", "cmixup",
+            "--count", "9", "--seed", "2", "-o", str(out),
+        )
+        assert code == 0, err
+        rows = list(csv.DictReader(open(tmp_path / "c.provenance.csv")))
+        assert [r["strategy"] for r in rows] == ["cmixup"] * 9
+
     def test_strategy_task_incompatibility_exits_3(self, capsys, tmp_path):
         # constant labels make the generator strategy unusable for regression
         src, _ = gen_dataset(capsys, tmp_path, kind="spd", extra=("--condition", "10"))
@@ -238,7 +251,9 @@ def oracle_mix(dataset, strategy, count, seed, out_path):
         writer.writerow(["id", "strategy", "source_i", "source_j", "lam", "mask_summary"])
         for sample_id, sample in zip(ids, samples):
             p = sample.provenance
-            writer.writerow([sample_id, p.strategy, p.source_i, p.source_j or "",
+            # cmixup mixes its pairs as vmixup does, under its own name
+            writer.writerow([sample_id, "cmixup" if strategy == "cmixup" else p.strategy,
+                             p.source_i, p.source_j or "",
                              "" if p.lam is None else repr(p.lam), p.mask_summary or ""])
     return drawn
 
@@ -320,6 +335,26 @@ class TestMixMemory:
             code, _, err = run(
                 capsys, "mix", "--input", str(src), "--strategy", strategy,
                 "--count", str(outputs), "--seed", "3", "-o", str(tmp_path / "m.spdb"),
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB"
+
+    def test_cmixup_partner_draws_hold_no_per_anchor_state(self, capsys, tmp_path):
+        # 2048 regression inputs -> 2048 outputs draw about 1300 distinct
+        # anchors; keeping each drawn anchor's candidates and weights would
+        # hold about 40 MiB, building them per draw holds one anchor's worth
+        n, size = 2, 2048
+        src, _ = gen_dataset(capsys, tmp_path, kind="log-linear", n=n, count=size)
+        budget = 2 * size * n * n * 8 + (1 << 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code, _, err = run(
+                capsys, "mix", "--input", str(src), "--strategy", "cmixup",
+                "--count", str(size), "--seed", "3", "-o", str(tmp_path / "m.spdb"),
             )
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -409,6 +444,27 @@ class TestDiagnose:
         assert code == 0, err
         rows = [r for r in csv.DictReader(io.StringIO(out)) if r["id"] != "aggregate"]
         assert [r["positive_count"] for r in rows] == ["19"] * 3
+
+    def test_solve_ledger_series(self, capsys, tmp_path):
+        # one values-only solve per report row: 2 files x 3 sweep lengths
+        stem = tmp_path / "ledger.csv"
+        run(
+            capsys, "gen", "--kind", "series", "--n", "6", "--t", "40",
+            "--count", "2", "--noise", "0.5", "--seed", "3", "-o", str(stem),
+        )
+        files = sorted(str(p) for p in tmp_path.glob("ledger_*.csv"))
+        with count_eig_calls() as c:
+            code, _, _ = run(capsys, "diagnose", "--input", *files, "--sweep", "10,20,40")
+        assert code == 0
+        assert (c.count, c.values_only) == (6, 6)
+
+    def test_solve_ledger_spdb(self, capsys, tmp_path):
+        # one values-only solve per sample
+        src, _ = gen_dataset(capsys, tmp_path, count=9)
+        with count_eig_calls() as c:
+            code, _, _ = run(capsys, "diagnose", "--input", str(src), "--t", "100")
+        assert code == 0
+        assert (c.count, c.values_only) == (9, 9)
 
     def test_invalid_sweep_length_exits_2(self, capsys, tmp_path):
         series = tmp_path / "s.csv"
@@ -507,6 +563,25 @@ class TestProbe:
         result = json.loads(out)
         assert result["mean_dr"] <= 0.01 * result["mean_dv"]
         assert result["relative_gap"] > 0.99
+
+    @pytest.mark.parametrize("trials", [1, 7, 60])
+    def test_solve_ledger(self, capsys, tmp_path, trials):
+        # one solve per distinct drawn outer sample, then one per trial's mix
+        src, _ = gen_dataset(capsys, tmp_path, n=5, count=20, extra=("--noise", "0.1"))
+        with count_eig_calls() as c:
+            code, _, err = run(
+                capsys, "probe", "--input", str(src), "--trials", str(trials), "--seed", "4",
+            )
+        assert code == 0, err
+        ds, rng, outer = read_matrices(src), np.random.default_rng(4), set()
+        for _ in range(trials):
+            while True:
+                picks = rng.choice(len(ds), size=3, replace=False)
+                if len(np.unique(ds.labels[picks])) == 3:
+                    break
+            ordered = picks[np.argsort(ds.labels[picks])]
+            outer |= {int(ordered[0]), int(ordered[2])}
+        assert (c.count, c.values_only) == (len(outer) + trials, 0)
 
     def test_zero_trials_is_usage_error(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path)

@@ -142,6 +142,25 @@ class TestSpdbRoundtrip:
         lines = path.with_name("q.labels.csv").read_text().splitlines()
         assert lines[1].startswith("a,") and lines[2].startswith('"b,c",')
 
+    @pytest.mark.parametrize("labels, task, text", [
+        ([0, 12, 3], "classification", ["0", "12", "3"]),
+        ([0.1, -0.0, 1e-300, 3.0], "regression", ["0.1", "-0.0", "1e-300", "3.0"]),
+        ([[0.25, 0.75], [1.0, 0.0], [-0.0, 1.0]], "classification",
+         ["0.25;0.75", "1.0;0.0", "-0.0;1.0"]),
+        (np.array([[0.1, 0.9]], dtype=np.float32), "classification",
+         ["0.10000000149011612;0.8999999761581421"]),
+        (np.array([[0, 1], [1, 0]]), "classification", ["0.0;1.0", "1.0;0.0"]),
+    ])
+    def test_label_sidecar_bytes(self, tmp_path, labels, task, text):
+        # class ids as integers, floats by repr, soft rows as ;-joined floats
+        ds = LabeledDataset(np.stack([np.eye(2)] * len(text)), labels, task)
+        path = tmp_path / "l.spdb"
+        write_matrices(path, ds)
+        expected = "id,label\n" + "".join(
+            f"s{k:06d},{label}\n" for k, label in enumerate(text)
+        )
+        assert path.with_name("l.labels.csv").read_bytes() == expected.encode()
+
     # printable characters plus both line-break characters
     @settings(deadline=None, max_examples=50)
     @given(
