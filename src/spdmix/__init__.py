@@ -15,7 +15,6 @@ from .augment import (
     EigenCache,
     MixConfig,
     MixedSample,
-    augment_batch,
     incorrect_label_probe,
     mix_dataset,
     r_mixup,

@@ -40,7 +40,6 @@ from .linalg import (
 
 __all__ = [
     "EigenCache",
-    "EigenCacheEntry",
     "EdgeGenerator",
     "MixConfig",
     "MixProvenance",
@@ -48,7 +47,6 @@ __all__ = [
     "ProbeResult",
     "Provenance",
     "STRATEGIES",
-    "augment_batch",
     "c_mixup_pair",
     "d_mixup",
     "drop_edge",
@@ -77,9 +75,6 @@ _PAIRWISE = {"rmixup", "vmixup", "dmixup", "gmixup", "cmixup"}
 
 # Strategies that summarise a random mask in their provenance.
 _MASKED = {"dmixup", "dropnode", "dropedge"}
-
-# Strategies whose outputs are SPD for SPD inputs (cmixup mixes linearly).
-_SPD_OUTPUT = {"rmixup", "vmixup", "cmixup"}
 
 # Bytes of matrices handed to one stacked eigensolve. It bounds the working
 # set of a batched mix at large n and still stacks thousands of matrices at
@@ -184,16 +179,6 @@ def r_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
     )
 
 
-@dataclass(frozen=True)
-class EigenCacheEntry:
-    """One sample's matrix logarithm, as held by an :class:`EigenCache`."""
-
-    logm: np.ndarray
-
-    def log_matrix(self) -> np.ndarray:
-        return self.logm
-
-
 class EigenCache:
     """Each sample's matrix logarithm, computed on its first use.
 
@@ -216,13 +201,13 @@ class EigenCache:
         cache._fill(np.arange(len(dataset)))
         return cache
 
-    def entry(self, sample_id: str) -> EigenCacheEntry:
-        """The entry of the first sample carrying ``sample_id``."""
+    def entry(self, sample_id: str) -> np.ndarray:
+        """Read-only log-matrix of the first sample carrying ``sample_id``."""
         k = self._dataset.ids.index(sample_id)
         self._fill([k])
         row = self._logs[k]
         row.flags.writeable = False
-        return EigenCacheEntry(row)
+        return row
 
     def log_stack(self, rows) -> np.ndarray:
         """Read-only stack of the log-matrices, indexed like the dataset,
@@ -274,21 +259,12 @@ class EigenCache:
             yield part, mixed
 
 
-def r_mixup_cached(
-    entry_i: EigenCacheEntry,
-    entry_j: EigenCacheEntry,
-    y_i,
-    y_j,
-    lam: float,
-    sources=("i", "j"),
-) -> MixedSample:
-    """Geodesic mix from cached log-matrices: one eigendecomposition total."""
-    if entry_i.logm.shape != entry_j.logm.shape:
-        raise ValueError(
-            f"stale cache: entry dimensions {entry_i.logm.shape} vs "
-            f"{entry_j.logm.shape}"
-        )
-    log_mix = (1.0 - lam) * entry_i.log_matrix() + lam * entry_j.log_matrix()
+def r_mixup_cached(log_i, log_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
+    """Geodesic mix from cached log-matrices (:meth:`EigenCache.entry`): one
+    eigendecomposition total."""
+    if log_i.shape != log_j.shape:
+        raise ValueError(f"stale cache: entry dimensions {log_i.shape} vs {log_j.shape}")
+    log_mix = (1.0 - lam) * log_i + lam * log_j
     mixed = matrix_exp(log_mix)
     return MixedSample(
         matrix=mixed.array,
@@ -668,8 +644,7 @@ def _mix_constants(dataset: LabeledDataset, config: MixConfig):
 class MixProvenance:
     """The :class:`Provenance` of every output of one mix, a column per
     field: entry ``k`` of a column describes output ``k``, and a column the
-    strategy does not record is ``None``. Iterating yields one
-    :class:`Provenance` per output."""
+    strategy does not record is ``None``."""
 
     strategy: str
     source_i: list[str]
@@ -682,22 +657,13 @@ class MixProvenance:
     def __len__(self) -> int:
         return len(self.source_i)
 
-    def _columns(self, absent):
-        fill = [absent] * len(self)
-        lams = fill if self.lam is None else self.lam.tolist()
-        return ([self.strategy] * len(self), self.source_i, self.source_j or fill,
-                lams, self.mask_summary or fill)
-
-    def __iter__(self) -> Iterator[Provenance]:
-        return map(Provenance, *self._columns(None))
-
     def csv_rows(self, ids) -> Iterator[tuple]:
         """The provenance CSV rows that follow :attr:`CSV_HEADER`, one per
         output: an absent column is blank and a ratio is written by ``repr``."""
-        strategy, source_i, source_j, lams, masks = self._columns("")
-        if self.lam is not None:
-            lams = map(repr, lams)
-        return zip(ids, strategy, source_i, source_j, lams, masks)
+        blank = [""] * len(self)
+        lams = blank if self.lam is None else map(repr, self.lam.tolist())
+        return zip(ids, [self.strategy] * len(self), self.source_i,
+                   self.source_j or blank, lams, self.mask_summary or blank)
 
 
 def mix_dataset(
@@ -789,23 +755,6 @@ def mix_dataset(
         mask_summary=summaries if strategy in _MASKED else None,
     )
     return mixed_set, provenance
-
-
-def augment_batch(
-    dataset: LabeledDataset, config: MixConfig, count: int
-) -> list[MixedSample]:
-    """:func:`mix_dataset` as one :class:`MixedSample` per output; each
-    sample's matrix is a read-only row of the one output stack."""
-    mixed_set, provenance = mix_dataset(dataset, config, count)
-    mixed_set.matrices.flags.writeable = False
-    labels = mixed_set.labels
-    if labels.ndim == 1:
-        labels = labels.tolist()
-    spd = config.strategy in _SPD_OUTPUT
-    return [
-        MixedSample(matrix, label, prov, spd)
-        for matrix, label, prov in zip(mixed_set.matrices, labels, provenance)
-    ]
 
 
 @dataclass(frozen=True)

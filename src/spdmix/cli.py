@@ -82,21 +82,13 @@ def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None
         sys.stdout.write(buf.getvalue())
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """The comma-separated ``kind`` values (``int`` or ``float``) of ``flag``."""
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise _UsageError(f"{flag} expects a comma-separated integer list: {exc}")
-    if not values:
-        raise _UsageError(f"{flag} list is empty")
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"{flag} expects a comma-separated float list: {exc}")
+        name = "integer" if kind is int else "float"
+        raise _UsageError(f"{flag} expects a comma-separated {name} list: {exc}")
     if not values:
         raise _UsageError(f"{flag} list is empty")
     return values
@@ -199,7 +191,7 @@ def _infer_format(path: str, explicit: str) -> str:
 
 
 def cmd_diagnose(args) -> int:
-    sweep = _parse_int_list(args.sweep, "--sweep") if args.sweep else None
+    sweep = _parse_list(args.sweep, "--sweep", int) if args.sweep else None
     header = ["id", "n", "t", "positive_count", "spdness_pct", "is_spd"]
     rows: list[list] = []
     per_t: dict[int, list[float]] = {}
@@ -264,7 +256,7 @@ def cmd_regress(args) -> int:
         raise ValueError("need at least 2 samples")
     if float(np.min(dataset.labels)) < 0.0:
         raise ValueError("the comparison requires non-negative labels")
-    lambdas = _parse_float_list(args.lambdas, "--lambdas")
+    lambdas = _parse_list(args.lambdas, "--lambdas", float)
     rng = np.random.default_rng(args.seed)
     pairs = np.empty((args.trials, 2), dtype=np.intp)
     for pair in pairs:
@@ -324,7 +316,7 @@ def _median_seconds(fn, reps: int) -> float:
 
 
 def cmd_bench(args) -> int:
-    dims = _parse_int_list(args.n, "--n")
+    dims = _parse_list(args.n, "--n", int)
     header = [
         "n", "batch", "reps", "strategy", "median_per_mix_seconds",
         "eig_calls_per_mix", "precompute_seconds",

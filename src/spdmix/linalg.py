@@ -110,11 +110,11 @@ def _square(a) -> np.ndarray:
     return arr
 
 
-def symmetrize(a: np.ndarray, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return the exactly symmetric part of ``a``, rejecting real asymmetry.
 
     Floating-point drift from repeated mixing is folded back by ``(A + A^T)/2``
-    as long as the asymmetry is below ``rtol`` times the Frobenius norm;
+    as long as the asymmetry is below ``SYMMETRY_RTOL`` times the Frobenius norm;
     anything larger is treated as a caller bug and raises ``ValueError``.
     ``a`` may be a stack ``(..., n, n)``; each matrix is checked against its
     own norm.
@@ -126,13 +126,13 @@ def symmetrize(a: np.ndarray, *, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     arr_t = arr.swapaxes(-1, -2)
     norm = fro_norm(arr)
     drift = fro_norm(arr - arr_t)
-    bad = drift > rtol * np.maximum(norm, np.finfo(np.float64).tiny)
+    bad = drift > SYMMETRY_RTOL * np.maximum(norm, np.finfo(np.float64).tiny)
     if bad.any():
         k = _first(bad)
         at = () if k is None else k
         raise ValueError(
             f"{_which(k)}matrix is not symmetric: asymmetry {drift[at]:.3e} "
-            f"exceeds {rtol:.1e} * ||A||_F = {rtol * norm[at]:.3e}"
+            f"exceeds {SYMMETRY_RTOL:.1e} * ||A||_F = {SYMMETRY_RTOL * norm[at]:.3e}"
         )
     return (arr + arr_t) / 2.0
 
@@ -236,11 +236,11 @@ class SpdMatrix:
     max_eigenvalue: float
 
     @classmethod
-    def from_array(cls, a: np.ndarray, *, rtol: float = SYMMETRY_RTOL) -> "SpdMatrix":
+    def from_array(cls, a: np.ndarray) -> "SpdMatrix":
         """Validate ``a`` (symmetry, finiteness, strictly positive spectrum)."""
         if isinstance(a, SpdMatrix):
             return a
-        arr = symmetrize(a, rtol=rtol)
+        arr = symmetrize(a)
         w = eigvals_sym(arr)
         _require_positive(w, "SpdMatrix")
         arr.setflags(write=False)

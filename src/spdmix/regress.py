@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .augment import EigenCache, _chunks
 from .data_io import TASK_REGRESSION, LabeledDataset
-from .linalg import NonPositiveEigenvalueError, fro_norm, matrix_log
+from .linalg import NonPositiveEigenvalueError, _which, fro_norm, matrix_log
 
 __all__ = [
     "GeodesicRegressionModel",
@@ -106,10 +106,16 @@ def euclidean_kernel(s_i, s_hat, sigma: float) -> float:
 
 
 def _logs(matrices: np.ndarray) -> np.ndarray:
-    """Logarithm of every matrix of a stack, one stacked call per chunk."""
+    """Logarithm of every matrix of a stack, one stacked call per chunk; a
+    non-SPD matrix is named by its position in the whole stack."""
     out = np.empty_like(matrices)
     for part in _chunks(len(matrices), matrices.shape[-1]):
-        out[part] = matrix_log(matrices[part])
+        try:
+            out[part] = matrix_log(matrices[part])
+        except NonPositiveEigenvalueError as exc:
+            k = part.start + exc.index
+            body = str(exc).removeprefix(_which(exc.index))
+            raise NonPositiveEigenvalueError(_which(k) + body, index=k) from exc
     return out
 
 
@@ -495,8 +501,9 @@ def _row(y_i, y_j, lam, k_ij, k_i_geo, k_j_geo, k_i_line, k_j_line) -> HarnessRo
     )
 
 
-def default_harness_sigma(s_i, s_j, multiplier: float = _SIGMA_MULTIPLIER) -> float:
-    """Wide-kernel bandwidth for one pair: ``multiplier`` times their distance.
+def default_harness_sigma(s_i, s_j) -> float:
+    """Wide-kernel bandwidth for one pair: ``_SIGMA_MULTIPLIER`` times their
+    distance.
 
     Narrow kernels push the two-sample comparison out of the smooth regime
     where the geodesic mix provably wins; a bandwidth several times the pair
@@ -505,4 +512,4 @@ def default_harness_sigma(s_i, s_j, multiplier: float = _SIGMA_MULTIPLIER) -> fl
     d = metrics.log_euclidean_distance(s_i, s_j)
     if d <= 0.0:
         raise ValueError("endpoints coincide; no usable bandwidth")
-    return multiplier * d
+    return _SIGMA_MULTIPLIER * d

@@ -8,7 +8,6 @@ from spdmix.augment import (
     STRATEGIES,
     EigenCache,
     MixConfig,
-    augment_batch,
     c_mixup_pair,
     d_mixup,
     drop_edge,
@@ -16,6 +15,7 @@ from spdmix.augment import (
     g_mixup_fit,
     g_mixup_sample,
     incorrect_label_probe,
+    mix_dataset,
     r_mixup,
     r_mixup_cached,
     sample_beta,
@@ -164,11 +164,31 @@ class TestRMixupCached:
         ds = regression_dataset(seed=55, count=5, n=6)
         cache = EigenCache.build(ds)
         for sample_id, mat in zip(ds.ids, ds.matrices):
-            rebuilt = cache.entry(sample_id).log_matrix()
+            rebuilt = cache.entry(sample_id)
             target = matrix_log(mat)
             assert np.linalg.norm(rebuilt - target) <= 1e-8 * max(
                 1.0, np.linalg.norm(target)
             )
+
+
+    def test_cache_rows_are_read_only(self):
+        # a caller cannot corrupt the logs that later mixes read
+        ds = regression_dataset(seed=57, count=6, n=5)
+        cache = EigenCache(ds)
+        row = cache.entry(ds.ids[1])
+        with pytest.raises(ValueError, match="read-only"):
+            row[0, 0] = 0.0
+        stack = cache.log_stack([1, 4])
+        with pytest.raises(ValueError, match="read-only"):
+            stack[4] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(stack, 2.0, out=stack)
+        assert np.array_equal(stack[1], row)
+        direct = r_mixup(ds.matrices[1], ds.matrices[4], 0.0, 1.0, 0.3).matrix
+        mixed = r_mixup_cached(row, cache.entry(ds.ids[4]), 0.0, 1.0, 0.3).matrix
+        assert np.array_equal(mixed, direct)
+        (_, batch), = cache._mixes(np.array([1]), np.array([4]), np.array([0.3]))
+        assert np.array_equal(batch[0], direct)
 
 
 class TestVMixup:
@@ -461,67 +481,79 @@ class TestCMixupPair:
         assert partner == 0
 
 
-class TestAugmentBatch:
+def assert_rows_match_r_mixup(ds, out, prov, rows=None):
+    """Row ``k`` of an rmixup output is ``r_mixup`` on its provenance pair
+    and ratio, bit for bit, matrix and label."""
+    assert prov.strategy == "rmixup"
+    for k in range(len(out)) if rows is None else rows:
+        i, j = ds.ids.index(prov.source_i[k]), ds.ids.index(prov.source_j[k])
+        direct = r_mixup(
+            ds.matrices[i], ds.matrices[j], ds.labels[i], ds.labels[j], prov.lam[k]
+        )
+        assert np.array_equal(out.matrices[k], direct.matrix)
+        assert out.labels[k] == direct.label
+
+
+class TestMixDataset:
     def test_count_zero_is_empty(self):
         ds = regression_dataset()
-        out = augment_batch(ds, MixConfig(strategy="rmixup"), 0)
-        assert out == []
+        out, prov = mix_dataset(ds, MixConfig(strategy="rmixup"), 0)
+        assert out.matrices.shape == (0, 4, 4)
+        assert len(out) == len(prov) == 0
+        assert list(prov.csv_rows(out.ids)) == []
 
     def test_same_seed_bitwise_identical(self):
         ds = regression_dataset(seed=33)
         config = MixConfig(strategy="rmixup", alpha=0.4, seed=77)
-        a = augment_batch(ds, config, 8)
-        b = augment_batch(ds, config, 8)
-        for s1, s2 in zip(a, b):
-            assert np.array_equal(s1.matrix, s2.matrix)
-            assert s1.label == s2.label
-            assert s1.provenance == s2.provenance
+        a, prov_a = mix_dataset(ds, config, 8)
+        b, prov_b = mix_dataset(ds, config, 8)
+        assert np.array_equal(a.matrices, b.matrices)
+        assert np.array_equal(a.labels, b.labels)
+        assert list(prov_a.csv_rows(a.ids)) == list(prov_b.csv_rows(b.ids))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_longer_batch_extends_shorter(self, strategy):
         # per-index (seed, k) streams: output k does not depend on count
         ds = regression_dataset(seed=34)
         config = MixConfig(strategy=strategy, seed=5)
-        short = augment_batch(ds, config, 8)
-        long = augment_batch(ds, config, 12)
-        for s1, s2 in zip(short, long[:8], strict=True):
-            assert np.array_equal(s1.matrix, s2.matrix)
-            assert np.array_equal(s1.label, s2.label)
-            assert s1.provenance == s2.provenance
+        short, prov_short = mix_dataset(ds, config, 8)
+        long, prov_long = mix_dataset(ds, config, 12)
+        assert np.array_equal(short.matrices, long.matrices[:8])
+        assert np.array_equal(short.labels, long.labels[:8])
+        # every provenance column, ratios by repr
+        assert list(prov_short.csv_rows(short.ids)) == list(prov_long.csv_rows(long.ids))[:8]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_provenance_names_the_strategy(self, strategy):
+    def test_provenance_columns_follow_the_strategy(self, strategy):
         ds = regression_dataset(seed=38)
-        out = augment_batch(ds, MixConfig(strategy=strategy, seed=6), 5)
-        assert [s.provenance.strategy for s in out] == [strategy] * 5
+        out, prov = mix_dataset(ds, MixConfig(strategy=strategy, seed=6), 5)
+        assert prov.strategy == strategy
+        assert [row[1] for row in prov.csv_rows(out.ids)] == [strategy] * 5
+        pairwise = strategy not in ("dropnode", "dropedge")
+        assert (prov.source_j is not None, prov.lam is not None) == (pairwise, pairwise)
+        masked = strategy in ("dmixup", "dropnode", "dropedge")
+        assert (prov.mask_summary is not None) == masked
+        assert set(prov.source_i) | set(prov.source_j or ()) <= set(ds.ids)
 
-    def test_rmixup_outputs_all_spd(self):
+    @pytest.mark.parametrize("strategy", ["rmixup", "vmixup", "cmixup"])
+    def test_spd_strategies_give_spd_outputs(self, strategy):
         ds = regression_dataset(seed=35, count=12, n=6, cond=1e3)
-        out = augment_batch(ds, MixConfig(strategy="rmixup", seed=1), 100)
-        for sample in out:
-            assert SpdMatrix.from_array(sample.matrix).min_eigenvalue > 0
+        out, _ = mix_dataset(ds, MixConfig(strategy=strategy, seed=1), 100)
+        for matrix in out.matrices:
+            assert SpdMatrix.from_array(matrix).min_eigenvalue > 0
 
-    def test_cache_flag_matches_direct(self):
+    def test_rmixup_rows_match_direct(self):
         # every batch mix equals the three-decomposition r_mixup on its
         # provenance pair and ratio, bit for bit
         ds = regression_dataset(seed=36, count=8, n=5)
-        out = augment_batch(ds, MixConfig(strategy="rmixup", seed=9), 10)
-        for sample in out:
-            p = sample.provenance
-            i, j = ds.ids.index(p.source_i), ds.ids.index(p.source_j)
-            direct = r_mixup(
-                ds.matrices[i], ds.matrices[j], ds.labels[i], ds.labels[j], p.lam,
-                (p.source_i, p.source_j),
-            )
-            assert np.array_equal(sample.matrix, direct.matrix)
-            assert sample.label == direct.label
-            assert sample.provenance == direct.provenance
+        out, prov = mix_dataset(ds, MixConfig(strategy="rmixup", seed=9), 10)
+        assert_rows_match_r_mixup(ds, out, prov)
 
     def test_rmixup_decomposes_only_used_samples(self):
         # at most one decomposition per distinct source plus one per mix
         ds = regression_dataset(seed=42, count=64, n=4)
         with count_eig_calls() as counter:
-            augment_batch(ds, MixConfig(strategy="rmixup", seed=3), 4)
+            mix_dataset(ds, MixConfig(strategy="rmixup", seed=3), 4)
         assert counter.count <= 12
 
     def test_duplicate_ids_mix_their_own_matrices(self):
@@ -530,8 +562,9 @@ class TestAugmentBatch:
             matrices=ds.matrices, labels=ds.labels, task="regression", ids=["x"] * 6
         )
         config = MixConfig(strategy="rmixup", seed=4)
-        for s1, s2 in zip(augment_batch(ds, config, 10), augment_batch(dup, config, 10)):
-            assert np.array_equal(s1.matrix, s2.matrix)
+        out, _ = mix_dataset(ds, config, 10)
+        out_dup, _ = mix_dataset(dup, config, 10)
+        assert np.array_equal(out.matrices, out_dup.matrices)
         probe = incorrect_label_probe(ds, 20, np.random.default_rng(5))
         assert incorrect_label_probe(dup, 20, np.random.default_rng(5)) == probe
 
@@ -540,12 +573,10 @@ class TestAugmentBatch:
         mats = np.stack([gen_random_spd(3, 10.0, rng).array for _ in range(6)])
         ds = LabeledDataset(matrices=mats, labels=[0, 1, 2, 0, 1, 2], task="classification")
         for strategy in ("rmixup", "vmixup", "dmixup", "dropnode", "dropedge", "cmixup"):
-            out = augment_batch(ds, MixConfig(strategy=strategy, seed=2), 6)
-            for sample in out:
-                label = np.asarray(sample.label)
-                assert label.shape == (3,)
-                assert np.all(label >= 0)
-                assert abs(label.sum() - 1.0) <= 1e-12
+            out, _ = mix_dataset(ds, MixConfig(strategy=strategy, seed=2), 6)
+            assert out.labels.shape == (6, 3)
+            assert np.all(out.labels >= 0)
+            assert np.all(np.abs(out.labels.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_gmixup_regression_zero_variance_rejected(self):
         ds = LabeledDataset(
@@ -554,14 +585,14 @@ class TestAugmentBatch:
             task="regression",
         )
         with pytest.raises(ValueError, match="variance"):
-            augment_batch(ds, MixConfig(strategy="gmixup", seed=0), 2)
+            mix_dataset(ds, MixConfig(strategy="gmixup", seed=0), 2)
 
     def test_pairwise_needs_two_samples(self):
         ds = LabeledDataset(
             matrices=np.stack([np.eye(2)]), labels=[0.5], task="regression"
         )
         with pytest.raises(ValueError, match="too small"):
-            augment_batch(ds, MixConfig(strategy="rmixup"), 1)
+            mix_dataset(ds, MixConfig(strategy="rmixup"), 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="strategy"):
@@ -576,55 +607,41 @@ class TestBatchedRMixup:
     """rmixup batches draw every pair first, then mix in stacked chunks of a
     fixed byte budget; chunking must not change a single bit."""
 
-    @staticmethod
-    def assert_matches_direct(ds, out, indices=None):
-        for k in range(len(out)) if indices is None else indices:
-            p = out[k].provenance
-            i, j = ds.ids.index(p.source_i), ds.ids.index(p.source_j)
-            direct = r_mixup(
-                ds.matrices[i], ds.matrices[j], ds.labels[i], ds.labels[j], p.lam,
-                (p.source_i, p.source_j),
-            )
-            assert np.array_equal(out[k].matrix, direct.matrix)
-            assert out[k].label == direct.label
-            assert out[k].provenance == direct.provenance
-
     @pytest.mark.parametrize("per_chunk", [1, 2, 3, 4])
     def test_chunks_of_few_matrices_match_direct(self, monkeypatch, per_chunk):
         n = 5
         monkeypatch.setattr(augment, "_CHUNK_BYTES", per_chunk * 8 * n * n)
         ds = regression_dataset(seed=60 + per_chunk, count=9, n=n)
-        out = augment_batch(ds, MixConfig(strategy="rmixup", seed=per_chunk), 11)
-        self.assert_matches_direct(ds, out)
+        out, prov = mix_dataset(ds, MixConfig(strategy="rmixup", seed=per_chunk), 11)
+        assert_rows_match_r_mixup(ds, out, prov)
 
     def test_many_chunks_at_small_n(self):
         # at n=8 the 4 MiB budget holds 8192 matrices: 8200 mixes span two
         # chunks; check both sides of the seam
         ds = regression_dataset(seed=61, count=32, n=8)
-        out = augment_batch(ds, MixConfig(strategy="rmixup", seed=2), 8200)
+        out, prov = mix_dataset(ds, MixConfig(strategy="rmixup", seed=2), 8200)
         per_chunk = augment._CHUNK_BYTES // (8 * 8 * 8)
         assert per_chunk < 8200
-        self.assert_matches_direct(ds, out, [0, 1, per_chunk - 1, per_chunk, 8199])
+        assert_rows_match_r_mixup(ds, out, prov, [0, 1, per_chunk - 1, per_chunk, 8199])
 
     def test_budget_chunks_at_large_n(self):
         # at n=360 the budget holds 4 matrices
         ds = regression_dataset(seed=62, count=5, n=360)
-        out = augment_batch(ds, MixConfig(strategy="rmixup", seed=3), 6)
-        self.assert_matches_direct(ds, out)
+        out, prov = mix_dataset(ds, MixConfig(strategy="rmixup", seed=3), 6)
+        assert_rows_match_r_mixup(ds, out, prov)
 
     def test_counts_distinct_sources_plus_mixes(self):
         ds = regression_dataset(seed=63, count=40, n=3)
         for count in (1, 7, 60):
             with count_eig_calls() as counter:
-                out = augment_batch(ds, MixConfig(strategy="rmixup", seed=count), count)
-            sources = {s.provenance.source_i for s in out} | {s.provenance.source_j for s in out}
-            assert counter.count == len(sources) + count
+                _, prov = mix_dataset(ds, MixConfig(strategy="rmixup", seed=count), count)
+            assert counter.count == len(set(prov.source_i) | set(prov.source_j)) + count
 
     def test_drawn_non_spd_sample_named(self):
         ds = regression_dataset(seed=64, count=12, n=3)
         config = MixConfig(strategy="rmixup", seed=8)
-        clean = augment_batch(ds, config, 3)
-        drawn = {s.provenance.source_i for s in clean} | {s.provenance.source_j for s in clean}
+        clean, prov = mix_dataset(ds, config, 3)
+        drawn = set(prov.source_i) | set(prov.source_j)
         bad_drawn, bad_idle = sorted(drawn)[-1], sorted(set(ds.ids) - drawn)[0]
 
         def broken(sample_id):
@@ -633,9 +650,9 @@ class TestBatchedRMixup:
             return LabeledDataset(matrices=mats, labels=ds.labels, task="regression")
 
         with pytest.raises(ValueError, match=f"sample {bad_drawn} is not SPD.*clamp"):
-            augment_batch(broken(bad_drawn), config, 3)
-        for s1, s2 in zip(augment_batch(broken(bad_idle), config, 3), clean, strict=True):
-            assert np.array_equal(s1.matrix, s2.matrix)
+            mix_dataset(broken(bad_drawn), config, 3)
+        out, _ = mix_dataset(broken(bad_idle), config, 3)
+        assert np.array_equal(out.matrices, clean.matrices)
 
     def test_probe_independent_of_chunking(self, monkeypatch):
         rng = np.random.default_rng(65)

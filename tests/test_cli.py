@@ -392,6 +392,28 @@ class TestCountFlags:
         assert flag[2:] in err and "at least" in err
 
 
+class TestListFlags:
+    @pytest.mark.parametrize("command, flag, kind", [
+        ("diagnose", "--sweep", "integer"),
+        ("regress", "--lambdas", "float"),
+        ("bench", "--n", "integer"),
+    ])
+    def test_bad_list_is_usage_error(self, capsys, tmp_path, command, flag, kind):
+        src, _ = gen_dataset(capsys, tmp_path, n=3, count=4)
+        argv = {
+            "diagnose": ["diagnose", "--input", str(src), "--t", "10"],
+            "regress": ["regress", "--input", str(src)],
+            "bench": ["bench"],
+        }[command]
+        for value, message in (
+            ("4,x", f"{flag} expects a comma-separated {kind} list"),
+            (" , ", f"{flag} list is empty"),
+        ):
+            code, stdout, err = run(capsys, *argv, flag, value)
+            assert (code, stdout) == (2, "")
+            assert message in err
+
+
 class TestDiagnose:
     def test_sweep_is_monotone_on_synthetic_series(self, capsys, tmp_path):
         series = tmp_path / "ser.csv"

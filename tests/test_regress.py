@@ -451,6 +451,25 @@ class TestBatchedHarness:
         weights = np.linalg.lstsq(feats - x_mean, y, rcond=None)[0]
         assert np.array_equal(model.weights, weights)
 
+    def test_non_spd_matrix_named_by_stack_position(self, monkeypatch):
+        # logs taken 3 matrices at a time: matrix 7 is the second of its
+        # chunk, and the error names its place in the whole stack
+        monkeypatch.setattr(augment, "_CHUNK_BYTES", 3 * 8 * 4 * 4)
+        ds = regression_dataset(seed=414, count=10, n=4)
+        mats = ds.matrices.copy()
+        mats[7] = -np.eye(4)
+        bad = LabeledDataset(matrices=mats, labels=ds.labels, task="regression")
+        config = KernelConfig(sigma=2.0)
+        for fit in (
+            lambda: gram_matrix(mats, config),
+            lambda: fit_kernel_ridge(bad, config),
+            lambda: geodesic_regression_fit(bad),
+        ):
+            with pytest.raises(NonPositiveEigenvalueError) as info:
+                fit()
+            assert info.value.index == 7
+            assert str(info.value).startswith("matrix 7 of the stack: matrix_log requires")
+
 
 class TestRegressCli:
     """``regress`` on the batched core against one harness call per pair."""
