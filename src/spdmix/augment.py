@@ -34,6 +34,7 @@ from .data_io import TASK_CLASSIFICATION, TASK_REGRESSION, LabeledDataset
 from .linalg import (
     EigenvalueOverflowError,
     NonPositiveEigenvalueError,
+    _chunks,
     matrix_exp,
     matrix_log,
 )
@@ -75,18 +76,6 @@ _PAIRWISE = {"rmixup", "vmixup", "dmixup", "gmixup", "cmixup"}
 
 # Strategies that summarise a random mask in their provenance.
 _MASKED = {"dmixup", "dropnode", "dropedge"}
-
-# Bytes of matrices handed to one stacked eigensolve. It bounds the working
-# set of a batched mix at large n and still stacks thousands of matrices at
-# small n, where per-call overhead dominates.
-_CHUNK_BYTES = 4 << 20
-
-
-def _chunks(total: int, n: int) -> Iterator[slice]:
-    step = max(1, _CHUNK_BYTES // (8 * n * n))
-    for start in range(0, total, step):
-        yield slice(start, min(start + step, total))
-
 
 @dataclass(frozen=True)
 class MixConfig:
@@ -184,14 +173,16 @@ class EigenCache:
 
     Geodesic mixing is linear in log coordinates, so mixing two cached
     samples costs one eigendecomposition instead of three. The logarithms
-    fill rows of one stack allocated up front, a chunk of samples per
-    stacked :func:`matrix_log`; pages of a large stack become resident only
-    once written. Not thread-safe.
+    fill rows of one stack allocated up front, by one stacked
+    :func:`matrix_log` per fill; pages of a large stack become resident only
+    once written. The stack is read-only outside a fill, so no view of it
+    handed out can be made writeable. Not thread-safe.
     """
 
     def __init__(self, dataset: LabeledDataset):
         self._dataset = dataset
         self._logs = np.empty_like(dataset.matrices)
+        self._logs.flags.writeable = False
         self._filled = np.zeros(len(dataset), dtype=bool)
 
     @classmethod
@@ -205,35 +196,31 @@ class EigenCache:
         """Read-only log-matrix of the first sample carrying ``sample_id``."""
         k = self._dataset.ids.index(sample_id)
         self._fill([k])
-        row = self._logs[k]
-        row.flags.writeable = False
-        return row
+        return self._logs[k]
 
     def log_stack(self, rows) -> np.ndarray:
         """Read-only stack of the log-matrices, indexed like the dataset,
         after computing those of the samples in ``rows``; a row that was
         never requested holds no defined value."""
         self._fill(rows)
-        logs = self._logs.view()
-        logs.flags.writeable = False
-        return logs
+        return self._logs.view()
 
     def _fill(self, rows) -> None:
         """Compute the logarithms of the samples in ``rows`` not yet held."""
         rows = np.unique(np.asarray(rows, dtype=np.intp))
         todo = rows[~self._filled[rows]]
-        for part in _chunks(len(todo), self._dataset.dim):
-            picked = todo[part]
-            try:
-                self._logs[picked] = matrix_log(self._dataset.matrices[picked])
-            except NonPositiveEigenvalueError as exc:
-                k = int(picked[exc.index])
-                raise NonPositiveEigenvalueError(
-                    f"sample {self._dataset.ids[k]} is not SPD; clamp it "
-                    f"before mixing ({exc})",
-                    index=k,
-                ) from exc
-            self._filled[picked] = True
+        try:
+            logs = matrix_log(self._dataset.matrices[todo])
+        except NonPositiveEigenvalueError as exc:
+            k = int(todo[exc.index])
+            raise NonPositiveEigenvalueError(
+                f"sample {self._dataset.ids[k]} is not SPD; clamp it before mixing ({exc})",
+                index=k,
+            ) from exc
+        self._logs.flags.writeable = True
+        self._logs[todo] = logs
+        self._logs.flags.writeable = False
+        self._filled[todo] = True
 
     def _mixes(
         self, first: np.ndarray, second: np.ndarray, lams: np.ndarray
@@ -574,16 +561,15 @@ class _Partners:
 
     def draw(self, anchor: int, rng: np.random.Generator) -> int:
         y = self._labels
-        weights = None
-        if self._classes:
-            candidates = np.flatnonzero(y == y[anchor])
-            candidates = candidates[candidates != anchor]
-        else:
+        if not self._classes:
             candidates = self._index[self._index != anchor]
             logits = -((y[anchor] - y[candidates]) ** 2) / (2.0 * self._bandwidth**2)
             logits -= logits.max()
             weights = np.exp(logits)
             weights /= weights.sum()
+            return _weighted_choice(candidates, weights, rng)
+        candidates = np.flatnonzero(y == y[anchor])
+        candidates = candidates[candidates != anchor]
         if not len(candidates):
             warnings.warn(
                 f"anchor {anchor} is the only sample of its class; pairing it with itself",
@@ -591,7 +577,16 @@ class _Partners:
                 stacklevel=3,
             )
             return anchor
-        return int(rng.choice(candidates, p=weights))
+        return int(rng.choice(candidates))
+
+
+def _weighted_choice(candidates, weights, rng: np.random.Generator) -> int:
+    """``rng.choice(candidates, p=weights)`` for weights that sum to 1, drawn
+    as it draws (one ``rng.random()`` searched in the normalised cumulative
+    weights) without its checks of the weights."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return int(candidates[cdf.searchsorted(rng.random(), side="right")])
 
 
 def c_mixup_pair(

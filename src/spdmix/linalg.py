@@ -14,16 +14,31 @@ and :func:`matrix_exp` accept stacks too and check every matrix of a stack on
 its own. A stacked call gives each matrix the same bits as a call on that
 matrix alone, so batched and one-at-a-time callers agree exactly.
 
+Solves and recomposes run with numpy's bundled OpenBLAS pinned to one
+thread, and a stack of two or more matrices is split into contiguous parts
+that the calling thread and a pool of one thread per further core share.
+Parallelism is across matrices, never inside one, so a matrix gets
+the same bits under any worker count and any ``OPENBLAS_NUM_THREADS``. The
+pin is process-wide, so it is held only for the duration of one solve or
+recompose, under a lock that serialises them. Where the OpenBLAS thread
+setter cannot be found, every call is one numpy call on numpy's own threads.
+
 All inputs and outputs are double-precision dense arrays. Functions are pure
-and thread-safe; :class:`SpdMatrix` instances are immutable.
+and safe to call from any thread; :class:`SpdMatrix` instances are immutable.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -53,6 +68,140 @@ SYMMETRY_RTOL = 1e-10
 # |eigenvalue| bound beyond which exp() overflows / underflows in float64.
 EXP_EIGENVALUE_LIMIT = 700.0
 
+# Bytes of matrices handed to one stacked call. It bounds the working set of
+# a batched operation at large n and still stacks thousands of matrices at
+# small n, where per-call overhead dominates.
+_CHUNK_BYTES = 4 << 20
+
+
+def _chunks(total: int, n: int) -> Iterator[slice]:
+    step = max(1, _CHUNK_BYTES // (8 * n * n))
+    for start in range(0, total, step):
+        yield slice(start, min(start + step, total))
+
+
+def _setter_of(lib):
+    """``lib``'s OpenBLAS thread-count setter as ``set(count) -> previous
+    count``, or ``None`` when it exports no setter."""
+    local = getattr(lib, "openblas_set_num_threads_local", None)
+    if local is not None:
+        local.argtypes, local.restype = [ctypes.c_int], ctypes.c_int
+        return local
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if put is None or get is None:
+        return None
+    put.argtypes, put.restype = [ctypes.c_int], None
+    get.argtypes, get.restype = [], ctypes.c_int
+
+    def setter(count: int) -> int:
+        previous = get()
+        put(count)
+        return previous
+
+    return setter
+
+
+def _thread_setter():
+    """The thread-count setter of the OpenBLAS bundled with numpy, or
+    ``None``; loading the library again returns numpy's own copy."""
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        setter = _setter_of(ctypes.CDLL(str(path)))
+        if setter is not None:
+            return setter
+    return None
+
+
+_SET_THREADS = _thread_setter()
+# Threads beside the caller that take parts of a split stack: one per
+# further core this process may run on. The pool starts on first use.
+_WORKERS = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
+_POOL: ThreadPoolExecutor | None = None
+# Parts a split stack is cut into per thread: more parts balance the load
+# when the host stalls a thread, each costs one more numpy call.
+_PARTS_PER_THREAD = 4
+# Held for each pinned call: in numpy's build the OpenBLAS thread count is
+# process-wide, so a pin would slow every other matrix product it outlived.
+_PINNED = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has the pool object but none of its threads
+    global _POOL, _PINNED
+    _POOL, _PINNED = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pinned(fn, *stacks):
+    """``fn(*stacks)`` on one OpenBLAS thread per matrix.
+
+    The stacks share their leading shape. Two or more matrices are split
+    into contiguous parts, a few per thread, that the calling thread and
+    the pool take in turn until none is left, so a thread the host stalls
+    holds up one part at most. The parts' results are joined in order, so
+    each matrix gets the bits it gets alone. Without a thread setter, one
+    plain call.
+    """
+    global _POOL
+    if _SET_THREADS is None:
+        return fn(*stacks)
+    lead = stacks[0].shape[:-2]
+    total = math.prod(lead)
+    with _PINNED, _one_blas_thread():
+        if total < 2 or _WORKERS < 1:
+            return fn(*stacks)
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="spdmix-linalg")
+        flat = [s.reshape(total, *s.shape[len(lead):]) for s in stacks]
+        count = min(total, _PARTS_PER_THREAD * (_WORKERS + 1))
+        ends = [total * p // count for p in range(count + 1)]
+        todo = deque(range(count))
+        results = [None] * count
+
+        def drain():
+            while True:
+                try:
+                    k = todo.popleft()
+                except IndexError:
+                    return
+                results[k] = fn(*(s[ends[k]:ends[k + 1]] for s in flat))
+
+        futures = [_POOL.submit(_on_one_thread, drain) for _ in range(min(_WORKERS, count - 1))]
+        try:
+            drain()
+        finally:
+            todo.clear()
+            wait(futures)
+        for f in futures:
+            f.result()
+
+    def join(arrays):
+        return np.concatenate(arrays).reshape(lead + arrays[0].shape[1:])
+
+    if isinstance(results[0], tuple):
+        return tuple(join(arrays) for arrays in zip(*results))
+    return join(results)
+
+
+@contextmanager
+def _one_blas_thread():
+    previous = _SET_THREADS(1)
+    try:
+        yield
+    finally:
+        _SET_THREADS(previous)
+
+
+def _on_one_thread(fn):
+    # the caller's pin covers this thread where the count is process-wide,
+    # as in numpy's build, but not where it is kept per thread
+    with _one_blas_thread():
+        fn()
+
 
 class EigenConvergenceError(RuntimeError):
     """The symmetric eigensolver failed to converge."""
@@ -60,7 +209,7 @@ class EigenConvergenceError(RuntimeError):
 
 class _StackError(ValueError):
     """A check failed on one matrix; ``index`` is its position in a stacked
-    input, ``None`` for a single matrix."""
+    input, ``None`` for a single matrix. :func:`symmetrize` raises it bare."""
 
     def __init__(self, message: str, index=None):
         super().__init__(message)
@@ -122,7 +271,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     arr = _square(a)
     if not np.isfinite(arr).all():
         k = _first(~np.isfinite(arr).all(axis=(-2, -1)))
-        raise ValueError(f"{_which(k)}matrix contains non-finite entries")
+        raise _StackError(f"{_which(k)}matrix contains non-finite entries", index=k)
     arr_t = arr.swapaxes(-1, -2)
     norm = fro_norm(arr)
     drift = fro_norm(arr - arr_t)
@@ -130,9 +279,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     if bad.any():
         k = _first(bad)
         at = () if k is None else k
-        raise ValueError(
+        raise _StackError(
             f"{_which(k)}matrix is not symmetric: asymmetry {drift[at]:.3e} "
-            f"exceeds {SYMMETRY_RTOL:.1e} * ||A||_F = {SYMMETRY_RTOL * norm[at]:.3e}"
+            f"exceeds {SYMMETRY_RTOL:.1e} * ||A||_F = {SYMMETRY_RTOL * norm[at]:.3e}",
+            index=k,
         )
     return (arr + arr_t) / 2.0
 
@@ -146,10 +296,14 @@ class EigenDecomposition(NamedTuple):
 
     def recompose(self, values: np.ndarray | None = None) -> np.ndarray:
         """Rebuild ``O diag(values) O^T`` (defaults to the stored spectrum)."""
-        w = self.eigenvalues if values is None else values
         o = self.orthogonal
-        out = (o * w[..., None, :]) @ o.swapaxes(-1, -2)
-        return (out + out.swapaxes(-1, -2)) / 2.0
+        w = self.eigenvalues if values is None else values
+        return _pinned(_recompose, o, np.broadcast_to(w, o.shape[:-1]))
+
+
+def _recompose(o: np.ndarray, w: np.ndarray) -> np.ndarray:
+    out = (o * w[..., None, :]) @ o.swapaxes(-1, -2)
+    return (out + out.swapaxes(-1, -2)) / 2.0
 
 
 @dataclass
@@ -161,7 +315,8 @@ class EigCallCounter:
     values_only: int = 0
 
 
-# The counters of every enclosing count_eig_calls scope, innermost last.
+# The counters of every enclosing count_eig_calls scope, innermost last. The
+# calling thread counts a whole stack before any part of it goes to the pool.
 _COUNTERS: ContextVar[tuple[EigCallCounter, ...]] = ContextVar("eig_counters", default=())
 
 
@@ -183,7 +338,7 @@ def _solve(solver, sym: np.ndarray, *, values_only: bool):
         counter.count += matrices
         counter.values_only += matrices if values_only else 0
     try:
-        return solver(sym)
+        return _pinned(solver, sym)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(
             f"symmetric eigensolver failed to converge on input of shape "
@@ -286,13 +441,33 @@ def _require_positive(mu: np.ndarray, what: str) -> None:
 
 def matrix_log(s) -> np.ndarray:
     """Matrix logarithm ``O diag(log mu) O^T`` of a positive definite matrix,
-    or of each matrix of a stack.
+    or of each matrix of a stack, taken ``_CHUNK_BYTES`` of matrices at a
+    time.
 
     Never clamps: a non-positive eigenvalue raises
     :class:`NonPositiveEigenvalueError` telling the caller to clamp first;
-    for a stack, its ``index`` names the first offending matrix.
+    for a stack, its ``index`` names the first offending matrix by its
+    position in the whole stack.
     """
-    dec = eig_sym(_as_matrix(s))
+    arr = _as_matrix(s)
+    if arr.ndim < 3:
+        return _log(arr)
+    lead, n = arr.shape[:-2], arr.shape[-1]
+    flat = arr.reshape(-1, n, n)
+    out = np.empty_like(flat)
+    for part in _chunks(len(flat), n):
+        try:
+            out[part] = _log(flat[part])
+        except _StackError as exc:
+            at = np.unravel_index(part.start + exc.index, lead)
+            k = int(at[0]) if len(at) == 1 else tuple(int(i) for i in at)
+            body = str(exc).removeprefix(_which(exc.index))
+            raise type(exc)(_which(k) + body, index=k) from exc
+    return out.reshape(arr.shape)
+
+
+def _log(arr: np.ndarray) -> np.ndarray:
+    dec = eig_sym(arr)
     _require_positive(dec.eigenvalues, "matrix_log")
     return dec.recompose(np.log(dec.eigenvalues))
 

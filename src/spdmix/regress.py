@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .augment import EigenCache, _chunks
+from .augment import EigenCache
 from .data_io import TASK_REGRESSION, LabeledDataset
-from .linalg import NonPositiveEigenvalueError, _which, fro_norm, matrix_log
+from .linalg import NonPositiveEigenvalueError, _chunks, fro_norm, matrix_log
 
 __all__ = [
     "GeodesicRegressionModel",
@@ -105,20 +105,6 @@ def euclidean_kernel(s_i, s_hat, sigma: float) -> float:
     return float(_gaussian(d**2, n, sigma, SPACE_EUCLIDEAN)[1])
 
 
-def _logs(matrices: np.ndarray) -> np.ndarray:
-    """Logarithm of every matrix of a stack, one stacked call per chunk; a
-    non-SPD matrix is named by its position in the whole stack."""
-    out = np.empty_like(matrices)
-    for part in _chunks(len(matrices), matrices.shape[-1]):
-        try:
-            out[part] = matrix_log(matrices[part])
-        except NonPositiveEigenvalueError as exc:
-            k = part.start + exc.index
-            body = str(exc).removeprefix(_which(exc.index))
-            raise NonPositiveEigenvalueError(_which(k) + body, index=k) from exc
-    return out
-
-
 def _gram(matrices: np.ndarray, config: KernelConfig):
     """Embeddings, squared pairwise distances, normalizer and kernel matrix.
 
@@ -126,7 +112,7 @@ def _gram(matrices: np.ndarray, config: KernelConfig):
     log-matrices for the manifold metric, the matrices themselves otherwise.
     """
     if config.space == SPACE_RIEMANNIAN:
-        emb = _logs(matrices)
+        emb = matrix_log(matrices)
     else:
         emb = np.asarray(matrices, dtype=np.float64)
     flat = emb.reshape(len(emb), -1)
@@ -266,7 +252,7 @@ def geodesic_regression_fit(train: LabeledDataset) -> GeodesicRegressionModel:
         raise ValueError("geodesic regression requires regression labels")
     if len(train) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    feats = _vec_upper(_logs(train.matrices))
+    feats = _vec_upper(matrix_log(train.matrices))
     y = train.labels.astype(np.float64)
     x_mean = feats.mean(axis=0)
     y_mean = float(y.mean())

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from spdmix import augment
+from spdmix import linalg
 from spdmix.augment import (
     STRATEGIES,
     EigenCache,
@@ -21,8 +23,9 @@ from spdmix.augment import (
     sample_beta,
     v_mixup,
 )
+from spdmix.augment import _weighted_choice
 from spdmix.data_io import LabeledDataset, gen_labeled_dataset, gen_random_spd
-from spdmix.linalg import SpdMatrix, count_eig_calls, log_det
+from spdmix.linalg import SpdMatrix, count_eig_calls, log_det, matrix_log
 
 
 class _FixedUniform:
@@ -159,8 +162,6 @@ class TestRMixupCached:
             EigenCache.build(ds)
 
     def test_cache_entries_reconstruct_log_matrices(self):
-        from spdmix.linalg import matrix_log
-
         ds = regression_dataset(seed=55, count=5, n=6)
         cache = EigenCache.build(ds)
         for sample_id, mat in zip(ds.ids, ds.matrices):
@@ -189,6 +190,27 @@ class TestRMixupCached:
         assert np.array_equal(mixed, direct)
         (_, batch), = cache._mixes(np.array([1]), np.array([4]), np.array([0.3]))
         assert np.array_equal(batch[0], direct)
+
+    def test_views_cannot_be_made_writeable(self):
+        # a view handed out cannot be switched back to writeable and
+        # written through into the stack later mixes read
+        ds = regression_dataset(seed=58, count=3, n=4)
+        cache = EigenCache(ds)
+        clean = matrix_log(ds.matrices[0])
+        for view in (cache.entry(ds.ids[0]), cache.log_stack([0]), cache.log_stack([0])[0]):
+            try:
+                view.flags.writeable = True
+                view[..., 0, 0] = 99.0
+            except ValueError:
+                pass
+            assert np.array_equal(cache.entry(ds.ids[0]), clean)
+        cache.entry(ds.ids[2])  # a later fill leaves the stack read-only
+        with pytest.raises(ValueError):
+            cache.log_stack([1]).flags.writeable = True
+        mixed = r_mixup_cached(cache.entry(ds.ids[0]), cache.entry(ds.ids[2]), 0.0, 1.0, 0.4)
+        assert np.array_equal(
+            mixed.matrix, r_mixup(ds.matrices[0], ds.matrices[2], 0.0, 1.0, 0.4).matrix
+        )
 
 
 class TestVMixup:
@@ -470,6 +492,21 @@ class TestCMixupPair:
                 assert ds.labels[partner] == ds.labels[anchor]
                 assert partner != anchor
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_weighted_draw_is_rng_choice(self, weights, seed):
+        w = np.asarray(weights)
+        w /= w.sum()
+        assume(np.all(np.isfinite(w)) and abs(w.sum() - 1.0) < 1e-8)
+        candidates = np.arange(100, 100 + len(w))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _weighted_choice(candidates, w, ours) == ref.choice(candidates, p=w)
+        assert ours.random() == ref.random()
+
     def test_singleton_class_falls_back_with_warning(self):
         ds = LabeledDataset(
             matrices=np.stack([np.eye(2)] * 3),
@@ -610,7 +647,7 @@ class TestBatchedRMixup:
     @pytest.mark.parametrize("per_chunk", [1, 2, 3, 4])
     def test_chunks_of_few_matrices_match_direct(self, monkeypatch, per_chunk):
         n = 5
-        monkeypatch.setattr(augment, "_CHUNK_BYTES", per_chunk * 8 * n * n)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * 8 * n * n)
         ds = regression_dataset(seed=60 + per_chunk, count=9, n=n)
         out, prov = mix_dataset(ds, MixConfig(strategy="rmixup", seed=per_chunk), 11)
         assert_rows_match_r_mixup(ds, out, prov)
@@ -620,7 +657,7 @@ class TestBatchedRMixup:
         # chunks; check both sides of the seam
         ds = regression_dataset(seed=61, count=32, n=8)
         out, prov = mix_dataset(ds, MixConfig(strategy="rmixup", seed=2), 8200)
-        per_chunk = augment._CHUNK_BYTES // (8 * 8 * 8)
+        per_chunk = linalg._CHUNK_BYTES // (8 * 8 * 8)
         assert per_chunk < 8200
         assert_rows_match_r_mixup(ds, out, prov, [0, 1, per_chunk - 1, per_chunk, 8199])
 
@@ -658,7 +695,7 @@ class TestBatchedRMixup:
         rng = np.random.default_rng(65)
         ds = gen_labeled_dataset(4, 20, "regression", "log-linear", rng, noise=0.1)
         whole = incorrect_label_probe(ds, 40, np.random.default_rng(66))
-        monkeypatch.setattr(augment, "_CHUNK_BYTES", 3 * 8 * 4 * 4)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 3 * 8 * 4 * 4)
         assert incorrect_label_probe(ds, 40, np.random.default_rng(66)) == whole
 
     def test_probe_mixes_match_cached_path(self):

@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spdmix import augment
+from spdmix import augment, linalg
 from spdmix.cli import main
 from spdmix.data_io import (
     TASK_REGRESSION,
@@ -326,7 +330,7 @@ class TestMixMemory:
         src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=n, count=inputs)
         in_bytes, out_bytes = inputs * n * n * 8, outputs * n * n * 8
         if strategy == "rmixup":
-            budget = 2 * in_bytes + out_bytes + 6 * augment._CHUNK_BYTES
+            budget = 2 * in_bytes + out_bytes + 6 * linalg._CHUNK_BYTES
         else:
             budget = in_bytes + out_bytes + (1 << 20)
         tracemalloc.start()
@@ -361,6 +365,49 @@ class TestMixMemory:
             tracemalloc.stop()
         assert code == 0, err
         assert peak < budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB"
+
+
+class TestBlasThreads:
+    """``mix`` in fresh processes under different OpenBLAS thread settings.
+    OpenBLAS's own threads change an n=360 eigensolve's bits; with one BLAS
+    thread per matrix the bytes do not depend on ``OPENBLAS_NUM_THREADS``."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def mix(self, src, out, threads, pin=True):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(self.SRC), env.get("PYTHONPATH")) if p
+        )
+        # without the thread setter, every solve is one numpy call on
+        # OpenBLAS's own threads, as before stacks were split
+        script = (
+            "import sys; from spdmix import linalg; "
+            + ("" if pin else "linalg._SET_THREADS = None; ")
+            + "from spdmix.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, "mix", "--input", str(src), "--strategy",
+             "rmixup", "--count", "4", "--seed", "3", "-o", str(out)],
+            env=env, capture_output=True, check=True,
+        )
+        return mix_files(out)
+
+    @pytest.mark.skipif(linalg._SET_THREADS is None, reason="no OpenBLAS thread setter")
+    def test_n360_bytes_independent_of_blas_threads(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=360, count=6, seed=5)
+        unset = self.mix(src, tmp_path / "unset.spdb", None)
+        one = self.mix(src, tmp_path / "one.spdb", "1")
+        single_call = self.mix(src, tmp_path / "single.spdb", "1", pin=False)
+        assert unset == one == single_call
+
+    @pytest.mark.skipif(linalg._SET_THREADS is None, reason="no OpenBLAS thread setter")
+    def test_n50_bytes_match_unpinned_calls(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=50, count=12, seed=6)
+        pinned = self.mix(src, tmp_path / "pinned.spdb", None)
+        assert pinned == self.mix(src, tmp_path / "default.spdb", None, pin=False)
 
 
 class TestCountFlags:

@@ -5,16 +5,20 @@ elementwise scalar functions on diagonal matrices.
 """
 
 import ast
+import ctypes
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spdmix import linalg
 from spdmix.data_io import gen_random_spd
 from spdmix.linalg import (
     CholeskyPivotError,
@@ -445,6 +449,34 @@ class TestOneBackend:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_threads_and_ctypes_only_in_linalg(self):
+        # the worker pool and the OpenBLAS thread pin have one home
+        for name, tree in self.modules():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    roots = {a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    roots = {(node.module or "").split(".")[0]}
+                else:
+                    continue
+                confined = roots & {"ctypes", "concurrent"}
+                assert name == "linalg.py" or not confined, (name, node.lineno)
+
+    def test_cli_import_starts_no_thread(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(self.SRC.parent), env.get("PYTHONPATH")) if p
+        )
+        probe = (
+            "import threading, spdmix.cli, spdmix.linalg; "
+            "print(threading.active_count(), spdmix.linalg._POOL)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == ["1", "None"]
+
     def test_numpy_eigensolvers_only_in_linalg(self):
         for name, tree in self.modules():
             calls = [
@@ -468,7 +500,7 @@ class TestStacks:
         rng = np.random.default_rng(seed)
         return np.stack([gen_random_spd(n, 100.0, rng).array for _ in range(count)])
 
-    @pytest.mark.parametrize("n", [1, 5, 8, 50])
+    @pytest.mark.parametrize("n", [1, 5, 8, 50, 120, 360])
     def test_matches_single_calls_bitwise(self, n):
         stack = self.spd_stack(n, 6, n)
         dec = eig_sym(stack)
@@ -539,3 +571,213 @@ class TestStacks:
 
     def test_empty_stack(self):
         assert matrix_log(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    def test_chunked_log_names_whole_stack_position(self, monkeypatch):
+        # two matrices per chunk: the bad matrix sits in a later chunk
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 3 * 3)
+        stack = self.spd_stack(12, 6, 3)
+        logs = matrix_log(stack)
+        for part in (slice(0, 2), slice(2, 4), slice(4, 6)):
+            assert np.array_equal(linalg._log(stack[part]), logs[part])
+        bad = stack.copy()
+        bad[5] = np.diag([1.0, -0.5, 2.0])
+        with pytest.raises(NonPositiveEigenvalueError) as info:
+            matrix_log(bad.reshape(2, 3, 3, 3))
+        assert info.value.index == (1, 2)
+        assert str(info.value).startswith("matrix (1, 2) of the stack: matrix_log requires")
+        bad = stack.copy()
+        bad[3, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="^matrix 3 of the stack: matrix is not symmetric"):
+            matrix_log(bad)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``use(count)`` runs later solves with ``count`` pool workers beside
+    the caller, on a pool of their own."""
+    original = linalg._POOL
+
+    def retire():
+        if linalg._POOL not in (None, original):
+            linalg._POOL.shutdown()
+
+    def use(count):
+        retire()
+        monkeypatch.setattr(linalg, "_WORKERS", count)
+        monkeypatch.setattr(linalg, "_POOL", None)
+
+    yield use
+    retire()
+
+
+@pytest.mark.skipif(linalg._SET_THREADS is None, reason="numpy's OpenBLAS has no thread setter")
+class TestPool:
+    """Stacks split across the caller and a pool, with OpenBLAS on one
+    thread per matrix: the worker count never changes a bit."""
+
+    @staticmethod
+    def results(stack):
+        dec = eig_sym(stack)
+        return [
+            dec.eigenvalues,
+            dec.orthogonal,
+            eigvals_sym(symmetrize(stack)),
+            dec.recompose(np.log(dec.eigenvalues)),
+        ]
+
+    @pytest.mark.parametrize("n, count", [(8, 7), (50, 5), (120, 4), (360, 3)])
+    def test_worker_counts_agree_bitwise(self, workers, n, count):
+        stack = TestStacks.spd_stack(n + 1, count, n)
+        by_workers = []
+        for k in (0, 1, 2):
+            workers(k)
+            by_workers.append(self.results(stack))
+            assert (linalg._POOL is None) == (k == 0)
+        for other in by_workers[1:]:
+            for got, want in zip(other, by_workers[0]):
+                assert np.array_equal(got, want)
+        for j in range(count):
+            for got, want in zip(self.results(stack[j]), by_workers[0]):
+                assert np.array_equal(got, want[j])
+
+    def test_split_counts_one_solve_per_matrix(self, workers):
+        workers(2)
+        stack = TestStacks.spd_stack(13, 7, 4)
+        with count_eig_calls() as c:
+            eig_sym(stack)
+            eigvals_sym(stack.reshape(7, 1, 4, 4))
+            matrix_exp(matrix_log(stack[:5]))
+        assert (c.count, c.values_only) == (7 + 7 + 10, 7)
+        assert linalg._POOL is not None
+
+    def test_solves_run_pinned_and_restore_the_count(self, monkeypatch, workers):
+        workers(1)
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            seen.append(linalg._SET_THREADS(1))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        previous = linalg._SET_THREADS(2)
+        try:
+            eig_sym(np.eye(3))
+            eig_sym(TestStacks.spd_stack(14, 4, 3))
+        finally:
+            assert linalg._SET_THREADS(previous) == 2
+        assert len(seen) > 2 and set(seen) == {1}
+
+    def test_convergence_failure_in_a_worker(self, monkeypatch, workers):
+        workers(1)
+
+        def fail_late(a):
+            if a[0, 0, 0] == 3.0:
+                raise np.linalg.LinAlgError("did not converge")
+            return np.ones(a.shape[:-1])
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_late)
+        stack = np.stack([np.eye(2), np.eye(2), 3.0 * np.eye(2), np.eye(2)])
+        with pytest.raises(EigenConvergenceError, match=r"shape \(4, 2, 2\)"):
+            eigvals_sym(stack)
+
+    def test_concurrent_callers(self, workers):
+        # callers on more threads than cores, switching often: every result
+        # keeps its bits and the thread count is restored once all are done
+        workers(3)
+        stacks = [TestStacks.spd_stack(20 + k, 5, 6) for k in range(4)]
+        want = [self.results(stack) for stack in stacks]
+        got = [[] for _ in stacks]
+
+        def solve(k):
+            for _ in range(10):
+                got[k].append(self.results(stacks[k]))
+
+        previous = linalg._SET_THREADS(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            assert linalg._SET_THREADS(previous) == 2
+        for runs, expected in zip(got, want):
+            assert len(runs) == 10
+            for run in runs:
+                for a, b in zip(run, expected):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_forked_child_solves_split_stacks(self):
+        # the child inherits the pool object but none of its threads
+        probe = "\n".join([
+            "import os, signal, numpy as np",
+            "from spdmix import linalg",
+            "linalg._WORKERS = 1",
+            "stack = np.stack([np.eye(3)] * 4)",
+            "linalg.eig_sym(stack)",
+            "assert linalg._POOL is not None",
+            "pid = os.fork()",
+            "if pid == 0:",
+            "    signal.alarm(30)",  # a child stuck on the dead pool ends
+            "    linalg.eig_sym(stack)",
+            "    os._exit(0)",
+            "print(os.waitpid(pid, 0)[1])",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(TestOneBackend.SRC.parent), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "0"
+
+    def test_without_setter_no_pool_and_same_bits(self, monkeypatch, workers):
+        workers(1)
+        stacks = [TestStacks.spd_stack(n + 2, 4, n) for n in (8, 50, 120)]
+        pinned = [self.results(stack) for stack in stacks]
+        workers(1)
+        monkeypatch.setattr(linalg, "_SET_THREADS", None)
+        for stack, want in zip(stacks, pinned):
+            for got, expected in zip(self.results(stack), want):
+                assert np.array_equal(got, expected)
+        assert linalg._POOL is None
+
+
+class TestThreadSetter:
+    def test_prefers_the_local_setter(self):
+        calls = []
+
+        def local(count):
+            calls.append(count)
+            return 4
+
+        lib = SimpleNamespace(openblas_set_num_threads_local=local)
+        assert linalg._setter_of(lib) is local
+        assert local.argtypes == [ctypes.c_int] and local.restype is ctypes.c_int
+
+    def test_falls_back_to_get_and_set(self):
+        threads = [3]
+
+        def put(count):
+            threads[0] = count
+
+        lib = SimpleNamespace(
+            scipy_openblas_set_num_threads64_=put,
+            scipy_openblas_get_num_threads64_=lambda: threads[0],
+        )
+        setter = linalg._setter_of(lib)
+        assert setter(1) == 3 and threads == [1]
+        assert setter(3) == 1 and threads == [3]
+
+    def test_no_setter(self):
+        assert linalg._setter_of(SimpleNamespace()) is None
+        lib = SimpleNamespace(scipy_openblas_set_num_threads64_=lambda count: None)
+        assert linalg._setter_of(lib) is None

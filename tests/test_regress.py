@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from spdmix import augment, regress
+from spdmix import linalg, regress
 from spdmix.cli import main
 from spdmix.data_io import LabeledDataset, gen_random_spd, write_matrices
 from spdmix.linalg import NonPositiveEigenvalueError, count_eig_calls, fro_norm, matrix_log
@@ -438,7 +438,7 @@ class TestBatchedHarness:
         logs = np.stack([matrix_log(m) for m in ds.matrices])
         gram = gram_matrix(ds.matrices, config)
         feats = np.stack([vec_log_upper(m) for m in ds.matrices])
-        monkeypatch.setattr(augment, "_CHUNK_BYTES", per_chunk * 8 * 4 * 4)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * 8 * 4 * 4)
         assert np.array_equal(gram_matrix(ds.matrices, config), gram)
         flat = logs.reshape(len(logs), -1)
         sq = np.sum(flat**2, axis=1)
@@ -454,7 +454,7 @@ class TestBatchedHarness:
     def test_non_spd_matrix_named_by_stack_position(self, monkeypatch):
         # logs taken 3 matrices at a time: matrix 7 is the second of its
         # chunk, and the error names its place in the whole stack
-        monkeypatch.setattr(augment, "_CHUNK_BYTES", 3 * 8 * 4 * 4)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 3 * 8 * 4 * 4)
         ds = regression_dataset(seed=414, count=10, n=4)
         mats = ds.matrices.copy()
         mats[7] = -np.eye(4)
@@ -506,7 +506,7 @@ class TestRegressCli:
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
     def test_stdout_independent_of_chunking(self, capsys, tmp_path, monkeypatch, per_chunk):
         ds, path = self.dataset(tmp_path)
-        monkeypatch.setattr(augment, "_CHUNK_BYTES", per_chunk * 8 * 5 * 5)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * 8 * 5 * 5)
         code, out, _ = self.run(capsys, path, "--trials", "7", "--seed", "5")
         assert code == 0
         assert out == per_pair_csv(ds, 7, 5, DEFAULT_GRID)
