@@ -104,8 +104,8 @@ class MixConfig:
             raise ValueError(f"keep_prob must lie in (0, 1), got {self.keep_prob}")
         if self.cmix_bandwidth is not None and not self.cmix_bandwidth > 0.0:
             raise ValueError(f"cmix_bandwidth must be positive, got {self.cmix_bandwidth}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,6 @@ def _mix_labels(y_i, y_j, lam: float):
     y_j = np.asarray(y_j, dtype=np.float64)
     mixed = (1.0 - lam) * y_i + lam * y_j
     return float(mixed) if mixed.ndim == 0 else mixed
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
 def r_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
@@ -251,6 +246,7 @@ def r_mixup_cached(log_i, log_j, y_i, y_j, lam: float, sources=("i", "j")) -> Mi
     eigendecomposition total."""
     if log_i.shape != log_j.shape:
         raise ValueError(f"stale cache: entry dimensions {log_i.shape} vs {log_j.shape}")
+    lam = metrics._check_ratio(lam)
     log_mix = (1.0 - lam) * log_i + lam * log_j
     mixed = matrix_exp(log_mix)
     return MixedSample(
@@ -304,9 +300,8 @@ def _drop_edge_row(out, a, keep_prob: float, rng: np.random.Generator, upper) ->
 def v_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
     """Linear mix ``(1-lam) S_i + lam S_j``; SPD inputs give an SPD output
     (convex cone), but the determinant can inflate past both endpoints."""
-    a = np.asarray(s_i, dtype=np.float64)
-    b = np.asarray(s_j, dtype=np.float64)
-    _check_same_shape(a, b)
+    a, b = metrics._check_pair(s_i, s_j)
+    lam = metrics._check_ratio(lam)
     out = np.empty_like(a)
     _v_mixup_row(out, a, b, lam)
     return MixedSample(
@@ -325,9 +320,8 @@ def d_mixup(
     The swap mask is drawn on the upper triangle (diagonal included) and
     mirrored so the output stays symmetric. SPD is NOT guaranteed.
     """
-    a = np.asarray(s_i, dtype=np.float64)
-    b = np.asarray(s_j, dtype=np.float64)
-    _check_same_shape(a, b)
+    a, b = metrics._check_pair(s_i, s_j)
+    lam = metrics._check_ratio(lam)
     out = np.empty_like(a)
     summary = _d_mixup_row(out, a, b, lam, rng, _upper_mirror(len(a), 0))
     return MixedSample(
@@ -517,6 +511,7 @@ def g_mixup_sample(
     correlation-matrix datasets. Edges are drawn on the upper triangle and
     mirrored.
     """
+    lam = metrics._check_ratio(lam)
     out = np.empty((gen.dim, gen.dim))
     if gen.task == TASK_CLASSIFICATION:
         c_i, c_j = int(y_i), int(y_j)

@@ -254,8 +254,6 @@ def cmd_regress(args) -> int:
         raise ValueError("the regression harness requires a regression dataset")
     if len(dataset) < 2:
         raise ValueError("need at least 2 samples")
-    if float(np.min(dataset.labels)) < 0.0:
-        raise ValueError("the comparison requires non-negative labels")
     lambdas = _parse_list(args.lambdas, "--lambdas", float)
     rng = np.random.default_rng(args.seed)
     pairs = np.empty((args.trials, 2), dtype=np.intp)
@@ -331,43 +329,28 @@ def cmd_bench(args) -> int:
         dataset = LabeledDataset(matrices=mats, labels=labels, task=TASK_REGRESSION)
         lams = rng.uniform(0.0, 1.0, size=args.batch)
         pairs = [(k, (k + 1) % args.batch) for k in range(args.batch)]
-
-        def run_direct():
-            for (a, b), lam in zip(pairs, lams):
-                augment.r_mixup(mats[a], mats[b], labels[a], labels[b], float(lam))
-
-        def run_vmix():
-            for (a, b), lam in zip(pairs, lams):
-                augment.v_mixup(mats[a], mats[b], labels[a], labels[b], float(lam))
-
         precompute_start = time.perf_counter()
         cache = augment.EigenCache.build(dataset)
         precompute = time.perf_counter() - precompute_start
-        entries = [(cache.entry(dataset.ids[a]), cache.entry(dataset.ids[b])) for a, b in pairs]
-
-        def run_cached():
-            for (ea, eb), ((a, b), lam) in zip(entries, zip(pairs, lams)):
-                augment.r_mixup_cached(ea, eb, labels[a], labels[b], float(lam))
-
-        with count_eig_calls() as counter:
-            augment.r_mixup(mats[0], mats[1], labels[0], labels[1], 0.5)
-        direct_calls = counter.count
-        with count_eig_calls() as counter:
-            augment.r_mixup_cached(entries[0][0], entries[0][1], labels[0], labels[1], 0.5)
-        cached_calls = counter.count
-        with count_eig_calls() as counter:
-            augment.v_mixup(mats[0], mats[1], labels[0], labels[1], 0.5)
-        vmix_calls = counter.count
-
-        t_direct = _median_seconds(run_direct, args.reps) / args.batch
-        t_cached = _median_seconds(run_cached, args.reps) / args.batch
-        t_vmix = _median_seconds(run_vmix, args.reps) / args.batch
-        rows.append([n, args.batch, args.reps, "rmixup-direct", repr(t_direct), direct_calls, ""])
-        rows.append(
-            [n, args.batch, args.reps, "rmixup-cached", repr(t_cached), cached_calls,
-             repr(precompute)]
+        logs = [cache.entry(sample_id) for sample_id in dataset.ids]
+        mixers = (
+            ("rmixup-direct", augment.r_mixup, mats, ""),
+            ("rmixup-cached", augment.r_mixup_cached, logs, repr(precompute)),
+            ("vmixup", augment.v_mixup, mats, ""),
         )
-        rows.append([n, args.batch, args.reps, "vmixup", repr(t_vmix), vmix_calls, ""])
+        per_mix = []
+        for strategy, mixer, inputs, precompute_cell in mixers:
+            with count_eig_calls() as counter:
+                mixer(inputs[0], inputs[1], labels[0], labels[1], 0.5)
+
+            def run():
+                for (a, b), lam in zip(pairs, lams):
+                    mixer(inputs[a], inputs[b], labels[a], labels[b], float(lam))
+
+            per_mix.append(_median_seconds(run, args.reps) / args.batch)
+            rows.append([n, args.batch, args.reps, strategy, repr(per_mix[-1]), counter.count,
+                         precompute_cell])
+        t_direct, t_cached, t_vmix = per_mix
         print(
             f"n={n}: direct {t_direct * 1e3:.3f} ms/mix, cached {t_cached * 1e3:.3f} "
             f"ms/mix (speedup {t_direct / t_cached:.2f}x), vmixup "
@@ -454,7 +437,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub("bench", "time direct vs cached geodesic mixing")
     p.add_argument("--n", default="8,50,120,360", help="comma-separated dimensions")
-    p.add_argument("--batch", type=_count(1), default=64)
+    p.add_argument("--batch", type=_count(2), default=64)
     p.add_argument("--reps", type=_count(1), default=3)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", default=None)

@@ -67,7 +67,8 @@ class LabeledDataset:
     """Aligned matrices and labels for one prediction task.
 
     ``labels`` is a float array for regression, an int array of class ids for
-    classification, or a (count, n_classes) float array of simplex rows for
+    classification (integer-valued floats are converted, any other value is
+    rejected), or a (count, n_classes) float array of simplex rows for
     soft-labeled (already mixed) classification data. Soft-labeled datasets
     cannot feed class-conditional strategies.
     """
@@ -98,8 +99,13 @@ class LabeledDataset:
             if len(self.labels) and not np.isfinite(self.labels).all():
                 raise ValueError("regression labels must be finite")
         elif self.labels.ndim == 1:
-            self.labels = self.labels.astype(np.int64)
-            if len(self.labels) and self.labels.min() < 0:
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+                class_ids = self.labels.astype(np.int64)
+            off = np.flatnonzero(class_ids != self.labels)
+            if len(off):
+                raise ValueError(f"class ids must be integers, got {self.labels[off[0]].item()!r}")
+            self.labels = class_ids
+            if len(class_ids) and class_ids.min() < 0:
                 raise ValueError("class ids must be non-negative")
         if not self.ids:
             self.ids = [f"s{k:06d}" for k in range(len(self.matrices))]
@@ -158,14 +164,12 @@ def _format_labels(labels) -> list[str]:
 def write_matrices(path, dataset: LabeledDataset) -> None:
     """Write a dataset as an SPDB file plus its labels sidecar CSV."""
     path = Path(path)
-    count = len(dataset)
-    n = dataset.dim if count else 0
     flags = (FLAG_CORRELATION if dataset.is_correlation else 0) | (
         FLAG_REGRESSION if dataset.task == TASK_REGRESSION else 0
     )
     payload = np.ascontiguousarray(dataset.matrices, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, n, count, flags))
+        fh.write(_HEADER.pack(MAGIC, VERSION, dataset.dim, len(dataset), flags))
         fh.write(payload.data)
     with open(_labels_path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh, dataset.ids)

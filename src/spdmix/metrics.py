@@ -83,16 +83,18 @@ class SwellingReport:
 
 
 def _check_pair(s_i, s_j) -> tuple[np.ndarray, np.ndarray]:
+    """Both endpoints as float arrays: square matrices of one shape."""
     a = np.asarray(s_i, dtype=np.float64)
     b = np.asarray(s_j, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: endpoints have shapes {a.shape} and {b.shape}"
-        )
+    if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in (a, b)):
+        raise ValueError(f"endpoints must be square matrices, got shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: endpoints have shapes {a.shape} and {b.shape}")
     return a, b
 
 
 def _check_ratio(lam: float) -> float:
+    """``lam`` as a float in [0, 1]."""
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mix ratio must lie in [0, 1], got {lam}")
@@ -132,7 +134,9 @@ def geodesic(s_i, s_j, lam: float, metric: MetricKind = MetricKind.LOG_EUCLIDEAN
             return _geodesic_affine_invariant(a, b, lam)
         return _geodesic_bures_wasserstein(a, b, lam)
     except ValueError as exc:
-        raise type(exc)(f"{metric.value} geodesic: {exc}") from exc
+        # prefix the message in place: the error keeps its type and attributes
+        exc.args = (f"{metric.value} geodesic: {exc}", *exc.args[1:])
+        raise
 
 
 def _geodesic_affine_invariant(a: np.ndarray, b: np.ndarray, lam: float) -> SpdMatrix:

@@ -65,12 +65,6 @@ class KernelConfig:
             raise ValueError(f"unknown space {self.space!r}")
 
 
-def _check_dims(a: np.ndarray, b: np.ndarray) -> int:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a.shape[0]
-
-
 def _gaussian(d2, n: int, sigma: float, space: str):
     """Normalizer and values of the Gaussian kernel at squared distances ``d2``."""
     power = n * (n - 1) / 4.0 if space == SPACE_RIEMANNIAN else n / 2.0
@@ -85,24 +79,20 @@ def heat_kernel(s_i, s_hat, sigma: float) -> float:
     ``d`` the log-Euclidean distance. Symmetric, strictly positive, and
     maximal at ``S_i == S_hat``.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    a = np.asarray(s_i, dtype=np.float64)
-    b = np.asarray(s_hat, dtype=np.float64)
-    n = _check_dims(a, b)
-    d = metrics.log_euclidean_distance(a, b)
-    return float(_gaussian(d**2, n, sigma, SPACE_RIEMANNIAN)[1])
+    return _kernel(s_i, s_hat, KernelConfig(sigma=sigma))
 
 
 def euclidean_kernel(s_i, s_hat, sigma: float) -> float:
     """Gaussian kernel in Frobenius distance: ``(2 pi sigma^2)^(-n/2) exp(-d^2/2sigma^2)``."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    a = np.asarray(s_i, dtype=np.float64)
-    b = np.asarray(s_hat, dtype=np.float64)
-    n = _check_dims(a, b)
-    d = fro_norm(a - b)
-    return float(_gaussian(d**2, n, sigma, SPACE_EUCLIDEAN)[1])
+    return _kernel(s_i, s_hat, KernelConfig(sigma=sigma, space=SPACE_EUCLIDEAN))
+
+
+def _kernel(s_i, s_hat, config: KernelConfig) -> float:
+    """The normalized kernel value of one pair, in ``config``'s geometry."""
+    a, b = metrics._check_pair(s_i, s_hat)
+    if config.space == SPACE_RIEMANNIAN:
+        a, b = matrix_log(a), matrix_log(b)
+    return float(_gaussian(fro_norm(a - b) ** 2, len(a), config.sigma, config.space)[1])
 
 
 def _gram(matrices: np.ndarray, config: KernelConfig):
@@ -317,14 +307,9 @@ def theorem1_harness(
     logarithm. One pair on the default 11-value grid costs 2 + 9 = 11
     eigensolves. This is the one-pair case of :func:`theorem1_trials`.
     """
-    if y_i < 0.0 or y_j < 0.0:
-        raise ValueError(
-            f"labels must be non-negative for the comparison, got ({y_i}, {y_j})"
-        )
-    a = np.asarray(s_i, dtype=np.float64)
-    b = np.asarray(s_j, dtype=np.float64)
-    _check_dims(a, b)
-    lams = _ratios(lambdas)
+    _check_labels([y_i, y_j])
+    a, b = metrics._check_pair(s_i, s_j)
+    lams = [metrics._check_ratio(lam) for lam in lambdas]
     logs = np.stack([matrix_log(a), matrix_log(b)])
     tables = _tables(
         np.stack([a, b]), logs, np.array([0]), np.array([1]), [y_i, y_j], lams,
@@ -343,26 +328,33 @@ def theorem1_trials(
     logarithms. Every drawn sample is decomposed once, through an
     :class:`EigenCache`, and every interior line point once, in stacked
     chunks of at most 4 MiB; the tables equal the per-pair calls bit for
-    bit. Errors come in this order: a bad ratio or bandwidth (before any
-    solve), a drawn sample that is not SPD, then the first coincident pair
-    in draw order.
+    bit. Errors come in this order: a negative label in ``dataset``, a bad
+    ratio or bandwidth (all before any solve), a drawn sample that is not
+    SPD, then the first coincident pair in draw order.
     """
-    lams = _ratios(lambdas)
+    labels = dataset.labels.astype(np.float64).tolist()
+    _check_labels(labels)
+    lams = [metrics._check_ratio(lam) for lam in lambdas]
     if sigma is not None:
         KernelConfig(sigma=sigma)  # rejects a non-positive bandwidth
     first = np.asarray(first, dtype=np.intp)
     second = np.asarray(second, dtype=np.intp)
     logs = EigenCache(dataset).log_stack(np.concatenate([first, second]))
-    labels = dataset.labels.astype(np.float64).tolist()
     return _tables(dataset.matrices, logs, first, second, labels, lams, sigma)
 
 
-def _ratios(lambdas) -> list[float]:
-    lams = [float(lam) for lam in lambdas]
-    for lam in lams:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"mix ratio must lie in [0, 1], got {lam}")
-    return lams
+def _check_labels(labels) -> None:
+    """Harness labels are non-negative: the ordering claim uses their range."""
+    for y in labels:
+        if y < 0.0:
+            raise ValueError(f"labels must be non-negative for the comparison, got {y}")
+
+
+def _default_sigma(d: float) -> float:
+    """The harness's default bandwidth for a pair at log-Euclidean distance ``d``."""
+    if d <= 0.0:
+        raise ValueError("endpoints coincide; no usable bandwidth")
+    return _SIGMA_MULTIPLIER * d
 
 
 def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
@@ -381,11 +373,7 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
     two_sig_sq = np.empty(len(first))
     k_ij = []
     for t, d in enumerate(d_ij):
-        s = sigma
-        if s is None:
-            if d <= 0.0:
-                raise ValueError("endpoints coincide; no usable bandwidth")
-            s = _SIGMA_MULTIPLIER * d
+        s = _default_sigma(d) if sigma is None else sigma
         if d <= 1e-12:
             raise ValueError("endpoints coincide; the two-sample system is singular")
         two_sig_sq[t] = 2.0 * s**2
@@ -495,7 +483,4 @@ def default_harness_sigma(s_i, s_j) -> float:
     where the geodesic mix provably wins; a bandwidth several times the pair
     distance keeps it there.
     """
-    d = metrics.log_euclidean_distance(s_i, s_j)
-    if d <= 0.0:
-        raise ValueError("endpoints coincide; no usable bandwidth")
-    return _SIGMA_MULTIPLIER * d
+    return _default_sigma(metrics.log_euclidean_distance(s_i, s_j))

@@ -25,7 +25,13 @@ from spdmix.augment import (
 )
 from spdmix.augment import _weighted_choice
 from spdmix.data_io import LabeledDataset, gen_labeled_dataset, gen_random_spd
-from spdmix.linalg import SpdMatrix, count_eig_calls, log_det, matrix_log
+from spdmix.linalg import (
+    EigenvalueOverflowError,
+    SpdMatrix,
+    count_eig_calls,
+    log_det,
+    matrix_log,
+)
 
 
 class _FixedUniform:
@@ -46,6 +52,41 @@ def regression_dataset(seed=0, count=10, n=4, cond=50.0):
     return LabeledDataset(
         matrices=mats, labels=rng.uniform(size=count), task="regression"
     )
+
+
+def _pairwise_mixers():
+    """Every pairwise per-sample mixer as ``call(a, b, lam)`` on two matrices."""
+    gen = g_mixup_fit(regression_dataset(seed=1, count=6, n=3))
+    rng = np.random.default_rng(0)
+    return {
+        "r_mixup": lambda a, b, lam: r_mixup(a, b, 0.0, 1.0, lam),
+        "r_mixup_cached": lambda a, b, lam: r_mixup_cached(
+            matrix_log(a), matrix_log(b), 0.0, 1.0, lam
+        ),
+        "v_mixup": lambda a, b, lam: v_mixup(a, b, 0.0, 1.0, lam),
+        "d_mixup": lambda a, b, lam: d_mixup(a, b, 0.0, 1.0, lam, rng),
+        "g_mixup_sample": lambda a, b, lam: g_mixup_sample(gen, 0.0, 1.0, lam, rng),
+    }
+
+
+class TestPairwiseInputs:
+    """Every pairwise per-sample mixer takes a ratio in [0, 1], as ``r_mixup``
+    does, and the matrix mixers take two square matrices of one shape."""
+
+    @pytest.mark.parametrize("name", list(_pairwise_mixers()))
+    @pytest.mark.parametrize("lam", [1.5, -0.1, float("nan")])
+    def test_ratio_outside_unit_interval_rejected(self, name, lam):
+        a, b = regression_dataset(seed=2, count=2, n=3).matrices
+        with pytest.raises(ValueError, match=r"mix ratio must lie in \[0, 1\]"):
+            _pairwise_mixers()[name](a, b, lam)
+
+    @pytest.mark.parametrize("name", ["r_mixup", "v_mixup", "d_mixup"])
+    def test_matrix_shapes_checked(self, name):
+        mix = _pairwise_mixers()[name]
+        with pytest.raises(ValueError, match=r"must be square matrices, got shapes \(2, 3\)"):
+            mix(np.ones((2, 3)), np.ones((2, 3)), 0.5)
+        with pytest.raises(ValueError, match=r"dimension mismatch: .*\(2, 2\) and \(3, 3\)"):
+            mix(np.eye(2), np.eye(3), 0.5)
 
 
 class TestSampleBeta:
@@ -518,6 +559,15 @@ class TestCMixupPair:
         assert partner == 0
 
 
+def _overflows(ds, id_i, id_j, lam) -> bool:
+    a, b = (ds.matrices[ds.ids.index(i)] for i in (id_i, id_j))
+    try:
+        r_mixup(a, b, 0.0, 1.0, float(lam))
+    except EigenvalueOverflowError:
+        return True
+    return False
+
+
 def assert_rows_match_r_mixup(ds, out, prov, rows=None):
     """Row ``k`` of an rmixup output is ``r_mixup`` on its provenance pair
     and ratio, bit for bit, matrix and label."""
@@ -639,6 +689,15 @@ class TestMixDataset:
         with pytest.raises(ValueError, match="keep_prob"):
             MixConfig(strategy="dropnode", keep_prob=1.0)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, "3"])
+    def test_seed_must_be_an_unsigned_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            MixConfig(strategy="rmixup", seed=seed)
+
+    def test_integer_valued_seeds_accepted(self):
+        for seed in (0, 2.0, np.uint64(2**64 - 1)):
+            assert MixConfig(strategy="rmixup", seed=seed).seed == seed
+
 
 class TestBatchedRMixup:
     """rmixup batches draw every pair first, then mix in stacked chunks of a
@@ -690,6 +749,27 @@ class TestBatchedRMixup:
             mix_dataset(broken(bad_drawn), config, 3)
         out, _ = mix_dataset(broken(bad_idle), config, 3)
         assert np.array_equal(out.matrices, clean.matrices)
+
+    def test_overflowing_mix_named_by_output_and_sources(self, monkeypatch):
+        # two samples with log-eigenvalues above 700: a mix of the pair, or
+        # one leaning on either of them, overflows exp
+        ds = regression_dataset(seed=67, count=6, n=3)
+        ds.matrices[1] = np.diag([np.exp(705.0), 1.0, 2.0])
+        ds.matrices[4] = np.diag([np.exp(704.5), 3.0, 1.0])
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 3 * 3)
+        # vmixup draws the pairs and ratios rmixup draws
+        _, draws = mix_dataset(ds, MixConfig(strategy="vmixup", seed=5), 40)
+        k = next(
+            k for k in range(40)
+            if _overflows(ds, draws.source_i[k], draws.source_j[k], draws.lam[k])
+        )
+        assert k >= 2  # past the first chunk
+        with pytest.raises(EigenvalueOverflowError) as exc:
+            mix_dataset(ds, MixConfig(strategy="rmixup", seed=5), 40)
+        assert exc.value.index == k
+        assert str(exc.value).startswith(
+            f"mix {k} of samples {draws.source_i[k]} and {draws.source_j[k]}: "
+        )
 
     def test_probe_independent_of_chunking(self, monkeypatch):
         rng = np.random.default_rng(65)

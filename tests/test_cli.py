@@ -120,7 +120,7 @@ class TestMix:
             "--count", "0", "-o", str(out),
         )
         assert code == 0
-        assert len(read_matrices(out)) == 0
+        assert read_matrices(out).matrices.shape == (0, 6, 6)
 
     def test_provenance_sidecar(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path)
@@ -417,6 +417,7 @@ class TestCountFlags:
         ("gen", "--count", "0"),
         ("probe", "--trials", "0"),
         ("bench", "--batch", "0"),
+        ("bench", "--batch", "1"),
         ("bench", "--reps", "0"),
     ])
     def test_below_minimum_is_usage_error(self, capsys, tmp_path, command, flag, value):
@@ -558,6 +559,35 @@ class TestDiagnose:
         )
         assert code == 2
 
+    def test_average_reduce_reports_every_length(self, capsys, tmp_path):
+        series = tmp_path / "s.csv"
+        run(
+            capsys, "gen", "--kind", "series", "--n", "4", "--t", "12",
+            "--noise", "0.5", "--seed", "2", "-o", str(series),
+        )
+        code, out, err = run(
+            capsys, "diagnose", "--input", str(series), "--sweep", "6,12",
+            "--reduce", "average",
+        )
+        assert code == 0, err
+        rows = [r for r in csv.DictReader(io.StringIO(out)) if r["id"] == "s"]
+        assert [r["t"] for r in rows] == ["6", "12"]
+        full = run(capsys, "diagnose", "--input", str(series))[1]
+        assert out.splitlines()[2] == full.splitlines()[1]  # averaging by 1 is the series
+
+    def test_explicit_spdb_format_ignores_the_suffix(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, count=3)
+        renamed = tmp_path / "matrices.bin"
+        src.rename(renamed)
+        src.with_name(src.stem + ".labels.csv").rename(tmp_path / "matrices.labels.csv")
+        code, out, err = run(
+            capsys, "diagnose", "--input", str(renamed), "--format", "spdb", "--t", "100",
+        )
+        assert code == 0, err
+        assert [r["id"] for r in csv.DictReader(io.StringIO(out))][:3] == [
+            "s000000", "s000001", "s000002"
+        ]
+
     def test_multiple_series_files_aggregate(self, capsys, tmp_path):
         stem = tmp_path / "multi.csv"
         run(
@@ -618,8 +648,9 @@ class TestRegress:
         from spdmix.data_io import write_matrices
 
         write_matrices(src, ds)
-        code, _, _ = run(capsys, "regress", "--input", str(src), "--trials", "1")
-        assert code == 3
+        code, out, err = run(capsys, "regress", "--input", str(src), "--trials", "1")
+        assert (code, out) == (3, "")
+        assert "labels must be non-negative for the comparison, got -0.5" in err
 
 
 class TestProbe:

@@ -80,6 +80,22 @@ class TestSpdbRoundtrip:
         write_matrices(path, ds)
         back = read_matrices(path)
         assert len(back) == 0
+        assert back.matrices.shape == (0, 3, 3) and back.dim == 3
+
+    def test_file_shorter_than_header(self, tmp_path):
+        path = tmp_path / "short.spdb"
+        write_matrices(path, small_regression_dataset())
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(SpdbFormatError, match="truncated header: 10 bytes"):
+            read_matrices(path)
+
+    def test_labels_csv_with_wrong_header(self, tmp_path):
+        path = tmp_path / "h.spdb"
+        write_matrices(path, small_regression_dataset())
+        sidecar = tmp_path / "h.labels.csv"
+        sidecar.write_text(sidecar.read_text().replace("id,label", "id,target", 1))
+        with pytest.raises(SpdbFormatError, match=r"header \['id', 'target'\], expected id,label"):
+            read_matrices(path)
 
     def test_truncated_payload(self, tmp_path):
         ds = small_regression_dataset()
@@ -457,6 +473,15 @@ class TestLabeledDatasetValidation:
             LabeledDataset(
                 matrices=np.zeros((1, 2, 2)), labels=[-1], task="classification"
             )
+
+    def test_non_integer_class_ids_rejected(self):
+        for labels, bad in (([0.5, 1.7, 2.0], "0.5"), ([0.0, np.nan, 1.0], "nan")):
+            with pytest.raises(ValueError, match=f"class ids must be integers, got {bad}"):
+                LabeledDataset(np.zeros((3, 2, 2)), labels, task="classification")
+
+    def test_integer_valued_class_ids_accepted(self):
+        ds = LabeledDataset(np.zeros((3, 2, 2)), [0.0, 1.0, 2.0], task="classification")
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 2]
 
     def test_n_classes(self):
         ds = LabeledDataset(

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdmix import metrics
 from spdmix.data_io import gen_random_spd
 from spdmix.linalg import (
+    CholeskyPivotError,
+    NonPositiveEigenvalueError,
     SpdMatrix,
     count_eig_calls,
     log_det,
@@ -120,6 +123,36 @@ class TestGeodesicValidation:
         bad = np.diag([1.0, -1.0])
         with pytest.raises(ValueError, match="log_euclidean geodesic"):
             geodesic(bad, np.eye(2), 0.5, MetricKind.LOG_EUCLIDEAN)
+
+    def test_tagged_error_keeps_its_type_and_attributes(self, monkeypatch):
+        bad = np.diag([1.0, 2.0, -1.0, 3.0])
+        with pytest.raises(CholeskyPivotError, match="cholesky geodesic: .*pivot index 2") as exc:
+            geodesic(bad, np.eye(4), 0.5, MetricKind.CHOLESKY)
+        assert exc.value.pivot == 2
+
+        def failing_log(_):
+            raise NonPositiveEigenvalueError("negative", index=3)
+
+        monkeypatch.setattr(metrics, "matrix_log", failing_log)
+        with pytest.raises(NonPositiveEigenvalueError, match="log_euclidean geodesic") as exc:
+            geodesic(np.eye(2), np.eye(2), 0.5, MetricKind.LOG_EUCLIDEAN)
+        assert exc.value.index == 3
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a, b: geodesic(a, b, 0.5, MetricKind.EUCLIDEAN),
+            log_euclidean_distance,
+            bures_cross_sqrt,
+            lambda a, b: swelling_check(a, b, 0.5, MetricKind.LOG_EUCLIDEAN),
+        ],
+        ids=["geodesic", "distance", "bures_cross_sqrt", "swelling_check"],
+    )
+    def test_non_square_endpoints_named_as_such(self, call):
+        with pytest.raises(ValueError, match=r"must be square matrices, got shapes \(2, 3\)"):
+            call(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="must be square matrices"):
+            call(np.eye(2), np.ones((2, 3)))
 
     def test_stability_warning_on_tiny_eigenvalues(self):
         tiny = np.diag([1e-12, 1.0])

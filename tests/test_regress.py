@@ -24,6 +24,7 @@ from spdmix.regress import (
     heat_kernel,
     predict_two_sample,
     theorem1_harness,
+    theorem1_trials,
     vec_log_upper,
 )
 
@@ -68,10 +69,6 @@ class TestHeatKernel:
             heat_kernel(mats[1], mats[0], 1.3), rel=1e-12
         )
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            heat_kernel(np.eye(2), np.eye(3), 1.0)
-
 
 class TestEuclideanKernel:
     def test_zero_distance_value(self):
@@ -92,6 +89,22 @@ class TestEuclideanKernel:
         assert euclidean_kernel(mats[0], mats[1], 2.0) == pytest.approx(
             euclidean_kernel(mats[1], mats[0], 2.0), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("kernel", [heat_kernel, euclidean_kernel])
+class TestKernelInputs:
+    def test_non_square_endpoints_rejected_as_non_square(self, kernel):
+        with pytest.raises(ValueError, match=r"must be square matrices, got shapes \(2, 3\)"):
+            kernel(np.ones((2, 3)), np.ones((2, 3)), 1.0)
+
+    def test_dimension_mismatch(self, kernel):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kernel(np.eye(2), np.eye(3), 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_bad_bandwidth_rejected(self, kernel, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            kernel(np.eye(2), np.eye(2), sigma)
 
 
 class TestKernelRidge:
@@ -417,6 +430,16 @@ class TestBatchedHarness:
         a, b = spd_set(411, 2, n=3)
         with count_eig_calls() as c, pytest.raises(ValueError, match="mix ratio"):
             theorem1_harness(a, b, 0.2, 0.7, [0.5, 1.5], KernelConfig(sigma=1.0))
+        assert c.count == 0
+
+    @pytest.mark.parametrize("drawn", [[2], [0]], ids=["drawn", "undrawn"])
+    def test_trials_reject_a_negative_label_before_any_solve(self, drawn):
+        # a pair with label -0.25 has y_mix = -0.25 at lam 1, below the label
+        # range the ordering claim is stated for
+        ds = regression_dataset(seed=414, count=4, n=3)
+        ds.labels[2] = -0.25
+        with count_eig_calls() as c, pytest.raises(ValueError, match="non-negative.*-0.25"):
+            theorem1_trials(ds, [1], drawn, DEFAULT_GRID)
         assert c.count == 0
 
     def test_non_spd_line_point_named(self, monkeypatch):
