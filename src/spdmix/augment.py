@@ -77,6 +77,23 @@ _PAIRWISE = {"rmixup", "vmixup", "dmixup", "gmixup", "cmixup"}
 # Strategies that summarise a random mask in their provenance.
 _MASKED = {"dmixup", "dropnode", "dropedge"}
 
+
+def _check_alpha(alpha: float) -> None:
+    # Beta(inf, inf) draws NaN, which would fail later under another name
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
+def _check_keep_prob(keep_prob: float) -> None:
+    if not 0.0 < keep_prob < 1.0:
+        raise ValueError(f"keep_prob must lie in (0, 1), got {keep_prob}")
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    if not bandwidth > 0.0:
+        raise ValueError(f"cmixup bandwidth must be positive, got {bandwidth}")
+
+
 @dataclass(frozen=True)
 class MixConfig:
     """Configuration for a batch of augmented samples.
@@ -98,12 +115,10 @@ class MixConfig:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 < self.keep_prob < 1.0:
-            raise ValueError(f"keep_prob must lie in (0, 1), got {self.keep_prob}")
-        if self.cmix_bandwidth is not None and not self.cmix_bandwidth > 0.0:
-            raise ValueError(f"cmix_bandwidth must be positive, got {self.cmix_bandwidth}")
+        _check_alpha(self.alpha)
+        _check_keep_prob(self.keep_prob)
+        if self.cmix_bandwidth is not None:
+            _check_bandwidth(self.cmix_bandwidth)
         if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -136,8 +151,7 @@ class MixedSample:
 
 def sample_beta(alpha: float, rng: np.random.Generator) -> float:
     """Draw a mix ratio from Beta(alpha, alpha); deterministic given the stream."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     return float(rng.beta(alpha, alpha))
 
 
@@ -342,8 +356,7 @@ def drop_node(
     (a principal submatrix padded with zeros) but never strictly SPD once a
     node drops.
     """
-    if not 0.0 < keep_prob < 1.0:
-        raise ValueError(f"keep_prob must lie in (0, 1), got {keep_prob}")
+    _check_keep_prob(keep_prob)
     a = np.asarray(s, dtype=np.float64)
     out = np.empty_like(a)
     summary = _drop_node_row(out, a, keep_prob, rng)
@@ -363,8 +376,7 @@ def drop_edge(
     The mask is drawn on the strict upper triangle and mirrored; the diagonal
     is always kept. The label is unchanged and SPD is not guaranteed.
     """
-    if not 0.0 < keep_prob < 1.0:
-        raise ValueError(f"keep_prob must lie in (0, 1), got {keep_prob}")
+    _check_keep_prob(keep_prob)
     a = np.asarray(s, dtype=np.float64)
     out = np.empty_like(a)
     summary = _drop_edge_row(out, a, keep_prob, rng, _upper_mirror(len(a), 1))
@@ -545,8 +557,7 @@ class _Partners:
     def __init__(self, dataset: LabeledDataset, bandwidth: float):
         if len(dataset) < 2:
             raise ValueError("need at least 2 samples to pick a partner")
-        if not bandwidth > 0.0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        _check_bandwidth(bandwidth)
         self._classes = dataset.task == TASK_CLASSIFICATION
         if self._classes and dataset.has_soft_labels:
             raise ValueError("label-distance pairing needs hard class ids")

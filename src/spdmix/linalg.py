@@ -6,7 +6,7 @@ scaling-and-squaring, which keeps ``matrix_exp`` and ``matrix_log`` exact
 mutual inverses up to the accuracy of the decomposition itself.
 
 :func:`eig_sym` is that decomposition: ``numpy.linalg.eigh`` (LAPACK
-``syevd``) on one matrix or on a stack of shape ``(..., n, n)``. Its
+``syevd``) on one matrix or on a stack of shape ``(k, n, n)``. Its
 values-only twin :func:`eigvals_sym` (``eigvalsh``) is the only other
 eigensolver in spdmix, and :func:`count_eig_calls` counts both.
 :func:`symmetrize`, :meth:`EigenDecomposition.recompose`, :func:`matrix_log`
@@ -16,12 +16,13 @@ matrix alone, so batched and one-at-a-time callers agree exactly.
 
 Solves and recomposes run with numpy's bundled OpenBLAS pinned to one
 thread, and a stack of two or more matrices is split into contiguous parts
-that the calling thread and a pool of one thread per further core share.
+that a pool of one thread per core takes while the caller waits.
 Parallelism is across matrices, never inside one, so a matrix gets
 the same bits under any worker count and any ``OPENBLAS_NUM_THREADS``. The
 pin is process-wide, so it is held only for the duration of one solve or
-recompose, under a lock that serialises them. Where the OpenBLAS thread
-setter cannot be found, every call is one numpy call on numpy's own threads.
+recompose, under a lock that serialises them. Where the OpenBLAS
+``scipy_openblas_{set,get}_num_threads64_`` pair cannot be found, every call
+is one numpy call on numpy's own threads.
 
 All inputs and outputs are double-precision dense arrays. Functions are pure
 and safe to call from any thread; :class:`SpdMatrix` instances are immutable.
@@ -30,11 +31,9 @@ and safe to call from any thread; :class:`SpdMatrix` instances are immutable.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -83,10 +82,6 @@ def _chunks(total: int, n: int) -> Iterator[slice]:
 def _setter_of(lib):
     """``lib``'s OpenBLAS thread-count setter as ``set(count) -> previous
     count``, or ``None`` when it exports no setter."""
-    local = getattr(lib, "openblas_set_num_threads_local", None)
-    if local is not None:
-        local.argtypes, local.restype = [ctypes.c_int], ctypes.c_int
-        return local
     put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     if put is None or get is None:
@@ -114,9 +109,9 @@ def _thread_setter():
 
 
 _SET_THREADS = _thread_setter()
-# Threads beside the caller that take parts of a split stack: one per
-# further core this process may run on. The pool starts on first use.
-_WORKERS = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
+# Threads of the pool that takes the parts of a split stack: one per core
+# this process may run on. The pool starts on first use.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _POOL: ThreadPoolExecutor | None = None
 # Parts a split stack is cut into per thread: more parts balance the load
 # when the host stalls a thread, each costs one more numpy call.
@@ -139,68 +134,43 @@ if hasattr(os, "register_at_fork"):
 def _pinned(fn, *stacks):
     """``fn(*stacks)`` on one OpenBLAS thread per matrix.
 
-    The stacks share their leading shape. Two or more matrices are split
-    into contiguous parts, a few per thread, that the calling thread and
-    the pool take in turn until none is left, so a thread the host stalls
-    holds up one part at most. The parts' results are joined in order, so
-    each matrix gets the bits it gets alone. Without a thread setter, one
-    plain call.
+    The stacks share their leading axis. Two or more matrices are split
+    into contiguous parts, a few per thread, that the pool takes in turn, so
+    a thread the host stalls holds up one part at most. The caller waits for
+    every part, or the first failure, and joins the results in order, so each
+    matrix gets the bits it gets alone. Without a thread setter, one plain
+    call.
     """
     global _POOL
     if _SET_THREADS is None:
         return fn(*stacks)
-    lead = stacks[0].shape[:-2]
-    total = math.prod(lead)
-    with _PINNED, _one_blas_thread():
-        if total < 2 or _WORKERS < 1:
-            return fn(*stacks)
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="spdmix-linalg")
-        flat = [s.reshape(total, *s.shape[len(lead):]) for s in stacks]
-        count = min(total, _PARTS_PER_THREAD * (_WORKERS + 1))
-        ends = [total * p // count for p in range(count + 1)]
-        todo = deque(range(count))
-        results = [None] * count
-
-        def drain():
-            while True:
-                try:
-                    k = todo.popleft()
-                except IndexError:
-                    return
-                results[k] = fn(*(s[ends[k]:ends[k + 1]] for s in flat))
-
-        futures = [_POOL.submit(_on_one_thread, drain) for _ in range(min(_WORKERS, count - 1))]
+    with _PINNED:
+        previous = _SET_THREADS(1)
         try:
-            drain()
+            total = len(stacks[0]) if stacks[0].ndim == 3 else 1
+            if total < 2 or _WORKERS < 2:
+                return fn(*stacks)
+            if _POOL is None:
+                _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="spdmix-linalg")
+            count = min(total, _PARTS_PER_THREAD * _WORKERS)
+            ends = [total * p // count for p in range(count + 1)]
+            futures = [
+                _POOL.submit(fn, *(s[a:b] for s in stacks)) for a, b in zip(ends, ends[1:])
+            ]
+            try:
+                # one wake-up per call: a caller woken per part preempts a
+                # worker whenever there are no more cores than workers
+                wait(futures, return_when=FIRST_EXCEPTION)
+                results = [f.result() for f in futures]
+            finally:
+                for f in futures:
+                    f.cancel()
+                wait(futures)
         finally:
-            todo.clear()
-            wait(futures)
-        for f in futures:
-            f.result()
-
-    def join(arrays):
-        return np.concatenate(arrays).reshape(lead + arrays[0].shape[1:])
-
+            _SET_THREADS(previous)
     if isinstance(results[0], tuple):
-        return tuple(join(arrays) for arrays in zip(*results))
-    return join(results)
-
-
-@contextmanager
-def _one_blas_thread():
-    previous = _SET_THREADS(1)
-    try:
-        yield
-    finally:
-        _SET_THREADS(previous)
-
-
-def _on_one_thread(fn):
-    # the caller's pin covers this thread where the count is process-wide,
-    # as in numpy's build, but not where it is kept per thread
-    with _one_blas_thread():
-        fn()
+        return tuple(np.concatenate(arrays) for arrays in zip(*results))
+    return np.concatenate(results)
 
 
 class EigenConvergenceError(RuntimeError):
@@ -233,19 +203,16 @@ class CholeskyPivotError(ValueError):
 
 
 def fro_norm(a: np.ndarray) -> float | np.ndarray:
-    """Frobenius norm of a matrix, or of each matrix of a stack ``(..., n, n)``,
+    """Frobenius norm of a matrix, or of each matrix of a stack ``(k, n, n)``,
     as a plain reduction with no BLAS call."""
     arr = np.asarray(a, dtype=np.float64)
     return np.sqrt(np.einsum("...ij,...ij->...", arr, arr))
 
 
-def _first(bad: np.ndarray):
+def _first(bad: np.ndarray) -> int | None:
     """Stack position of the first matrix flagged in ``bad``; ``None`` when
     ``bad`` describes a single matrix."""
-    if bad.ndim == 0:
-        return None
-    pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return int(pos[0]) if len(pos) == 1 else tuple(int(p) for p in pos)
+    return None if bad.ndim == 0 else int(np.argmax(bad))
 
 
 def _which(index) -> str:
@@ -254,8 +221,10 @@ def _which(index) -> str:
 
 def _square(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(
+            f"expected a square matrix or a stack (k, n, n) of them, got shape {arr.shape}"
+        )
     return arr
 
 
@@ -265,7 +234,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     Floating-point drift from repeated mixing is folded back by ``(A + A^T)/2``
     as long as the asymmetry is below ``SYMMETRY_RTOL`` times the Frobenius norm;
     anything larger is treated as a caller bug and raises ``ValueError``.
-    ``a`` may be a stack ``(..., n, n)``; each matrix is checked against its
+    ``a`` may be a stack ``(k, n, n)``; each matrix is checked against its
     own norm.
     """
     arr = _square(a)
@@ -289,7 +258,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 class EigenDecomposition(NamedTuple):
     """Orthogonal basis and ascending eigenvalues of a symmetric matrix, or
-    of each matrix of a stack (``(..., n, n)`` and ``(..., n)``)."""
+    of each matrix of a stack (``(k, n, n)`` and ``(k, n)``)."""
 
     orthogonal: np.ndarray
     eigenvalues: np.ndarray
@@ -333,7 +302,7 @@ def count_eig_calls() -> Iterator[EigCallCounter]:
 
 def _solve(solver, sym: np.ndarray, *, values_only: bool):
     """Run a numpy eigensolver on a matrix or stack, counting one per matrix."""
-    matrices = math.prod(sym.shape[:-2])
+    matrices = len(sym) if sym.ndim == 3 else 1
     for counter in _COUNTERS.get():
         counter.count += matrices
         counter.values_only += matrices if values_only else 0
@@ -408,10 +377,6 @@ class SpdMatrix:
         return cls(arr, wmin, wmax)
 
     @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
-    @property
     def condition_number(self) -> float:
         return self.max_eigenvalue / self.min_eigenvalue
 
@@ -449,21 +414,18 @@ def matrix_log(s) -> np.ndarray:
     for a stack, its ``index`` names the first offending matrix by its
     position in the whole stack.
     """
-    arr = _as_matrix(s)
-    if arr.ndim < 3:
+    arr = _square(_as_matrix(s))
+    if arr.ndim == 2:
         return _log(arr)
-    lead, n = arr.shape[:-2], arr.shape[-1]
-    flat = arr.reshape(-1, n, n)
-    out = np.empty_like(flat)
-    for part in _chunks(len(flat), n):
+    out = np.empty_like(arr)
+    for part in _chunks(len(arr), arr.shape[-1]):
         try:
-            out[part] = _log(flat[part])
+            out[part] = _log(arr[part])
         except _StackError as exc:
-            at = np.unravel_index(part.start + exc.index, lead)
-            k = int(at[0]) if len(at) == 1 else tuple(int(i) for i in at)
+            k = part.start + exc.index
             body = str(exc).removeprefix(_which(exc.index))
             raise type(exc)(_which(k) + body, index=k) from exc
-    return out.reshape(arr.shape)
+    return out
 
 
 def _log(arr: np.ndarray) -> np.ndarray:
@@ -479,7 +441,7 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
     ``det(exp H) = exp(trace H)``. Eigenvalues with magnitude above
     ``EXP_EIGENVALUE_LIMIT`` raise :class:`EigenvalueOverflowError` instead of
     silently overflowing or flushing to zero. A 2-D input gives an
-    :class:`SpdMatrix`; a stack ``(..., n, n)`` gives a plain array of the
+    :class:`SpdMatrix`; a stack ``(k, n, n)`` gives a plain array of the
     exponentials, each checked on its own.
     """
     dec = eig_sym(_as_matrix(h))

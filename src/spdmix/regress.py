@@ -306,7 +306,15 @@ def theorem1_harness(
     whose bytes equal an endpoint's (``lam`` 0 and 1) reuses that endpoint's
     logarithm. One pair on the default 11-value grid costs 2 + 9 = 11
     eigensolves. This is the one-pair case of :func:`theorem1_trials`.
+    Only ``config.sigma`` enters the comparison: a non-Riemannian ``space``
+    or a non-zero ``ridge`` is rejected rather than ignored.
     """
+    if config.space != SPACE_RIEMANNIAN:
+        raise ValueError(
+            f"theorem1_harness compares in the riemannian space, got space={config.space!r}"
+        )
+    if config.ridge != 0.0:
+        raise ValueError(f"theorem1_harness fits no ridge, got ridge={config.ridge}")
     _check_labels([y_i, y_j])
     a, b = metrics._check_pair(s_i, s_j)
     lams = [metrics._check_ratio(lam) for lam in lambdas]
@@ -344,9 +352,10 @@ def theorem1_trials(
 
 
 def _check_labels(labels) -> None:
-    """Harness labels are non-negative: the ordering claim uses their range."""
+    """Harness labels are non-negative, NaN rejected: the ordering claim uses
+    their range."""
     for y in labels:
-        if y < 0.0:
+        if not y >= 0.0:
             raise ValueError(f"labels must be non-negative for the comparison, got {y}")
 
 

@@ -113,6 +113,14 @@ class TestSampleBeta:
         with pytest.raises(ValueError):
             sample_beta(0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_alpha_must_be_finite(self, alpha):
+        # Beta(inf, inf) draws NaN
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            sample_beta(alpha, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            MixConfig(strategy="rmixup", alpha=alpha)
+
 
 class TestRMixup:
     def test_lambda_zero_returns_first(self):

@@ -74,6 +74,12 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--kind", "spd", "--n", "4")
         assert code == 2
 
+    def test_series_without_t_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        code, _, err = run(capsys, "gen", "--kind", "series", "--n", "4", "-o", str(path))
+        assert code == 2 and "--t is required" in err
+        assert not path.exists()
+
     def test_unknown_strategy_choice_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "gen", "--kind", "bogus", "--n", "4", "-o", str(tmp_path / "x"),
@@ -184,6 +190,28 @@ class TestMix:
                 code, _, err = run(capsys, *argv, "--seed", seed)
                 assert code == 2, argv
                 assert "seed" in err
+
+    @pytest.mark.parametrize("strategy", ["vmixup", "rmixup"])
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_exits_3_naming_alpha(self, capsys, tmp_path, strategy, alpha):
+        src, _ = gen_dataset(capsys, tmp_path, n=4, count=3)
+        code, _, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", strategy, "--alpha", alpha,
+            "--count", "2", "-o", str(tmp_path / "m.spdb"),
+        )
+        assert code == 3
+        assert f"alpha must be positive and finite, got {alpha}" in err
+
+    def test_cmixup_on_constant_labels_needs_bandwidth(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=4, count=5)
+        ds = read_matrices(src)
+        ds.labels[:] = 0.25
+        write_matrices(src, ds)
+        argv = ["mix", "--input", str(src), "--strategy", "cmixup", "--count", "2",
+                "-o", str(tmp_path / "c.spdb")]
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "label standard deviation" in err
+        assert run(capsys, *argv, "--bandwidth", "0.5")[0] == 0
 
     def test_corrupt_input_is_io_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.spdb"
@@ -494,6 +522,23 @@ class TestDiagnose:
         code, _, _ = run(capsys, "diagnose", "--input", str(src))
         assert code == 2
 
+    def test_spdb_input_rejects_sweep(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path)
+        code, out, err = run(
+            capsys, "diagnose", "--input", str(src), "--t", "100", "--sweep", "10,20",
+        )
+        assert (code, out) == (2, "")
+        assert "--sweep applies to series input only" in err
+
+    def test_output_file_holds_the_report(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, count=5)
+        argv = ["diagnose", "--input", str(src), "--t", "100"]
+        _, report, _ = run(capsys, *argv)
+        target = tmp_path / "report.csv"
+        code, out, _ = run(capsys, *argv, "-o", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text(encoding="utf-8") == report
+
     def test_spdb_input_reports_all_samples(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path, count=5)
         code, out, _ = run(capsys, "diagnose", "--input", str(src), "--t", "100")
@@ -640,6 +685,21 @@ class TestRegress:
         code, out, err = run(capsys, "regress", "--input", str(src), "--trials", "3")
         assert code == 0, err
         assert out == plain
+
+    def test_output_file_holds_the_table(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=4, count=6)
+        argv = ["regress", "--input", str(src), "--trials", "3"]
+        _, table, _ = run(capsys, *argv)
+        target = tmp_path / "table.csv"
+        code, out, _ = run(capsys, *argv, "-o", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text(encoding="utf-8") == table
+
+    def test_one_sample_dataset_exits_3(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=4, count=1)
+        code, out, err = run(capsys, "regress", "--input", str(src), "--trials", "1")
+        assert (code, out) == (3, "")
+        assert "need at least 2 samples" in err
 
     def test_negative_labels_exit_3(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path, kind="spd")
@@ -792,6 +852,41 @@ class TestConfigFile:
         )
         assert code == 2
         assert "frobnicate" in err
+
+    def test_comments_and_blank_lines_skipped(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="log-linear", n=4, count=10)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# probe defaults\n\n  seed = 5  \n   \n# end\n")
+        code, out, err = run(capsys, "probe", "--config", str(cfg), "--input", str(src),
+                             "--trials", "5")
+        assert code == 0, err
+        assert out == run(capsys, "probe", "--input", str(src), "--trials", "5",
+                          "--seed", "5")[1]
+
+    def test_malformed_line_is_usage_error(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="log-linear", n=4, count=10)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=5\nseed 6\n")
+        code, out, err = run(capsys, "probe", "--config", str(cfg), "--input", str(src))
+        assert (code, out) == (2, "")
+        assert "config line is not key=value: 'seed 6'" in err
+
+    def test_untyped_key_taken_as_text(self, capsys, tmp_path):
+        # --strategy has no type: its config value is kept as written, and
+        # the required flag still wins
+        src, _ = gen_dataset(capsys, tmp_path)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("strategy=dropedge\n")
+        outputs = []
+        for name, extra in (("a", ["--config", str(cfg)]), ("b", [])):
+            target = tmp_path / f"{name}.spdb"
+            code, _, err = run(
+                capsys, "mix", *extra, "--input", str(src), "--strategy", "vmixup",
+                "--count", "3", "--seed", "2", "-o", str(target),
+            )
+            assert code == 0, err
+            outputs.append(mix_files(target))
+        assert outputs[0] == outputs[1]
 
     def test_dashed_keys_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

@@ -5,11 +5,11 @@ elementwise scalar functions on diagonal matrices.
 """
 
 import ast
-import ctypes
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -491,9 +491,9 @@ class TestOneBackend:
 
 
 class TestStacks:
-    """Stacked inputs ``(..., n, n)``: one call gives each matrix the bits
+    """Stacked inputs ``(k, n, n)``: one call gives each matrix the bits
     it gets alone, counts one decomposition per matrix, and checks every
-    matrix on its own."""
+    matrix on its own. Any other rank is rejected."""
 
     @staticmethod
     def spd_stack(seed, count, n):
@@ -516,11 +516,11 @@ class TestStacks:
         for part in (slice(0, 1), slice(1, 4), slice(4, 6)):
             assert np.array_equal(matrix_log(stack[part]), logs[part])
 
-    def test_higher_rank_stack(self):
-        stack = self.spd_stack(9, 6, 4)
-        logs = matrix_log(stack.reshape(2, 3, 4, 4))
-        assert logs.shape == (2, 3, 4, 4)
-        assert np.array_equal(logs.reshape(6, 4, 4), matrix_log(stack))
+    def test_higher_rank_rejected(self):
+        stack = self.spd_stack(9, 6, 4).reshape(2, 3, 4, 4)
+        for fn in (symmetrize, eig_sym, eigvals_sym, matrix_log, matrix_exp):
+            with pytest.raises(ValueError, match=r"stack \(k, n, n\).*\(2, 3, 4, 4\)"):
+                fn(stack)
 
     def test_counts_one_per_matrix(self):
         stack = self.spd_stack(10, 7, 3)
@@ -530,9 +530,6 @@ class TestStacks:
         with count_eig_calls() as c:
             matrix_exp(matrix_log(stack))
         assert c.count == 14
-        with count_eig_calls() as c:
-            eig_sym(stack.reshape(7, 1, 3, 3))
-        assert c.count == 7
 
     def test_non_positive_matrix_named(self):
         stack = self.spd_stack(11, 5, 3)
@@ -582,9 +579,9 @@ class TestStacks:
         bad = stack.copy()
         bad[5] = np.diag([1.0, -0.5, 2.0])
         with pytest.raises(NonPositiveEigenvalueError) as info:
-            matrix_log(bad.reshape(2, 3, 3, 3))
-        assert info.value.index == (1, 2)
-        assert str(info.value).startswith("matrix (1, 2) of the stack: matrix_log requires")
+            matrix_log(bad)
+        assert info.value.index == 5
+        assert str(info.value).startswith("matrix 5 of the stack: matrix_log requires")
         bad = stack.copy()
         bad[3, 0, 1] += 1.0
         with pytest.raises(ValueError, match="^matrix 3 of the stack: matrix is not symmetric"):
@@ -593,8 +590,8 @@ class TestStacks:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """``use(count)`` runs later solves with ``count`` pool workers beside
-    the caller, on a pool of their own."""
+    """``use(count)`` runs later solves on a pool of their own with
+    ``count`` threads; one thread means no pool."""
     original = linalg._POOL
 
     def retire():
@@ -612,8 +609,8 @@ def workers(monkeypatch):
 
 @pytest.mark.skipif(linalg._SET_THREADS is None, reason="numpy's OpenBLAS has no thread setter")
 class TestPool:
-    """Stacks split across the caller and a pool, with OpenBLAS on one
-    thread per matrix: the worker count never changes a bit."""
+    """Stacks split across a pool while the caller waits, with OpenBLAS on
+    one thread per matrix: the worker count never changes a bit."""
 
     @staticmethod
     def results(stack):
@@ -629,10 +626,10 @@ class TestPool:
     def test_worker_counts_agree_bitwise(self, workers, n, count):
         stack = TestStacks.spd_stack(n + 1, count, n)
         by_workers = []
-        for k in (0, 1, 2):
+        for k in (1, 2, 3):
             workers(k)
             by_workers.append(self.results(stack))
-            assert (linalg._POOL is None) == (k == 0)
+            assert (linalg._POOL is None) == (k == 1)
         for other in by_workers[1:]:
             for got, want in zip(other, by_workers[0]):
                 assert np.array_equal(got, want)
@@ -641,17 +638,17 @@ class TestPool:
                 assert np.array_equal(got, want[j])
 
     def test_split_counts_one_solve_per_matrix(self, workers):
-        workers(2)
+        workers(3)
         stack = TestStacks.spd_stack(13, 7, 4)
         with count_eig_calls() as c:
             eig_sym(stack)
-            eigvals_sym(stack.reshape(7, 1, 4, 4))
+            eigvals_sym(stack)
             matrix_exp(matrix_log(stack[:5]))
         assert (c.count, c.values_only) == (7 + 7 + 10, 7)
         assert linalg._POOL is not None
 
     def test_solves_run_pinned_and_restore_the_count(self, monkeypatch, workers):
-        workers(1)
+        workers(2)
         seen = []
         eigh = np.linalg.eigh
 
@@ -669,7 +666,7 @@ class TestPool:
         assert len(seen) > 2 and set(seen) == {1}
 
     def test_convergence_failure_in_a_worker(self, monkeypatch, workers):
-        workers(1)
+        workers(2)
 
         def fail_late(a):
             if a[0, 0, 0] == 3.0:
@@ -681,10 +678,34 @@ class TestPool:
         with pytest.raises(EigenConvergenceError, match=r"shape \(4, 2, 2\)"):
             eigvals_sym(stack)
 
+    def test_failed_part_leaves_no_part_running(self, monkeypatch, workers):
+        # the first part fails at once: the call returns only after the parts
+        # already running finish, with the count restored and the lock free
+        workers(2)
+        running = []
+
+        def solve(a):
+            if a[0, 0, 0] == 3.0:
+                raise np.linalg.LinAlgError("did not converge")
+            running.append(id(a))
+            time.sleep(0.02)
+            running.remove(id(a))
+            return np.ones(a.shape[:-1])
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+        stack = np.stack([3.0 * np.eye(2)] + [np.eye(2)] * 7)
+        previous = linalg._SET_THREADS(2)
+        try:
+            with pytest.raises(EigenConvergenceError):
+                eigvals_sym(stack)
+            assert not running and not linalg._PINNED.locked()
+        finally:
+            assert linalg._SET_THREADS(previous) == 2
+
     def test_concurrent_callers(self, workers):
         # callers on more threads than cores, switching often: every result
         # keeps its bits and the thread count is restored once all are done
-        workers(3)
+        workers(4)
         stacks = [TestStacks.spd_stack(20 + k, 5, 6) for k in range(4)]
         want = [self.results(stack) for stack in stacks]
         got = [[] for _ in stacks]
@@ -718,7 +739,7 @@ class TestPool:
         probe = "\n".join([
             "import os, signal, numpy as np",
             "from spdmix import linalg",
-            "linalg._WORKERS = 1",
+            "linalg._WORKERS = 2",
             "stack = np.stack([np.eye(3)] * 4)",
             "linalg.eig_sym(stack)",
             "assert linalg._POOL is not None",
@@ -740,10 +761,10 @@ class TestPool:
         assert out.stdout.strip() == "0"
 
     def test_without_setter_no_pool_and_same_bits(self, monkeypatch, workers):
-        workers(1)
+        workers(2)
         stacks = [TestStacks.spd_stack(n + 2, 4, n) for n in (8, 50, 120)]
         pinned = [self.results(stack) for stack in stacks]
-        workers(1)
+        workers(2)
         monkeypatch.setattr(linalg, "_SET_THREADS", None)
         for stack, want in zip(stacks, pinned):
             for got, expected in zip(self.results(stack), want):
@@ -752,17 +773,6 @@ class TestPool:
 
 
 class TestThreadSetter:
-    def test_prefers_the_local_setter(self):
-        calls = []
-
-        def local(count):
-            calls.append(count)
-            return 4
-
-        lib = SimpleNamespace(openblas_set_num_threads_local=local)
-        assert linalg._setter_of(lib) is local
-        assert local.argtypes == [ctypes.c_int] and local.restype is ctypes.c_int
-
     def test_falls_back_to_get_and_set(self):
         threads = [3]
 

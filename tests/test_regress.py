@@ -323,6 +323,23 @@ class TestTheoremHarness:
         with pytest.raises(ValueError, match="non-negative"):
             theorem1_harness(mats[0], mats[1], -0.1, 0.5, [0.5], KernelConfig(sigma=1.0))
 
+    def test_nan_label_rejected(self):
+        # NaN is not below zero either: it used to pass as a row of NaNs
+        mats = spd_set(20, 2, n=3)
+        with pytest.raises(ValueError, match="non-negative for the comparison, got nan"):
+            theorem1_harness(
+                mats[0], mats[1], np.nan, 0.5, [0.5], KernelConfig(sigma=1.0), strict=True
+            )
+
+    @pytest.mark.parametrize("config, field", [
+        (KernelConfig(sigma=1.0, space="euclidean"), "space='euclidean'"),
+        (KernelConfig(sigma=1.0, ridge=5.0), "ridge=5.0"),
+    ])
+    def test_unused_kernel_fields_rejected(self, config, field):
+        mats = spd_set(20, 2, n=3)
+        with pytest.raises(ValueError, match=field):
+            theorem1_harness(mats[0], mats[1], 0.1, 0.5, [0.5], config)
+
     def test_coincident_endpoints_rejected(self):
         s = np.eye(3)
         with pytest.raises(ValueError, match="coincide"):

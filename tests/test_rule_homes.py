@@ -23,6 +23,9 @@ HOMES = {
     r"no usable bandwidth": "regress._default_sigma",
     # the second spelling is the one the command line used to carry
     r"labels must be non-negative|non-negative labels": "regress._check_labels",
+    r"alpha must be positive": "augment._check_alpha",
+    r"keep_prob must lie in": "augment._check_keep_prob",
+    r"bandwidth must be positive": "augment._check_bandwidth",
 }
 
 
