@@ -77,6 +77,9 @@ _PAIRWISE = {"rmixup", "vmixup", "dmixup", "gmixup", "cmixup"}
 # Strategies that summarise a random mask in their provenance.
 _MASKED = {"dmixup", "dropnode", "dropedge"}
 
+# Strategies whose output is SPD whenever their inputs are.
+_SPD_GUARANTEED = {"rmixup", "vmixup"}
+
 
 def _check_alpha(alpha: float) -> None:
     # Beta(inf, inf) draws NaN, which would fail later under another name
@@ -92,6 +95,11 @@ def _check_keep_prob(keep_prob: float) -> None:
 def _check_bandwidth(bandwidth: float) -> None:
     if not bandwidth > 0.0:
         raise ValueError(f"cmixup bandwidth must be positive, got {bandwidth}")
+
+
+def _check_seed(seed: int) -> None:
+    if int(seed) != seed or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +127,7 @@ class MixConfig:
         _check_keep_prob(self.keep_prob)
         if self.cmix_bandwidth is not None:
             _check_bandwidth(self.cmix_bandwidth)
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,16 @@ class MixedSample:
     spd_guaranteed: bool
 
 
+def _sample(strategy, matrix, label, source_i, source_j=None, lam=None, mask_summary=None):
+    """The one-sample result of ``strategy``."""
+    return MixedSample(
+        matrix=matrix,
+        label=label,
+        provenance=Provenance(strategy, source_i, source_j, lam, mask_summary),
+        spd_guaranteed=strategy in _SPD_GUARANTEED,
+    )
+
+
 def sample_beta(alpha: float, rng: np.random.Generator) -> float:
     """Draw a mix ratio from Beta(alpha, alpha); deterministic given the stream."""
     _check_alpha(alpha)
@@ -169,12 +186,7 @@ def r_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
     mixing. Costs three eigendecompositions on this direct path.
     """
     mixed = metrics.geodesic(s_i, s_j, lam, metrics.MetricKind.LOG_EUCLIDEAN)
-    return MixedSample(
-        matrix=mixed.array,
-        label=_mix_labels(y_i, y_j, lam),
-        provenance=Provenance("rmixup", sources[0], sources[1], lam=lam),
-        spd_guaranteed=True,
-    )
+    return _sample("rmixup", mixed.array, _mix_labels(y_i, y_j, lam), *sources, lam)
 
 
 class EigenCache:
@@ -222,10 +234,12 @@ class EigenCache:
             logs = matrix_log(self._dataset.matrices[todo])
         except NonPositiveEigenvalueError as exc:
             k = int(todo[exc.index])
-            raise NonPositiveEigenvalueError(
-                f"sample {self._dataset.ids[k]} is not SPD; clamp it before mixing ({exc})",
-                index=k,
-            ) from exc
+            err = NonPositiveEigenvalueError(
+                f"sample {self._dataset.ids[k]} is not SPD; clamp it before mixing "
+                f"({exc.detail})"
+            )
+            err.index = k
+            raise err from exc
         self._logs.flags.writeable = True
         self._logs[todo] = logs
         self._logs.flags.writeable = False
@@ -248,10 +262,11 @@ class EigenCache:
             except EigenvalueOverflowError as exc:
                 k = part.start + exc.index
                 ids = self._dataset.ids
-                raise EigenvalueOverflowError(
-                    f"mix {k} of samples {ids[first[k]]} and {ids[second[k]]}: {exc}",
-                    index=k,
-                ) from exc
+                err = EigenvalueOverflowError(
+                    f"mix {k} of samples {ids[first[k]]} and {ids[second[k]]}: {exc.detail}"
+                )
+                err.index = k
+                raise err from exc
             yield part, mixed
 
 
@@ -263,12 +278,7 @@ def r_mixup_cached(log_i, log_j, y_i, y_j, lam: float, sources=("i", "j")) -> Mi
     lam = metrics._check_ratio(lam)
     log_mix = (1.0 - lam) * log_i + lam * log_j
     mixed = matrix_exp(log_mix)
-    return MixedSample(
-        matrix=mixed.array,
-        label=_mix_labels(y_i, y_j, lam),
-        provenance=Provenance("rmixup", sources[0], sources[1], lam=lam),
-        spd_guaranteed=True,
-    )
+    return _sample("rmixup", mixed.array, _mix_labels(y_i, y_j, lam), *sources, lam)
 
 
 def _upper_mirror(n: int, k: int) -> tuple[int, np.ndarray]:
@@ -318,12 +328,7 @@ def v_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
     lam = metrics._check_ratio(lam)
     out = np.empty_like(a)
     _v_mixup_row(out, a, b, lam)
-    return MixedSample(
-        matrix=out,
-        label=_mix_labels(y_i, y_j, lam),
-        provenance=Provenance("vmixup", sources[0], sources[1], lam=lam),
-        spd_guaranteed=True,
-    )
+    return _sample("vmixup", out, _mix_labels(y_i, y_j, lam), *sources, lam)
 
 
 def d_mixup(
@@ -338,12 +343,7 @@ def d_mixup(
     lam = metrics._check_ratio(lam)
     out = np.empty_like(a)
     summary = _d_mixup_row(out, a, b, lam, rng, _upper_mirror(len(a), 0))
-    return MixedSample(
-        matrix=out,
-        label=_mix_labels(y_i, y_j, lam),
-        provenance=Provenance("dmixup", sources[0], sources[1], lam=lam, mask_summary=summary),
-        spd_guaranteed=False,
-    )
+    return _sample("dmixup", out, _mix_labels(y_i, y_j, lam), *sources, lam, summary)
 
 
 def drop_node(
@@ -360,12 +360,7 @@ def drop_node(
     a = np.asarray(s, dtype=np.float64)
     out = np.empty_like(a)
     summary = _drop_node_row(out, a, keep_prob, rng)
-    return MixedSample(
-        matrix=out,
-        label=y,
-        provenance=Provenance("dropnode", source, mask_summary=summary),
-        spd_guaranteed=False,
-    )
+    return _sample("dropnode", out, y, source, mask_summary=summary)
 
 
 def drop_edge(
@@ -380,12 +375,7 @@ def drop_edge(
     a = np.asarray(s, dtype=np.float64)
     out = np.empty_like(a)
     summary = _drop_edge_row(out, a, keep_prob, rng, _upper_mirror(len(a), 1))
-    return MixedSample(
-        matrix=out,
-        label=y,
-        provenance=Provenance("dropedge", source, mask_summary=summary),
-        spd_guaranteed=False,
-    )
+    return _sample("dropedge", out, y, source, mask_summary=summary)
 
 
 @dataclass(frozen=True)
@@ -530,23 +520,15 @@ def g_mixup_sample(
         if gen.class_means is None or c_i not in gen.class_means or c_j not in gen.class_means:
             raise ValueError(f"generator has no fitted class for ({y_i}, {y_j})")
         classes = n_classes if n_classes is not None else max(gen.class_means) + 1
-        label_i = np.zeros(classes)
-        label_i[c_i] = 1.0
-        label_j = np.zeros(classes)
-        label_j[c_j] = 1.0
-        label = _mix_labels(label_i, label_j, lam)
+        one_hot = np.eye(classes)
+        label = _mix_labels(one_hot[c_i], one_hot[c_j], lam)
         _EdgeDraws(gen).fill(out, lam, rng, classes=(c_i, c_j))
     else:
         if gen.edge_mean is None:
             raise ValueError("generator was not fitted for regression")
         label = _mix_labels(float(y_i), float(y_j), lam)
         _EdgeDraws(gen).fill(out, lam, rng, y_mix=label)
-    return MixedSample(
-        matrix=out,
-        label=label,
-        provenance=Provenance("gmixup", sources[0], sources[1], lam=lam),
-        spd_guaranteed=False,
-    )
+    return _sample("gmixup", out, label, *sources, lam)
 
 
 class _Partners:

@@ -48,10 +48,10 @@ class _UsageError(Exception):
 
 def _seed(text: str) -> int:
     value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an unsigned 64-bit integer, got {text}"
-        )
+    try:
+        augment._check_seed(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import SpdMatrix, matrix_exp, matrix_log
+from .linalg import SpdMatrix, _chunks, matrix_exp, matrix_log
 
 __all__ = [
     "FormatError",
@@ -428,14 +428,9 @@ def gen_labeled_dataset(
         base = _sym_gauss(n, rng, scale=0.5)
         slope = _sym_gauss(n, rng, scale=1.0)
         labels = rng.uniform(0.0, 1.0, size=count)
-        mats = np.empty((count, n, n))
-        for k, y in enumerate(labels):
-            h = base + y * slope
-            if noise > 0.0:
-                h = h + _sym_gauss(n, rng, scale=noise)
-            mats[k] = matrix_exp(h).array
-        return LabeledDataset(matrices=mats, labels=labels, task=task)
-    if structure == "clustered":
+        logs = labels[:, None, None] * slope
+        logs += base
+    elif structure == "clustered":
         if task != TASK_CLASSIFICATION:
             raise ValueError("clustered structure generates classification labels")
         if n_classes < 2:
@@ -445,11 +440,12 @@ def gen_labeled_dataset(
             base = gen_random_spd(n, 10.0, rng)
             centers.append(matrix_log(base) + c * separation * np.eye(n))
         labels = np.arange(count) % n_classes
-        mats = np.empty((count, n, n))
-        for k, c in enumerate(labels):
-            h = centers[c]
-            if noise > 0.0:
-                h = h + _sym_gauss(n, rng, scale=noise)
-            mats[k] = matrix_exp(h).array
-        return LabeledDataset(matrices=mats, labels=labels, task=task)
-    raise ValueError(f"unknown structure {structure!r}")
+        logs = np.stack(centers)[labels]
+    else:
+        raise ValueError(f"unknown structure {structure!r}")
+    for part in _chunks(count, n):  # a chunk's exponentials overwrite its logs
+        if noise > 0.0:
+            g = rng.standard_normal(logs[part].shape)
+            logs[part] += noise * (g + g.swapaxes(1, 2)) / (2.0 * np.sqrt(n))
+        logs[part] = matrix_exp(logs[part])
+    return LabeledDataset(matrices=logs, labels=labels, task=task)

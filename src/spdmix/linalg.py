@@ -178,11 +178,14 @@ class EigenConvergenceError(RuntimeError):
 
 
 class _StackError(ValueError):
-    """A check failed on one matrix; ``index`` is its position in a stacked
-    input, ``None`` for a single matrix. :func:`symmetrize` raises it bare."""
+    """A check failed on one matrix: ``detail`` is the check's text, ``index``
+    the matrix's stack position (``None`` for one matrix), which the message
+    names first. :func:`symmetrize` raises it bare."""
 
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
+    def __init__(self, detail: str, index=None):
+        where = "" if index is None else f"matrix {index} of the stack: "
+        super().__init__(where + detail)
+        self.detail = detail
         self.index = index
 
 
@@ -215,10 +218,6 @@ def _first(bad: np.ndarray) -> int | None:
     return None if bad.ndim == 0 else int(np.argmax(bad))
 
 
-def _which(index) -> str:
-    return "" if index is None else f"matrix {index} of the stack: "
-
-
 def _square(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
@@ -240,7 +239,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     arr = _square(a)
     if not np.isfinite(arr).all():
         k = _first(~np.isfinite(arr).all(axis=(-2, -1)))
-        raise _StackError(f"{_which(k)}matrix contains non-finite entries", index=k)
+        raise _StackError("matrix contains non-finite entries", index=k)
     arr_t = arr.swapaxes(-1, -2)
     norm = fro_norm(arr)
     drift = fro_norm(arr - arr_t)
@@ -249,7 +248,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
         k = _first(bad)
         at = () if k is None else k
         raise _StackError(
-            f"{_which(k)}matrix is not symmetric: asymmetry {drift[at]:.3e} "
+            f"matrix is not symmetric: asymmetry {drift[at]:.3e} "
             f"exceeds {SYMMETRY_RTOL:.1e} * ||A||_F = {SYMMETRY_RTOL * norm[at]:.3e}",
             index=k,
         )
@@ -265,7 +264,7 @@ class EigenDecomposition(NamedTuple):
 
     def recompose(self, values: np.ndarray | None = None) -> np.ndarray:
         """Rebuild ``O diag(values) O^T`` (defaults to the stored spectrum)."""
-        o = self.orthogonal
+        o = _square(self.orthogonal)
         w = self.eigenvalues if values is None else values
         return _pinned(_recompose, o, np.broadcast_to(w, o.shape[:-1]))
 
@@ -351,8 +350,10 @@ class SpdMatrix:
     """A validated symmetric positive definite matrix.
 
     ``min_eigenvalue`` and ``max_eigenvalue`` are cached at validation time;
-    the wrapped array is read-only. ``np.asarray`` unwraps instances
-    transparently, so they can be passed anywhere a plain array is accepted.
+    the wrapped array is read-only. ``np.asarray`` unwraps an instance to
+    that array itself (no copy for ``dtype=np.float64`` either), so instances
+    can be passed anywhere a plain array is accepted; ``np.array`` and any
+    other dtype give a copy.
     """
 
     array: np.ndarray
@@ -381,13 +382,7 @@ class SpdMatrix:
         return self.max_eigenvalue / self.min_eigenvalue
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.array.astype(dtype)
-        return self.array
-
-
-def _as_matrix(a) -> np.ndarray:
-    return a.array if isinstance(a, SpdMatrix) else np.asarray(a, dtype=np.float64)
+        return np.array(self.array, dtype=dtype, copy=copy)
 
 
 def _require_positive(mu: np.ndarray, what: str) -> None:
@@ -397,7 +392,7 @@ def _require_positive(mu: np.ndarray, what: str) -> None:
     if bad.any():
         k = _first(bad)
         raise NonPositiveEigenvalueError(
-            f"{_which(k)}{what} requires a strictly positive spectrum; found min "
+            f"{what} requires a strictly positive spectrum; found min "
             f"eigenvalue {low[() if k is None else k]:.6e} <= 0. Clamp the matrix "
             f"to SPD first (spdmix never clamps silently).",
             index=k,
@@ -414,7 +409,7 @@ def matrix_log(s) -> np.ndarray:
     for a stack, its ``index`` names the first offending matrix by its
     position in the whole stack.
     """
-    arr = _square(_as_matrix(s))
+    arr = _square(s)
     if arr.ndim == 2:
         return _log(arr)
     out = np.empty_like(arr)
@@ -422,9 +417,7 @@ def matrix_log(s) -> np.ndarray:
         try:
             out[part] = _log(arr[part])
         except _StackError as exc:
-            k = part.start + exc.index
-            body = str(exc).removeprefix(_which(exc.index))
-            raise type(exc)(_which(k) + body, index=k) from exc
+            raise type(exc)(exc.detail, index=part.start + exc.index) from exc
     return out
 
 
@@ -444,14 +437,14 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
     :class:`SpdMatrix`; a stack ``(k, n, n)`` gives a plain array of the
     exponentials, each checked on its own.
     """
-    dec = eig_sym(_as_matrix(h))
+    dec = eig_sym(h)
     mu = dec.eigenvalues
     peak = np.max(np.abs(mu), axis=-1)
     bad = peak > EXP_EIGENVALUE_LIMIT
     if bad.any():
         k = _first(bad)
         raise EigenvalueOverflowError(
-            f"{_which(k)}matrix_exp eigenvalue magnitude "
+            "matrix_exp eigenvalue magnitude "
             f"{peak[() if k is None else k]:.3e} exceeds the float64 limit "
             f"{EXP_EIGENVALUE_LIMIT:g}",
             index=k,
@@ -466,7 +459,7 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
 def matrix_power(s, p: float) -> SpdMatrix:
     """Real matrix power ``S^p = O diag(mu^p) O^T`` of an SPD matrix, or of
     the matrix an :class:`EigenDecomposition` ``s`` describes."""
-    dec = s if isinstance(s, EigenDecomposition) else eig_sym(_as_matrix(s))
+    dec = s if isinstance(s, EigenDecomposition) else eig_sym(s)
     mu = dec.eigenvalues
     _require_positive(mu, "matrix_power")
     if p == 0.0:
@@ -490,7 +483,7 @@ def cholesky(s) -> np.ndarray:
     Raises :class:`CholeskyPivotError` naming the failing pivot index when the
     matrix is numerically semidefinite.
     """
-    arr = symmetrize(_as_matrix(s))
+    arr = symmetrize(s)
     try:
         return np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:

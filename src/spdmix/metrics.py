@@ -108,7 +108,7 @@ def _warn_unstable(metric: MetricKind, smallest: float) -> None:
             f"{smallest:.3e} below {STABILITY_EIGENVALUE_FLOOR:g}; the "
             f"inverse square root may be inaccurate",
             StabilityWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -139,15 +139,22 @@ def geodesic(s_i, s_j, lam: float, metric: MetricKind = MetricKind.LOG_EUCLIDEAN
         raise
 
 
-def _geodesic_affine_invariant(a: np.ndarray, b: np.ndarray, lam: float) -> SpdMatrix:
+def _congruence(metric: MetricKind, a, b, side: float, p: float) -> np.ndarray:
+    """``A^{1/2} (X B X)^p A^side`` with ``X = A^-side``, ``side`` +-1/2; warns for
+    ``metric`` when ``A`` or ``X B X`` has an eigenvalue below the floor."""
     dec = eig_sym(a)
-    half = matrix_power(dec, 0.5)
+    half = matrix_power(dec, 0.5).array
     inv_half = matrix_power(dec, -0.5)
-    _warn_unstable(MetricKind.AFFINE_INVARIANT, 1.0 / inv_half.max_eigenvalue**2)
-    core = eig_sym(inv_half.array @ b @ inv_half.array)
-    powered = matrix_power(core, lam)
-    _warn_unstable(MetricKind.AFFINE_INVARIANT, float(core.eigenvalues[0]))
-    return SpdMatrix.from_array(half.array @ powered.array @ half.array)
+    _warn_unstable(metric, 1.0 / inv_half.max_eigenvalue**2)
+    inner, outer = (inv_half.array, half) if side > 0 else (half, inv_half.array)
+    core = eig_sym(inner @ b @ inner)
+    powered = matrix_power(core, p)
+    _warn_unstable(metric, float(core.eigenvalues[0]))
+    return half @ powered.array @ outer
+
+
+def _geodesic_affine_invariant(a: np.ndarray, b: np.ndarray, lam: float) -> SpdMatrix:
+    return SpdMatrix.from_array(_congruence(MetricKind.AFFINE_INVARIANT, a, b, 0.5, lam))
 
 
 def bures_cross_sqrt(s_i, s_j) -> np.ndarray:
@@ -159,14 +166,7 @@ def bures_cross_sqrt(s_i, s_j) -> np.ndarray:
     The result squared reproduces ``S_i @ S_j`` to 1e-7 relative.
     """
     a, b = _check_pair(s_i, s_j)
-    dec = eig_sym(a)
-    half = matrix_power(dec, 0.5)
-    inv_half = matrix_power(dec, -0.5)
-    _warn_unstable(MetricKind.BURES_WASSERSTEIN, 1.0 / inv_half.max_eigenvalue**2)
-    core = eig_sym(half.array @ b @ half.array)
-    root = matrix_power(core, 0.5)
-    _warn_unstable(MetricKind.BURES_WASSERSTEIN, float(core.eigenvalues[0]))
-    return half.array @ root.array @ inv_half.array
+    return _congruence(MetricKind.BURES_WASSERSTEIN, a, b, -0.5, 0.5)
 
 
 def _geodesic_bures_wasserstein(a: np.ndarray, b: np.ndarray, lam: float) -> SpdMatrix:

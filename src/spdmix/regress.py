@@ -337,8 +337,8 @@ def theorem1_trials(
     :class:`EigenCache`, and every interior line point once, in stacked
     chunks of at most 4 MiB; the tables equal the per-pair calls bit for
     bit. Errors come in this order: a negative label in ``dataset``, a bad
-    ratio or bandwidth (all before any solve), a drawn sample that is not
-    SPD, then the first coincident pair in draw order.
+    ratio, bandwidth or pair index (all before any solve), a drawn sample
+    that is not SPD, then the first coincident pair in draw order.
     """
     labels = dataset.labels.astype(np.float64).tolist()
     _check_labels(labels)
@@ -347,7 +347,11 @@ def theorem1_trials(
         KernelConfig(sigma=sigma)  # rejects a non-positive bandwidth
     first = np.asarray(first, dtype=np.intp)
     second = np.asarray(second, dtype=np.intp)
-    logs = EigenCache(dataset).log_stack(np.concatenate([first, second]))
+    drawn = np.concatenate([first, second])
+    outside = drawn[(drawn < 0) | (drawn >= len(dataset))]
+    if len(outside):
+        raise ValueError(f"pair index {outside[0]} is outside the {len(dataset)}-sample dataset")
+    logs = EigenCache(dataset).log_stack(drawn)
     return _tables(dataset.matrices, logs, first, second, labels, lams, sigma)
 
 
@@ -452,7 +456,7 @@ def _row_distances(mats, logs, i, j, lam) -> np.ndarray:
             k = solve[exc.index]
             raise NonPositiveEigenvalueError(
                 f"the line point at lam={float(lam[k])} between matrices {i[k]} and "
-                f"{j[k]} is not SPD ({exc})"
+                f"{j[k]} is not SPD ({exc.detail})"
             ) from exc
     point[at_i] = logs[i[at_i]]
     point[at_j] = logs[j[at_j]]

@@ -596,6 +596,12 @@ class TestMixDataset:
         assert out.matrices.shape == (0, 4, 4)
         assert len(out) == len(prov) == 0
         assert list(prov.csv_rows(out.ids)) == []
+        # a pairwise strategy needs a second sample only to draw an output
+        one = LabeledDataset(matrices=np.stack([np.eye(2)]), labels=[0.5], task="regression")
+        for strategy in ("rmixup", "vmixup", "cmixup"):
+            out, prov = mix_dataset(one, MixConfig(strategy=strategy), 0)
+            assert out.matrices.shape == (0, 2, 2) and out.labels.shape == (0,)
+            assert len(prov) == len(prov.lam) == 0
 
     def test_same_seed_bitwise_identical(self):
         ds = regression_dataset(seed=33)
@@ -753,8 +759,11 @@ class TestBatchedRMixup:
             mats[ds.ids.index(sample_id)] = np.diag([1.0, -1.0, 2.0])
             return LabeledDataset(matrices=mats, labels=ds.labels, task="regression")
 
-        with pytest.raises(ValueError, match=f"sample {bad_drawn} is not SPD.*clamp"):
+        with pytest.raises(ValueError, match=f"sample {bad_drawn} is not SPD.*clamp") as exc:
             mix_dataset(broken(bad_drawn), config, 3)
+        # the sample is named once, by its id, not again by its stack position
+        assert f"clamp it before mixing (matrix_log requires" in str(exc.value)
+        assert exc.value.index == ds.ids.index(bad_drawn)
         out, _ = mix_dataset(broken(bad_idle), config, 3)
         assert np.array_equal(out.matrices, clean.matrices)
 
@@ -777,6 +786,7 @@ class TestBatchedRMixup:
         assert exc.value.index == k
         assert str(exc.value).startswith(
             f"mix {k} of samples {draws.source_i[k]} and {draws.source_j[k]}: "
+            f"matrix_exp eigenvalue magnitude "
         )
 
     def test_probe_independent_of_chunking(self, monkeypatch):

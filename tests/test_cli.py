@@ -189,7 +189,7 @@ class TestMix:
             for seed in ("-1", str(2**64)):
                 code, _, err = run(capsys, *argv, "--seed", seed)
                 assert code == 2, argv
-                assert "seed" in err
+                assert f"seed must be an unsigned 64-bit integer, got {seed}" in err
 
     @pytest.mark.parametrize("strategy", ["vmixup", "rmixup"])
     @pytest.mark.parametrize("alpha", ["inf", "nan"])

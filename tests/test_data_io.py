@@ -1,6 +1,7 @@
 """SPDB format roundtrips and synthetic generator properties."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from spdmix.data_io import (
     write_matrices,
     write_series_csv,
 )
-from spdmix import data_io
-from spdmix.linalg import SpdMatrix, matrix_log
+from spdmix import data_io, linalg
+from spdmix.linalg import SpdMatrix, matrix_exp, matrix_log
 from spdmix.metrics import log_euclidean_distance
 
 
@@ -249,6 +250,30 @@ class TestSpdbRoundtrip:
         with pytest.raises(SpdbFormatError, match="cut.labels.csv, line 3: 1 fields"):
             read_matrices(path)
 
+    def test_blank_sidecar_lines_skipped(self, tmp_path):
+        ds = small_regression_dataset(count=3)
+        path = tmp_path / "gaps.spdb"
+        write_matrices(path, ds)
+        labels = path.with_name("gaps.labels.csv")
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join([lines[0], "", lines[1], "", "", *lines[2:], ""]) + "\n")
+        back = read_matrices(path)
+        assert back.ids == ds.ids
+        assert np.array_equal(back.labels, ds.labels)
+
+    def test_soft_labels_of_unequal_widths_rejected(self, tmp_path):
+        ds = LabeledDataset(
+            matrices=np.stack([np.eye(2)] * 2),
+            labels=[[0.5, 0.5], [1.0, 0.0]],
+            task="classification",
+        )
+        path = tmp_path / "soft.spdb"
+        write_matrices(path, ds)
+        labels = path.with_name("soft.labels.csv")
+        labels.write_text(labels.read_text().replace("1.0;0.0", "1.0;0.0;0.0"))
+        with pytest.raises(SpdbFormatError, match="soft labels have inconsistent widths"):
+            read_matrices(path)
+
     def test_missing_labels_sidecar(self, tmp_path):
         ds = small_regression_dataset()
         path = tmp_path / "s.spdb"
@@ -351,6 +376,12 @@ class TestSeriesCsv:
             read_series_csv(path)
         assert "bad.csv" in str(info.value)
 
+    def test_empty_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError, match="empty.csv: no data rows"):
+            read_series_csv(path)
+
 
 class TestGenRandomSpd:
     def test_condition_one_is_multiple_of_identity(self):
@@ -416,8 +447,6 @@ class TestGenLabeledDataset:
         i1, i2, i3 = order[0], order[len(order) // 2], order[-1]
         w = (y[i2] - y[i3]) / (y[i1] - y[i3])
         log_mix = w * matrix_log(ds.matrices[i1]) + (1 - w) * matrix_log(ds.matrices[i3])
-        from spdmix.linalg import matrix_exp
-
         x_r = matrix_exp(log_mix).array
         x_v = w * ds.matrices[i1] + (1 - w) * ds.matrices[i3]
         target = ds.matrices[i2]
@@ -440,6 +469,54 @@ class TestGenLabeledDataset:
             predicted = ds.labels[train_idx[int(np.argmin(dists))]]
             correct += predicted == ds.labels[t]
         assert correct == len(test_idx)
+
+    @pytest.mark.parametrize("n", [3, 8, 50])
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("structure", ["log-linear", "clustered"])
+    @pytest.mark.parametrize("per_chunk", [None, 2])
+    def test_stacked_matches_per_sample_loop(self, monkeypatch, n, noise, structure, per_chunk):
+        # one matrix_exp per sample, drawing each sample's noise in turn
+        if per_chunk:
+            monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * 8 * n * n)
+
+        def sym_gauss(rng, scale):
+            g = rng.standard_normal((n, n))
+            return scale * (g + g.T) / (2.0 * np.sqrt(n))
+
+        rng = np.random.default_rng(n)
+        if structure == "log-linear":
+            base, slope = sym_gauss(rng, 0.5), sym_gauss(rng, 1.0)
+            labels = rng.uniform(0.0, 1.0, size=7)
+            logs = [base + y * slope for y in labels]
+            task = "regression"
+        else:
+            centers = [
+                matrix_log(gen_random_spd(n, 10.0, rng)) + c * 3.0 * np.eye(n) for c in range(2)
+            ]
+            labels = np.arange(7) % 2
+            logs = [centers[c] for c in labels]
+            task = "classification"
+        if noise > 0.0:
+            logs = [h + sym_gauss(rng, noise) for h in logs]
+        expected = np.stack([matrix_exp(h).array for h in logs])
+        ds = gen_labeled_dataset(n, 7, task, structure, np.random.default_rng(n), noise=noise)
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(ds.matrices, expected)
+
+    @pytest.mark.parametrize("structure", ["log-linear", "clustered"])
+    def test_peak_is_the_output_and_a_few_chunks(self, structure):
+        # 128 matrices at n=120 (14 MiB) are exponentiated 36 at a time
+        n, count = 120, 128
+        task = "regression" if structure == "log-linear" else "classification"
+        budget = count * n * n * 8 + 6 * linalg._CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gen_labeled_dataset(n, count, task, structure, np.random.default_rng(3), noise=0.1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB"
 
     def test_minimal_count(self):
         ds = gen_labeled_dataset(3, 2, "regression", "log-linear", np.random.default_rng(12))

@@ -23,6 +23,7 @@ from spdmix.data_io import gen_random_spd
 from spdmix.linalg import (
     CholeskyPivotError,
     EigenConvergenceError,
+    EigenDecomposition,
     EigenvalueOverflowError,
     NonPositiveEigenvalueError,
     SpdMatrix,
@@ -352,8 +353,17 @@ class TestSpdMatrix:
             np.asarray(s)[0, 0] = 2.0
 
     def test_asarray_unwraps(self):
+        # asarray shares the buffer, also at float64; array or a cast copies
         s = SpdMatrix.from_array(2.0 * np.eye(2))
         np.testing.assert_array_equal(np.asarray(s), 2.0 * np.eye(2))
+        assert np.asarray(s) is s.array
+        assert np.asarray(s, dtype=np.float64) is s.array
+        for copy in (np.array(s), np.array(s, copy=True), np.asarray(s, dtype=np.float32)):
+            assert not np.shares_memory(copy, s.array)
+            assert copy.flags.writeable
+        np.testing.assert_array_equal(np.array(s), s.array)
+        with pytest.raises(ValueError):
+            np.array(s, dtype=np.float32, copy=False)
 
 
 class TestEigCallCounting:
@@ -518,7 +528,11 @@ class TestStacks:
 
     def test_higher_rank_rejected(self):
         stack = self.spd_stack(9, 6, 4).reshape(2, 3, 4, 4)
-        for fn in (symmetrize, eig_sym, eigvals_sym, matrix_log, matrix_exp):
+
+        def recompose(a):
+            return EigenDecomposition(a, np.ones(a.shape[:-1])).recompose()
+
+        for fn in (symmetrize, eig_sym, eigvals_sym, matrix_log, matrix_exp, recompose):
             with pytest.raises(ValueError, match=r"stack \(k, n, n\).*\(2, 3, 4, 4\)"):
                 fn(stack)
 

@@ -162,6 +162,18 @@ class TestGeodesicValidation:
             with pytest.warns(StabilityWarning):
                 bures_cross_sqrt(a, b)
 
+    def test_stability_warning_names_the_callers_frame(self):
+        tiny = np.diag([1e-12, 1.0])
+        with pytest.warns(StabilityWarning) as direct:
+            bures_cross_sqrt(tiny, np.eye(2))
+        assert {w.filename for w in direct} == {__file__}
+        with pytest.warns(StabilityWarning) as nested:
+            geodesic(tiny, np.eye(2), 0.5, MetricKind.AFFINE_INVARIANT)
+        code = metrics.geodesic.__code__
+        lines = range(code.co_firstlineno, max(line or 0 for *_, line in code.co_lines()) + 1)
+        assert {w.filename for w in nested} == {metrics.__file__}
+        assert all(w.lineno in lines for w in nested)
+
 
 class TestDecompositionCounts:
     @pytest.mark.parametrize(

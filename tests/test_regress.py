@@ -166,6 +166,33 @@ class TestKernelRidge:
         with pytest.raises(ValueError, match="ridge"):
             fit_kernel_ridge(ds, KernelConfig(sigma=1e-12))
 
+    def test_jitter_ladder_escalates_past_a_singular_gram(self, monkeypatch):
+        # log distance 1e-9 passes the coincidence check, yet the kernel
+        # value rounds to exactly 1: the ridge-free Gram is singular
+        a = np.eye(3)
+        b = np.diag([1.0, 1.0, np.exp(1e-9)])
+        ds = LabeledDataset(matrices=np.stack([a, b]), labels=[0.1, 0.2], task="regression")
+        shifts = []
+        factor = np.linalg.cholesky
+
+        def recording(m):
+            shifts.append(m[0, 0] - m[0, 1])
+            return factor(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        predictor = fit_kernel_ridge(ds, KernelConfig(sigma=1.0))
+        norm = (2.0 * np.pi) ** -1.5
+        assert shifts == [0.0, pytest.approx(1e-10 * norm, rel=1e-3)]
+        assert predictor.predict(a) == pytest.approx(0.15, abs=1e-3)
+
+    def test_singular_even_after_jitter(self, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        with pytest.raises(ValueError, match="singular even after jitter"):
+            fit_kernel_ridge(regression_dataset(seed=12, count=4), KernelConfig(sigma=1.0))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             KernelConfig(sigma=0.0)
@@ -460,16 +487,36 @@ class TestBatchedHarness:
         assert c.count == 0
 
     def test_non_spd_line_point_named(self, monkeypatch):
+        # the stack of interior line points (lam 0.3 and 0.5) has its last
+        # one broken; the error names the point once, not its stack position
         a, b = spd_set(413, 2, n=3)
 
-        def failing_log(stack):
-            if stack.ndim == 2:
-                return matrix_log(stack)
-            raise NonPositiveEigenvalueError("negative", index=1)
+        def breaking_log(stack):
+            if stack.ndim == 3:
+                stack = stack.copy()
+                stack[-1] = -np.eye(3)
+            return matrix_log(stack)
 
-        monkeypatch.setattr(regress, "matrix_log", failing_log)
-        with pytest.raises(NonPositiveEigenvalueError, match="lam=0.5 between matrices 0 and 1"):
+        monkeypatch.setattr(regress, "matrix_log", breaking_log)
+        with pytest.raises(NonPositiveEigenvalueError) as info:
             theorem1_harness(a, b, 0.2, 0.7, [0.0, 0.3, 0.5, 1.0], KernelConfig(sigma=1.0))
+        assert str(info.value).startswith(
+            "the line point at lam=0.5 between matrices 0 and 1 is not SPD (matrix_log requires"
+        )
+
+    @pytest.mark.parametrize("bad", [-1, 4, 7])
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_trials_reject_a_pair_index_outside_before_any_solve(self, bad, side):
+        # fancy indexing would wrap -1 and np.take(mode="clip") clip it to 0:
+        # the two gathers of one pair would read different samples
+        ds = regression_dataset(seed=416, count=4, n=3)
+        pair = {"first": [0, 1], "second": [2, 3]}
+        pair[side] = [pair[side][0], bad]
+        with count_eig_calls() as c, pytest.raises(
+            ValueError, match=f"pair index {bad} is outside the 4-sample dataset"
+        ):
+            theorem1_trials(ds, pair["first"], pair["second"], DEFAULT_GRID)
+        assert c.count == 0
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
     def test_library_fits_independent_of_chunking(self, monkeypatch, per_chunk):

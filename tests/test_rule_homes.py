@@ -1,9 +1,11 @@
-"""Each shared input rule is raised from one function in ``src/spdmix``.
+"""Each shared rule is written in one function in ``src/spdmix``.
 
 A rule written out twice drifts: one copy changes and the other does not, and
 two entry points then accept different inputs. This test parses every module
-and finds each ``raise`` whose message states one of the rules below; every
-rule must be raised from exactly its one home.
+and finds each ``raise`` whose message states one of the input rules below;
+every rule must be raised from exactly its one home. Two more rules have one
+home each: the per-sample mix result is built only by ``augment._sample``,
+and a matrix's stack position is written only by ``linalg._StackError``.
 """
 
 import ast
@@ -26,6 +28,7 @@ HOMES = {
     r"alpha must be positive": "augment._check_alpha",
     r"keep_prob must lie in": "augment._check_keep_prob",
     r"bandwidth must be positive": "augment._check_bandwidth",
+    r"seed must be an unsigned 64-bit integer": "augment._check_seed",
 }
 
 
@@ -38,24 +41,52 @@ def _message(node: ast.Raise) -> str:
     )
 
 
+def _scoped(tree: ast.AST, module: str):
+    """Every node of ``tree`` with the qualified name of its enclosing
+    function or class."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = [*scope, child.name]
+            yield child, ".".join([module, *inner])
+            yield from visit(child, inner)
+
+    return visit(tree, [])
+
+
 def raisers(source: str, module: str) -> dict[str, set[str]]:
     """For each rule pattern, the qualified names of the functions in
     ``source`` that raise a message matching it."""
     found: dict[str, set[str]] = {pattern: set() for pattern in HOMES}
+    for node, where in _scoped(ast.parse(source), module):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            text = _message(node)
+            for pattern in HOMES:
+                if re.search(pattern, text):
+                    found[pattern].add(where)
+    return found
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, [*scope, child.name])
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                text = _message(child)
-                for pattern in HOMES:
-                    if re.search(pattern, text):
-                        found[pattern].add(".".join([module, *scope]))
-            visit(child, scope)
 
-    visit(ast.parse(source), [])
+def writers(source: str, module: str, calls: str | None = None, text: str | None = None):
+    """The qualified names of the functions or classes in ``source`` that
+    call ``calls`` (bare or as an attribute), or that hold a string literal
+    containing ``text``."""
+    found = set()
+    for node, where in _scoped(ast.parse(source), module):
+        if calls and isinstance(node, ast.Call):
+            if calls in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.add(where)
+        if text and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if text in node.value:
+                found.add(where)
+    return found
+
+
+def all_writers(**what) -> set[str]:
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= writers(path.read_text(encoding="utf-8"), path.stem, **what)
     return found
 
 
@@ -92,3 +123,26 @@ def test_rule_has_one_home(pattern):
 )
 def test_guard_sees_a_second_copy(copy, pattern):
     assert raisers(copy, "extra")[pattern] == {f"extra.{copy[4:copy.index('(')]}"}
+
+
+def test_mixed_sample_built_in_one_place():
+    assert all_writers(calls="MixedSample") == {"augment._sample"}
+
+
+def test_stack_position_written_in_one_place():
+    found = {".".join(where.split(".")[:2]) for where in all_writers(text="of the stack")}
+    assert found == {"linalg._StackError"}
+
+
+def test_writer_guard_sees_a_second_copy():
+    copy = (
+        'def _log(arr):\n'
+        '    raise ValueError(f"matrix {k} of the stack: bad")\n'
+        'def v_mixup(a, b):\n'
+        '    return MixedSample(a, 0.0, None, True)\n'
+        'class Cache:\n'
+        '    def mix(self):\n'
+        '        return augment.MixedSample(a, 0.0, None, True)\n'
+    )
+    assert writers(copy, "extra", text="of the stack") == {"extra._log"}
+    assert writers(copy, "extra", calls="MixedSample") == {"extra.v_mixup", "extra.Cache.mix"}
