@@ -7,8 +7,10 @@ incompatibility (strategy/task mismatch, invalid dataset for an operation),
 Reports are machine-readable (CSV or single-line JSON) on stdout; any human
 prose goes to stderr. Every subcommand with a ``--seed`` flag is
 bit-reproducible; seeds are unsigned 64-bit integers. ``--config FILE``
-supplies ``key=value`` defaults that explicit flags override; unknown keys
-are rejected.
+reads each line ``key=value`` as the flag ``--key=value``, placed before the
+command line's flags: it is converted and checked as that flag is, explicit
+flags win, and a key is accepted exactly when ``--key`` is. A config file
+cannot supply a required flag.
 """
 
 from __future__ import annotations
@@ -365,18 +367,22 @@ def cmd_bench(args) -> int:
 # parser plumbing
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+_COMMANDS = {
+    "gen": cmd_gen, "mix": cmd_mix, "diagnose": cmd_diagnose,
+    "regress": cmd_regress, "probe": cmd_probe, "bench": cmd_bench,
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdmix",
         description="Geodesic mixup and diagnostics for SPD matrix datasets.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     def sub(name: str, help_text: str) -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value defaults file")
-        registry[name] = p
         return p
 
     p = sub("gen", "generate synthetic datasets or series")
@@ -393,7 +399,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--series-layout", default="vars-as-rows",
                    choices=["vars-as-rows", "vars-as-cols"])
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub("mix", "augment a dataset with one strategy")
     p.add_argument("--input", required=True)
@@ -406,7 +411,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--cache", choices=["on", "off"], default=None,
                    help="deprecated, no effect")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_mix)
 
     p = sub("diagnose", "eigenvalue positivity reports for series or matrices")
     p.add_argument("--input", nargs="+", required=True)
@@ -417,7 +421,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--sweep", default=None, help="comma-separated target lengths")
     p.add_argument("--reduce", choices=["truncate", "average"], default="truncate")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_diagnose)
 
     p = sub("regress", "geodesic-vs-line regression comparison harness")
     p.add_argument("--input", required=True)
@@ -427,13 +430,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="kernel bandwidth; default 8x each pair's distance")
     p.add_argument("--lambdas", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_regress)
 
     p = sub("probe", "incorrect-label probe on a regression dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--trials", type=_count(1), default=1000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=cmd_probe)
 
     p = sub("bench", "time direct vs cached geodesic mixing")
     p.add_argument("--n", default="8,50,120,360", help="comma-separated dimensions")
@@ -441,47 +442,36 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--reps", type=_count(1), default=3)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_bench)
 
-    return parser, registry
-
-
-def _coerce(action: argparse.Action, text: str):
-    if action.type is not None:
-        try:
-            return action.type(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-            raise _UsageError(f"config key {action.dest}: {exc}")
-    return text
+    return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_flags(path: str) -> list[str]:
+    """Each ``key=value`` line of the config file as the flag ``--key=value``."""
+    flags = []
     for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise _UsageError(f"config line is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key and "config".startswith(key):
+            raise _UsageError(f"a config file cannot set --config: {line!r}")
+        flags.append(f"--{key}={value}")
+    return flags
 
 
 def main(argv=None) -> int:
-    parser, registry = _build_parser()
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:
-            overrides = _load_config(args.config)
-            sub = registry[args.command]
-            actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-            for key, text in overrides.items():
-                if key not in actions:
-                    raise _UsageError(f"unknown config key {key!r}")
-                sub.set_defaults(**{key: _coerce(actions[key], text)})
-            args = parser.parse_args(argv)
-        return args.func(args)
+            # ahead of the command line's flags, so that an explicit flag wins
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2

@@ -348,6 +348,11 @@ def _sym_gauss(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarr
     return scale * (g + g.T) / (2.0 * np.sqrt(n))
 
 
+def _check_noise(noise: float) -> None:
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be non-negative and finite, got {noise}")
+
+
 def gen_random_spd(n: int, condition_target: float, rng: np.random.Generator) -> SpdMatrix:
     """Random SPD matrix with condition number within a factor 2 of target.
 
@@ -357,8 +362,8 @@ def gen_random_spd(n: int, condition_target: float, rng: np.random.Generator) ->
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if condition_target < 1.0:
-        raise ValueError(f"condition target must be >= 1, got {condition_target}")
+    if not 1.0 <= condition_target < np.inf:
+        raise ValueError(f"condition target must be >= 1 and finite, got {condition_target}")
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     if condition_target == 1.0 or n == 1:
         w = np.ones(n)
@@ -388,8 +393,7 @@ def gen_synthetic_series(
     """
     if not 1 <= latent_rank <= n:
         raise ValueError(f"latent rank must lie in [1, {n}], got {latent_rank}")
-    if noise < 0.0:
-        raise ValueError(f"noise must be non-negative, got {noise}")
+    _check_noise(noise)
     mixing = rng.standard_normal((n, latent_rank))
     latent = rng.standard_normal((latent_rank, t))
     series = mixing @ latent
@@ -422,6 +426,7 @@ def gen_labeled_dataset(
     """
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
+    _check_noise(noise)
     if structure == "log-linear":
         if task != TASK_REGRESSION:
             raise ValueError("log-linear structure generates regression labels")
@@ -435,6 +440,8 @@ def gen_labeled_dataset(
             raise ValueError("clustered structure generates classification labels")
         if n_classes < 2:
             raise ValueError(f"need at least 2 classes, got {n_classes}")
+        if not np.isfinite(separation):
+            raise ValueError(f"separation must be finite, got {separation}")
         centers = []
         for c in range(n_classes):
             base = gen_random_spd(n, 10.0, rng)

@@ -227,6 +227,14 @@ def _square(a) -> np.ndarray:
     return arr
 
 
+def _matrix(a) -> np.ndarray:
+    """``a`` as one square matrix, for the functions that take no stack."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return the exactly symmetric part of ``a``, rejecting real asymmetry.
 
@@ -365,7 +373,7 @@ class SpdMatrix:
         """Validate ``a`` (symmetry, finiteness, strictly positive spectrum)."""
         if isinstance(a, SpdMatrix):
             return a
-        arr = symmetrize(a)
+        arr = symmetrize(_matrix(a))
         w = eigvals_sym(arr)
         _require_positive(w, "SpdMatrix")
         arr.setflags(write=False)
@@ -459,7 +467,8 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
 def matrix_power(s, p: float) -> SpdMatrix:
     """Real matrix power ``S^p = O diag(mu^p) O^T`` of an SPD matrix, or of
     the matrix an :class:`EigenDecomposition` ``s`` describes."""
-    dec = s if isinstance(s, EigenDecomposition) else eig_sym(s)
+    dec = s if isinstance(s, EigenDecomposition) else eig_sym(_matrix(s))
+    _matrix(dec.orthogonal)
     mu = dec.eigenvalues
     _require_positive(mu, "matrix_power")
     if p == 0.0:
@@ -483,7 +492,7 @@ def cholesky(s) -> np.ndarray:
     Raises :class:`CholeskyPivotError` naming the failing pivot index when the
     matrix is numerically semidefinite.
     """
-    arr = symmetrize(s)
+    arr = symmetrize(_matrix(s))
     try:
         return np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:
@@ -511,7 +520,7 @@ def log_det(s) -> float:
     Determinants are handled in log-space only; the raw determinant of a
     large matrix overflows float64 long before the log does.
     """
-    w = eigvals_sym(s.array if isinstance(s, SpdMatrix) else symmetrize(s))
+    w = eigvals_sym(s.array if isinstance(s, SpdMatrix) else symmetrize(_matrix(s)))
     _require_positive(w, "log_det")
     return float(np.sum(np.log(w)))
 

@@ -57,8 +57,8 @@ class KernelConfig:
     space: str = SPACE_RIEMANNIAN
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.ridge < 0.0:
             raise ValueError(f"ridge must be non-negative, got {self.ridge}")
         if self.space not in (SPACE_RIEMANNIAN, SPACE_EUCLIDEAN):
@@ -126,16 +126,9 @@ class KernelRidgePredictor:
     interpolates the training labels exactly (to 1e-8).
     """
 
-    def __init__(
-        self,
-        train_embeddings: np.ndarray,
-        weights: np.ndarray,
-        normalizer: float,
-        config: KernelConfig,
-    ):
+    def __init__(self, train_embeddings: np.ndarray, weights: np.ndarray, config: KernelConfig):
         self._train = train_embeddings
         self._weights = weights
-        self._norm = normalizer
         self.config = config
 
     def predict(self, s) -> float:
@@ -143,7 +136,7 @@ class KernelRidgePredictor:
         emb = matrix_log(mat) if self.config.space == SPACE_RIEMANNIAN else mat
         diffs = self._train - emb
         d2 = np.sum(diffs.reshape(len(self._train), -1) ** 2, axis=1)
-        k = self._norm * np.exp(-d2 / (2.0 * self.config.sigma**2))
+        k = _gaussian(d2, emb.shape[-1], self.config.sigma, self.config.space)[1]
         return float(self._weights @ k)
 
 
@@ -176,7 +169,7 @@ def fit_kernel_ridge(train: LabeledDataset, config: KernelConfig) -> KernelRidge
         except np.linalg.LinAlgError:
             continue
         weights = np.linalg.solve(low.T, np.linalg.solve(low, y))
-        return KernelRidgePredictor(emb, weights, norm, config)
+        return KernelRidgePredictor(emb, weights, config)
     raise ValueError(
         "Gram matrix is singular even after jitter; training samples are "
         "numerically coincident - refit with ridge > 0"

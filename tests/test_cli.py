@@ -797,6 +797,119 @@ class TestBench:
         assert "speedup" in err
 
 
+class TestGenInputRules:
+    @pytest.mark.parametrize("kind, flag, value, message", [
+        ("log-linear", "--noise", "-0.5", "noise must be non-negative and finite, got -0.5"),
+        ("log-linear", "--noise", "nan", "noise must be non-negative and finite, got nan"),
+        ("log-linear", "--noise", "inf", "noise must be non-negative and finite, got inf"),
+        ("clustered", "--noise", "-1", "noise must be non-negative and finite, got -1.0"),
+        ("series", "--noise", "nan", "noise must be non-negative and finite, got nan"),
+        ("series", "--noise", "inf", "noise must be non-negative and finite, got inf"),
+        ("spd", "--condition", "nan", "condition target must be >= 1 and finite, got nan"),
+        ("spd", "--condition", "inf", "condition target must be >= 1 and finite, got inf"),
+        ("clustered", "--separation", "inf", "separation must be finite, got inf"),
+        ("clustered", "--separation", "nan", "separation must be finite, got nan"),
+    ])
+    def test_bad_value_is_domain_error(self, capsys, tmp_path, kind, flag, value, message):
+        series = ["--t", "10"] if kind == "series" else []
+        code, stdout, err = run(
+            capsys, "gen", "--kind", kind, "--n", "3", "--count", "4", "--seed", "1",
+            flag, value, *series, "-o", str(tmp_path / "out"),
+        )
+        assert (code, stdout) == (3, "")
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_sigma_is_domain_error(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        code, stdout, err = run(capsys, "regress", "--input", str(src), "--trials", "2",
+                                "--sigma", "inf")
+        assert (code, stdout) == (3, "")
+        assert "sigma must be positive and finite, got inf" in err
+
+
+class TestConfigAsFlags:
+    """A config line ``key=value`` is read as the flag ``--key=value``."""
+
+    @staticmethod
+    def argv(capsys, tmp_path, command):
+        if command == "gen-series":
+            return ["gen", "--kind", "series", "--n", "3", "--t", "10", "--noise", "0.1",
+                    "-o", str(tmp_path / "g.csv")]
+        if command == "diagnose-series":
+            series = tmp_path / "s.csv"
+            run(capsys, "gen", "--kind", "series", "--n", "3", "--t", "10", "--noise", "0.1",
+                "-o", str(series))
+            return ["diagnose", "--input", str(series)]
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        if command == "diagnose-spdb":
+            return ["diagnose", "--input", str(src), "--t", "20"]
+        return ["mix", "--input", str(src), "--strategy", "rmixup", "--count", "2",
+                "-o", str(tmp_path / "m.spdb")]
+
+    @pytest.mark.parametrize("command, line", [
+        ("diagnose-series", "reduce=bogus"),
+        ("diagnose-spdb", "format=bogus"),
+        ("diagnose-series", "series-layout=bogus"),
+        ("gen-series", "series-layout=bogus"),
+        ("mix", "cache=bogus"),
+    ])
+    def test_bad_choice_is_usage_error(self, capsys, tmp_path, command, line):
+        argv = self.argv(capsys, tmp_path, command)
+        assert run(capsys, *argv)[0] == 0
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        code, stdout, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert f"argument --{line.split('=')[0]}: invalid choice" in err
+
+    def test_bad_typed_value_reads_as_its_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("count=0\n")
+        code, stdout, err = run(capsys, "gen", "--config", str(cfg), "--kind", "spd",
+                                "--n", "3", "-o", str(tmp_path / "x.spdb"))
+        assert (code, stdout) == (2, "")
+        assert "argument --count: must be at least 1, got 0" in err
+
+    def test_unknown_key_reads_as_its_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("frobnicate=1\n")
+        code, stdout, err = run(capsys, "gen", "--config", str(cfg), "--kind", "spd",
+                                "--n", "3", "-o", str(tmp_path / "x.spdb"))
+        assert (code, stdout) == (2, "")
+        assert "unrecognized arguments: --frobnicate=1" in err
+
+    def test_key_prefix_accepted_as_on_the_command_line(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("coun=4\n")
+        outputs = []
+        for name, extra in (("a", ["--config", str(cfg)]), ("b", ["--coun", "4"])):
+            target = tmp_path / f"{name}.spdb"
+            code, out, err = run(capsys, "gen", *extra, "--kind", "spd", "--n", "3",
+                                 "-o", str(target))
+            assert code == 0, err
+            assert json.loads(out)["count"] == 4
+            outputs.append(target.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("line", ["config=other", "conf=other"])
+    def test_config_cannot_name_another_config(self, capsys, tmp_path, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        code, stdout, err = run(capsys, "gen", "--config", str(cfg), "--kind", "spd",
+                                "--n", "3", "-o", str(tmp_path / "x.spdb"))
+        assert (code, stdout) == (2, "")
+        assert f"a config file cannot set --config: '{line}'" in err
+
+    def test_required_flag_not_supplied_by_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("kind=spd\n")
+        code, stdout, err = run(capsys, "gen", "--config", str(cfg), "--n", "3",
+                                "-o", str(tmp_path / "x.spdb"))
+        assert (code, stdout) == (2, "")
+        assert "the following arguments are required: --kind" in err
+
+
 class TestCarriageReturnIds:
     def test_mix_outputs_read_back(self, capsys, tmp_path):
         from spdmix.data_io import write_matrices

@@ -438,6 +438,43 @@ class TestGenSyntheticSeries:
             gen_synthetic_series(4, 10, 5, 0.1, np.random.default_rng(0))
 
 
+class TestGenInputRules:
+    """Each numeric input of the generators has one rule, and a non-finite
+    value breaks it."""
+
+    GENERATORS = {
+        "series": lambda rng, noise: gen_synthetic_series(4, 10, 2, noise, rng),
+        "log-linear": lambda rng, noise: gen_labeled_dataset(
+            3, 4, "regression", "log-linear", rng, noise=noise),
+        "clustered": lambda rng, noise: gen_labeled_dataset(
+            3, 4, "classification", "clustered", rng, noise=noise),
+    }
+
+    @pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    def test_noise(self, kind, noise):
+        with pytest.raises(ValueError, match=f"noise must be non-negative and finite, got {noise}"):
+            self.GENERATORS[kind](np.random.default_rng(0), noise)
+
+    @pytest.mark.parametrize("condition", [0.5, float("nan"), float("inf")])
+    def test_condition(self, condition):
+        with pytest.raises(ValueError, match=f"condition target must be >= 1 and finite, got {condition}"):
+            gen_random_spd(3, condition, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("separation", [float("inf"), float("-inf"), float("nan")])
+    def test_separation(self, separation):
+        with pytest.raises(ValueError, match=f"separation must be finite, got {separation}"):
+            gen_labeled_dataset(3, 4, "classification", "clustered", np.random.default_rng(0),
+                                separation=separation)
+
+    def test_edges_accepted(self):
+        rng = np.random.default_rng(0)
+        assert gen_random_spd(3, 1.0, rng).condition_number == pytest.approx(1.0)
+        for make in self.GENERATORS.values():
+            make(rng, 0.0)
+        gen_labeled_dataset(3, 4, "classification", "clustered", rng, separation=-2.0)
+
+
 class TestGenLabeledDataset:
     def test_log_linear_family_is_geodesically_exact(self):
         rng = np.random.default_rng(10)

@@ -536,6 +536,22 @@ class TestStacks:
             with pytest.raises(ValueError, match=r"stack \(k, n, n\).*\(2, 3, 4, 4\)"):
                 fn(stack)
 
+    def test_one_matrix_functions_reject_a_stack(self):
+        stack = np.stack([2.0 * np.eye(3), 3.0 * np.eye(3)])
+        semidefinite = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])])
+        cases = (
+            (log_det, stack),
+            (lambda a: matrix_power(a, 0.0), stack),
+            (lambda a: matrix_power(a, 0.5), stack),
+            (lambda a: matrix_power(eig_sym(a), 0.5), stack),
+            (SpdMatrix.from_array, stack),
+            (cholesky, stack),
+            (cholesky, semidefinite),
+        )
+        for fn, arg in cases:
+            with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3, 3\)"):
+                fn(arg)
+
     def test_counts_one_per_matrix(self):
         stack = self.spd_stack(10, 7, 3)
         with count_eig_calls() as c:

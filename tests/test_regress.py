@@ -107,6 +107,11 @@ class TestKernelInputs:
             kernel(np.eye(2), np.eye(2), sigma)
 
 
+def test_infinite_bandwidth_rejected():
+    with pytest.raises(ValueError, match="sigma must be positive and finite, got inf"):
+        KernelConfig(sigma=float("inf"))
+
+
 class TestKernelRidge:
     def test_single_sample_closed_form(self):
         ds = regression_dataset(seed=5, count=1)
@@ -200,6 +205,23 @@ class TestKernelRidge:
             KernelConfig(sigma=1.0, ridge=-1.0)
         with pytest.raises(ValueError):
             KernelConfig(sigma=1.0, space="hyperbolic")
+
+    @pytest.mark.parametrize("space", ["riemannian", "euclidean"])
+    def test_predict_evaluates_the_one_gaussian_body(self, monkeypatch, space):
+        ds = regression_dataset(seed=4, count=6)
+        config = KernelConfig(sigma=0.7, space=space)
+        predictor = fit_kernel_ridge(ds, config)
+        probe = spd_set(40, 1)[0]
+        emb = matrix_log(probe) if space == "riemannian" else probe
+        d2 = np.sum((predictor._train - emb).reshape(len(ds), -1) ** 2, axis=1)
+        power = 4 * 3 / 4.0 if space == "riemannian" else 4 / 2.0
+        norm = (2.0 * np.pi * 0.7**2) ** -power
+        expected = float(predictor._weights @ (norm * np.exp(-d2 / (2.0 * 0.7**2))))
+        calls = []
+        body = regress._gaussian
+        monkeypatch.setattr(regress, "_gaussian", lambda *a: calls.append(a) or body(*a))
+        assert predictor.predict(probe) == expected
+        assert len(calls) == 1
 
 
 def _median_sigma(mats):

@@ -29,6 +29,7 @@ HOMES = {
     r"keep_prob must lie in": "augment._check_keep_prob",
     r"bandwidth must be positive": "augment._check_bandwidth",
     r"seed must be an unsigned 64-bit integer": "augment._check_seed",
+    r"noise must be": "data_io._check_noise",
 }
 
 
@@ -146,3 +147,16 @@ def test_writer_guard_sees_a_second_copy():
     )
     assert writers(copy, "extra", text="of the stack") == {"extra._log"}
     assert writers(copy, "extra", calls="MixedSample") == {"extra.v_mixup", "extra.Cache.mix"}
+
+
+def test_config_values_take_the_flags_path():
+    """A config value is parsed as its flag is: no module rewrites a parser's
+    defaults or reads argparse's private action list."""
+    assert all_writers(calls="set_defaults") == set()
+    readers = {
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_actions"
+    }
+    assert readers == set()
