@@ -863,21 +863,19 @@ class TestConfigAsFlags:
         assert (code, stdout) == (2, "")
         assert f"argument --{line.split('=')[0]}: invalid choice" in err
 
-    def test_bad_typed_value_reads_as_its_flag(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        ("count=0", "argument --count: must be at least 1, got 0"),
+        ("frobnicate=1", "unrecognized arguments: --frobnicate=1"),
+        ("config=other", "a config file cannot set --config: 'config=other'"),
+        ("conf=other", "a config file cannot set --config: 'conf=other'"),
+    ])
+    def test_bad_line_is_usage_error(self, capsys, tmp_path, line, message):
         cfg = tmp_path / "cfg"
-        cfg.write_text("count=0\n")
+        cfg.write_text(line + "\n")
         code, stdout, err = run(capsys, "gen", "--config", str(cfg), "--kind", "spd",
                                 "--n", "3", "-o", str(tmp_path / "x.spdb"))
         assert (code, stdout) == (2, "")
-        assert "argument --count: must be at least 1, got 0" in err
-
-    def test_unknown_key_reads_as_its_flag(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("frobnicate=1\n")
-        code, stdout, err = run(capsys, "gen", "--config", str(cfg), "--kind", "spd",
-                                "--n", "3", "-o", str(tmp_path / "x.spdb"))
-        assert (code, stdout) == (2, "")
-        assert "unrecognized arguments: --frobnicate=1" in err
+        assert message in err
 
     def test_key_prefix_accepted_as_on_the_command_line(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
@@ -891,15 +889,6 @@ class TestConfigAsFlags:
             assert json.loads(out)["count"] == 4
             outputs.append(target.read_bytes())
         assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("line", ["config=other", "conf=other"])
-    def test_config_cannot_name_another_config(self, capsys, tmp_path, line):
-        cfg = tmp_path / "cfg"
-        cfg.write_text(line + "\n")
-        code, stdout, err = run(capsys, "gen", "--config", str(cfg), "--kind", "spd",
-                                "--n", "3", "-o", str(tmp_path / "x.spdb"))
-        assert (code, stdout) == (2, "")
-        assert f"a config file cannot set --config: '{line}'" in err
 
     def test_required_flag_not_supplied_by_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
