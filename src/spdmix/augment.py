@@ -7,8 +7,8 @@ baselines: linear interpolation, per-edge discrete swapping, node/edge
 dropping, per-edge generator sampling, and label-distance pairing.
 
 Every strategy takes an explicit ``numpy.random.Generator``;
-:func:`mix_dataset` derives one stream per output index from
-``(seed, index)`` so output ``k`` does not depend on the batch size or on
+:func:`mix_dataset` draws output ``k`` from the stream that
+``default_rng([seed, k])`` starts, so it does not depend on the batch size or on
 the order in which outputs are produced, and writes every output into one
 stack. Each baseline has one implementation, a private row kernel that
 writes one output in place into a row of that stack; the public per-sample
@@ -593,6 +593,69 @@ def c_mixup_pair(
     return _Partners(dataset, bandwidth).draw(anchor_index, rng)
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 columns; its constant advances by
+    ``mult`` on every call, whatever the values."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _seed_words(seed: int, ks) -> np.ndarray:
+    """``SeedSequence([seed, k]).generate_state(4, np.uint64)`` for each ``k``
+    in ``ks``, one row per ``k``.
+
+    SeedSequence (NEP 19) hashes the words of ``seed`` and then of ``k``
+    into a pool of four 32-bit words, here one uint32 column per pool word.
+    Both are below 2**64, so the words fit the pool, and writing ``k`` as
+    ``[k mod 2**32, k >> 32]`` is exact because the pool pads with zeros.
+    """
+    ks = np.asarray(ks, dtype=np.uint64)
+    words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    words += [ks & _MASK32, ks >> 32, 0][: 4 - len(words)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(np.broadcast_to(word, ks.shape).astype(np.uint32)) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+    halves = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return np.stack([halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
+
+
+def _streams(seed: int, ks) -> Iterator[np.random.Generator]:
+    """For each ``k`` in ``ks``, a generator in the state that
+    ``np.random.default_rng([seed, k])`` starts in.
+
+    One generator is reused: each item resets its state, so the generator
+    yielded for ``k`` is valid until the next item is taken. PCG64 is seeded
+    from :func:`_seed_words` as numpy seeds it, in 128-bit ints. Rows become
+    Python ints a block at a time: as ints a row takes about 180 bytes, not 32.
+    """
+    words = _seed_words(seed, ks)
+    rng = np.random.Generator(np.random.PCG64())
+    for start in range(0, len(words), 4096):
+        for s1_high, s1_low, s2_high, s2_low in words[start:start + 4096].tolist():
+            inc = ((s2_high << 64 | s2_low) << 1 | 1) & _MASK128
+            state = ((inc + (s1_high << 64 | s1_low)) * _PCG64_MULT + inc) & _MASK128
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                       "uinteger": 0, "state": {"state": state, "inc": inc}}
+            yield rng
+
+
 def _partner_uniform(anchor: int, size: int, rng: np.random.Generator) -> int:
     j = int(rng.integers(size - 1))
     return j + 1 if j >= anchor else j
@@ -654,13 +717,15 @@ def mix_dataset(
 ) -> tuple[LabeledDataset, MixProvenance]:
     """Mix ``count`` samples under one configuration into a new dataset.
 
-    Output ``k`` is computed from the stream seeded by ``(config.seed, k)``,
-    so it is a pure function of (dataset, config, k): a longer batch extends
-    a shorter one. Pair selection is anchor-then-partner, uniform without
-    replacement, except the label-distance strategy. A baseline's row kernel
-    writes output ``k`` in place into row ``k`` of one matrix stack allocated
-    up front; labels are mixed for all outputs at once after the draws, hard
-    class ids as one-hot rows. rmixup draws every pair and ratio first, then
+    Output ``k`` is drawn from exactly the stream that
+    ``np.random.default_rng([config.seed, k])`` starts, whose state is
+    computed in bulk for all outputs, so it is a pure function of (dataset,
+    config, k): a longer batch extends a shorter one. Pair selection is
+    anchor-then-partner, uniform without replacement, except the
+    label-distance strategy. A baseline's row kernel writes output ``k`` in
+    place into row ``k`` of one matrix stack allocated up front; labels are
+    mixed for all outputs at once after the draws, hard class ids as one-hot
+    rows. rmixup draws every pair and ratio first, then
     mixes through an :class:`EigenCache`: each drawn source is decomposed
     once and each mix once more, in stacked chunks. Output ids are
     ``m000000, ...``; the output holds correlation matrices only when gmixup
@@ -685,8 +750,7 @@ def mix_dataset(
     partners = np.empty(count, dtype=np.intp)
     lams = np.empty(count)
     summaries: list[str] = []
-    for k in range(count):
-        rng = np.random.default_rng([int(config.seed), k])
+    for k, rng in enumerate(_streams(int(config.seed), np.arange(count))):
         anchor = anchors[k] = int(rng.integers(size))
         out, mat_a = matrices[k], sources[anchor]
         if strategy == "dropnode":

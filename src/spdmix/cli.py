@@ -48,13 +48,23 @@ class _UsageError(Exception):
     """Bad flag combination detected after argparse."""
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    try:
-        augment._check_seed(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
+def _checked(check):
+    """argparse type: an integer that ``check`` accepts; the ``ValueError``
+    it raises otherwise becomes the usage error."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+
+    return integer
+
+
+_seed = _checked(augment._check_seed)
+_series_length = _checked(spdness._check_series_length)
 
 
 def _count(minimum: int):
@@ -194,6 +204,11 @@ def _infer_format(path: str, explicit: str) -> str:
 
 def cmd_diagnose(args) -> int:
     sweep = _parse_list(args.sweep, "--sweep", int) if args.sweep else None
+    try:
+        for tt in sweep or ():
+            spdness._check_series_length(tt)
+    except ValueError as exc:
+        raise _UsageError(f"--sweep: {exc}") from exc
     header = ["id", "n", "t", "positive_count", "spdness_pct", "is_spd"]
     rows: list[list] = []
     per_t: dict[int, list[float]] = {}
@@ -216,15 +231,15 @@ def cmd_diagnose(args) -> int:
             for sample_id, mat in zip(dataset.ids, dataset.matrices):
                 add(sample_id, spdness.spdness_report(mat, dataset.dim, args.t))
         else:
+            if args.t is not None:
+                raise _UsageError("--t applies to matrix (SPDB) input only")
             series = read_series_csv(path, layout=args.series_layout)
             n, t = series.shape
             name = Path(path).stem
             lengths = sweep if sweep is not None else [t]
             for tt in lengths:
-                if tt < 2 or tt > t:
-                    raise _UsageError(
-                        f"sweep length {tt} is invalid for a series of length {t}"
-                    )
+                if tt > t:
+                    raise _UsageError(f"sweep length {tt} exceeds the series length {t}")
                 if args.reduce == "average" and t % tt != 0:
                     raise _UsageError(
                         f"sweep length {tt} does not divide the series length {t}"
@@ -387,10 +402,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub("gen", "generate synthetic datasets or series")
     p.add_argument("--kind", required=True, choices=["log-linear", "clustered", "spd", "series"])
-    p.add_argument("--n", type=int, required=True, help="matrix dimension / variable count")
+    p.add_argument("--n", type=_count(1), required=True,
+                   help="matrix dimension / variable count")
     p.add_argument("--count", type=_count(1), default=1, help="samples (or series files)")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--t", type=int, default=None, help="series length (kind=series)")
+    p.add_argument("--t", type=_series_length, default=None, help="series length (kind=series)")
     p.add_argument("--latent-rank", type=int, default=None, help="latent signals (kind=series)")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--condition", type=float, default=100.0, help="condition target (kind=spd)")
@@ -417,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["auto", "spdb", "series"], default="auto")
     p.add_argument("--series-layout", default="vars-as-rows",
                    choices=["vars-as-rows", "vars-as-cols"])
-    p.add_argument("--t", type=int, default=None, help="series length behind SPDB input")
+    p.add_argument("--t", type=_series_length, default=None,
+                   help="series length behind SPDB input")
     p.add_argument("--sweep", default=None, help="comma-separated target lengths")
     p.add_argument("--reduce", choices=["truncate", "average"], default="truncate")
     p.add_argument("-o", "--output", default=None)

@@ -56,6 +56,12 @@ def _as_series(x: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_series_length(t: int) -> None:
+    # a centered covariance of one time step is zero
+    if t < 2:
+        raise ValueError(f"series length must be at least 2, got t={t}")
+
+
 def covariance(x: np.ndarray) -> np.ndarray:
     """Covariance matrix ``(1/t) sum_k (x_k - mean)(x_k - mean)^T``.
 
@@ -65,8 +71,7 @@ def covariance(x: np.ndarray) -> np.ndarray:
     """
     arr = _as_series(x)
     n, t = arr.shape
-    if t < 2:
-        raise ValueError(f"covariance needs at least 2 time steps, got {t}")
+    _check_series_length(t)
     centered = arr - arr.mean(axis=1, keepdims=True)
     variances = np.einsum("ik,ik->i", centered, centered) / t
     dead = np.flatnonzero(variances <= 0.0)
@@ -120,8 +125,7 @@ def spdness_report(s: np.ndarray, n: int, t: int) -> SpdnessReport:
     arr = symmetrize(s)
     if arr.shape[0] != n:
         raise ValueError(f"matrix dimension {arr.shape[0]} does not match n={n}")
-    if t < 2:
-        raise ValueError(f"series length must be at least 2, got t={t}")
+    _check_series_length(t)
     scale = np.trace(arr) / n
     if scale <= 0.0:
         raise ValueError(f"matrix has non-positive trace {scale * n:.6e}")

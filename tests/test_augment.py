@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spdmix import linalg
@@ -23,7 +23,7 @@ from spdmix.augment import (
     sample_beta,
     v_mixup,
 )
-from spdmix.augment import _weighted_choice
+from spdmix.augment import _streams, _weighted_choice
 from spdmix.data_io import LabeledDataset, gen_labeled_dataset, gen_random_spd
 from spdmix.linalg import (
     EigenvalueOverflowError,
@@ -587,6 +587,56 @@ def assert_rows_match_r_mixup(ds, out, prov, rows=None):
         )
         assert np.array_equal(out.matrices[k], direct.matrix)
         assert out.labels[k] == direct.label
+
+
+# the ends of the one- and two-word ranges of a SeedSequence entropy value
+_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestStreams:
+    """``_streams(seed, ks)`` yields, for each k, a generator in the state
+    ``default_rng([seed, k])`` starts in."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        ks=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+    )
+    @example(seed=0, ks=_EDGES)
+    @example(seed=2**32 - 1, ks=_EDGES)
+    @example(seed=2**32, ks=_EDGES)
+    @example(seed=2**64 - 1, ks=_EDGES)
+    def test_stream_k_is_default_rng_of_seed_and_k(self, seed, ks):
+        taken = 0
+        for k, rng in zip(ks, _streams(seed, ks)):
+            ref = np.random.default_rng([seed, k])
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.integers(256) == ref.integers(256)
+            assert rng.beta(1, 1) == ref.beta(1, 1)
+            assert np.array_equal(rng.random(5), ref.random(5))
+            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+            # an odd number of 32-bit draws leaves half a word cached
+            rng.random(3, dtype=np.float32)
+            taken += 1
+        assert taken == len(ks)
+
+    def test_long_runs_cross_blocks(self):
+        ks = np.arange(10_000)
+        states = [rng.bit_generator.state for rng in _streams(9, ks)]
+        assert len(states) == len(ks)
+        for k in (0, 4095, 4096, 8192, 9999):
+            assert states[k] == np.random.default_rng([9, k]).bit_generator.state
+
+    def test_draws_on_one_stream_leave_the_next_unchanged(self):
+        streams = _streams(5, [0, 1])
+        rng = next(streams)
+        rng.integers(256, size=4)
+        rng.random(3, dtype=np.float32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        rng = next(streams)
+        ref = np.random.default_rng([5, 1])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
 
 
 class TestMixDataset:

@@ -347,6 +347,35 @@ class TestMixOracle:
         assert mix_files(out) == mix_files(expected)
         assert counter.count == (len(drawn) + count if strategy == "rmixup" else 0)
 
+    # two-word seeds: the oracle's default_rng([seed, k]) hashes three or
+    # four entropy words
+    @pytest.mark.parametrize("seed", [2**32 + 13, 2**64 - 1])
+    @pytest.mark.parametrize("strategy", augment.STRATEGIES)
+    def test_matches_per_sample_oracle_at_two_word_seeds(
+        self, capsys, tmp_path, mix_inputs, strategy, seed
+    ):
+        src = mix_inputs["regression"]
+        out = tmp_path / "mix.spdb"
+        code, _, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", strategy,
+            "--count", "23", "--seed", str(seed), "-o", str(out),
+        )
+        assert code == 0, err
+        expected = tmp_path / "oracle.spdb"
+        oracle_mix(read_matrices(src), strategy, 23, seed, expected)
+        assert mix_files(out) == mix_files(expected)
+
+    def test_mix_builds_no_generator_per_output(self, monkeypatch, mix_inputs):
+        dataset = read_matrices(mix_inputs["regression"])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mix_dataset called np.random.default_rng")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for strategy in augment.STRATEGIES:
+            out, _ = augment.mix_dataset(dataset, augment.MixConfig(strategy, seed=13), 5)
+            assert len(out) == 5
+
 
 class TestMixMemory:
     @pytest.mark.parametrize("strategy", augment.STRATEGIES)
@@ -820,12 +849,72 @@ class TestGenInputRules:
         assert message in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("kind", ["log-linear", "clustered", "spd", "series"])
+    def test_dimension_below_one_is_usage_error(self, capsys, tmp_path, kind, n):
+        series = ["--t", "10"] if kind == "series" else []
+        code, stdout, err = run(
+            capsys, "gen", "--kind", kind, "--n", n, "--count", "4", *series,
+            "-o", str(tmp_path / "out"),
+        )
+        assert (code, stdout) == (2, "")
+        assert f"argument --n: must be at least 1, got {n}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_infinite_sigma_is_domain_error(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
         code, stdout, err = run(capsys, "regress", "--input", str(src), "--trials", "2",
                                 "--sigma", "inf")
         assert (code, stdout) == (3, "")
         assert "sigma must be positive and finite, got inf" in err
+
+
+class TestSeriesLength:
+    """A series needs at least two time steps, wherever its length is given."""
+
+    @pytest.mark.parametrize("t", ["1", "0", "-1"])
+    def test_gen_series_rejects_short_length(self, capsys, tmp_path, t):
+        code, stdout, err = run(
+            capsys, "gen", "--kind", "series", "--n", "3", "--t", t,
+            "-o", str(tmp_path / "s.csv"),
+        )
+        assert (code, stdout) == (2, "")
+        assert f"argument --t: series length must be at least 2, got t={t}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_diagnose_spdb_rejects_short_length(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        code, stdout, err = run(capsys, "diagnose", "--input", str(src), "--t", "1")
+        assert (code, stdout) == (2, "")
+        assert "argument --t: series length must be at least 2, got t=1" in err
+
+    @pytest.mark.parametrize("t, message", [
+        ("10", "--t applies to matrix (SPDB) input only"),
+        ("0", "argument --t: series length must be at least 2, got t=0"),
+        ("-1", "argument --t: series length must be at least 2, got t=-1"),
+    ], ids=["unused", "zero", "negative"])
+    def test_diagnose_series_input_rejects_t(self, capsys, tmp_path, t, message):
+        series = tmp_path / "s.csv"
+        run(capsys, "gen", "--kind", "series", "--n", "3", "--t", "10", "--noise", "0.1",
+            "-o", str(series))
+        code, stdout, err = run(capsys, "diagnose", "--input", str(series), "--t", t)
+        assert (code, stdout) == (2, "")
+        assert message in err
+
+    def test_diagnose_sweep_rejects_short_length(self, capsys, tmp_path):
+        series = tmp_path / "s.csv"
+        run(capsys, "gen", "--kind", "series", "--n", "3", "--t", "10", "--noise", "0.1",
+            "-o", str(series))
+        code, stdout, err = run(capsys, "diagnose", "--input", str(series), "--sweep", "1,5")
+        assert (code, stdout) == (2, "")
+        assert "--sweep: series length must be at least 2, got t=1" in err
+
+    def test_diagnose_one_step_series_is_domain_error(self, capsys, tmp_path):
+        series = tmp_path / "one.csv"
+        series.write_text("1.0\n2.0\n3.0\n")
+        code, stdout, err = run(capsys, "diagnose", "--input", str(series))
+        assert (code, stdout) == (3, "")
+        assert "series length must be at least 2, got t=1" in err
 
 
 class TestConfigAsFlags:
