@@ -92,9 +92,18 @@ def _check_keep_prob(keep_prob: float) -> None:
         raise ValueError(f"keep_prob must lie in (0, 1), got {keep_prob}")
 
 
+# The widest Gaussian kernel whose 2 * width**2 is a finite float64.
+_WIDEST_KERNEL = float(np.sqrt(np.finfo(np.float64).max / 2.0))
+
+
 def _check_bandwidth(bandwidth: float) -> None:
     if not bandwidth > 0.0:
         raise ValueError(f"cmixup bandwidth must be positive, got {bandwidth}")
+    if bandwidth > _WIDEST_KERNEL:
+        raise ValueError(
+            f"cmixup bandwidth {bandwidth} is too wide: 2 * bandwidth**2 overflows "
+            f"float64 above {_WIDEST_KERNEL:.4g}"
+        )
 
 
 def _check_seed(seed: int) -> None:

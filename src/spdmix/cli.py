@@ -109,16 +109,42 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
 # ----------------------------------------------------------------------
 # gen
 
+# The gen flags that only some kinds read: those kinds, and the default.
+_GEN_KIND_FLAGS = {
+    "t": (("series",), None),
+    "latent_rank": (("series",), None),
+    "noise": (("log-linear", "clustered", "series"), 0.0),
+    "condition": (("spd",), 100.0),
+    "classes": (("clustered",), 2),
+    "separation": (("clustered",), 3.0),
+    "series_layout": (("series",), "vars-as-rows"),
+}
+
+
+def _gen_kind_flags(args) -> None:
+    """Reject a flag the chosen kind does not read; default those it does."""
+    for name, (kinds, default) in _GEN_KIND_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.kind not in kinds:
+            flag = "--" + name.replace("_", "-")
+            raise _UsageError(f"{flag} applies to --kind {' or '.join(kinds)} only")
+
 
 def cmd_gen(args) -> int:
+    _gen_kind_flags(args)
     rng = np.random.default_rng(args.seed)
     if args.kind == "series":
         if args.t is None:
             raise _UsageError("--t is required for --kind series")
         latent = args.latent_rank if args.latent_rank is not None else args.n
+        # every series is drawn before any is written: a failing draw writes nothing
+        all_series = [
+            gen_synthetic_series(args.n, args.t, latent, args.noise, rng)
+            for _ in range(args.count)
+        ]
         files = []
-        for k in range(args.count):
-            series = gen_synthetic_series(args.n, args.t, latent, args.noise, rng)
+        for k, series in enumerate(all_series):
             if args.count == 1:
                 target = Path(args.output)
             else:
@@ -291,7 +317,7 @@ def cmd_regress(args) -> int:
             )
     _emit_csv(header, rows, args.output)
     if violations:
-        print(f"{violations} loss violations detected", file=sys.stderr)
+        print(f"error: {violations} loss violations detected", file=sys.stderr)
         return 4
     return 0
 
@@ -407,13 +433,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_count(1), default=1, help="samples (or series files)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--t", type=_series_length, default=None, help="series length (kind=series)")
-    p.add_argument("--latent-rank", type=int, default=None, help="latent signals (kind=series)")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--condition", type=float, default=100.0, help="condition target (kind=spd)")
-    p.add_argument("--classes", type=int, default=2, help="class count (kind=clustered)")
-    p.add_argument("--separation", type=float, default=3.0, help="class gap (kind=clustered)")
-    p.add_argument("--series-layout", default="vars-as-rows",
-                   choices=["vars-as-rows", "vars-as-cols"])
+    p.add_argument("--latent-rank", type=int, default=None,
+                   help="latent signals (kind=series; default --n)")
+    p.add_argument("--noise", type=float, default=None,
+                   help="noise scale (kind=log-linear, clustered or series; default 0)")
+    p.add_argument("--condition", type=float, default=None,
+                   help="condition target (kind=spd; default 100)")
+    p.add_argument("--classes", type=int, default=None,
+                   help="class count (kind=clustered; default 2)")
+    p.add_argument("--separation", type=float, default=None,
+                   help="class gap (kind=clustered; default 3)")
+    p.add_argument("--series-layout", default=None, choices=["vars-as-rows", "vars-as-cols"],
+                   help="kind=series; default vars-as-rows")
     p.add_argument("-o", "--output", required=True)
 
     p = sub("mix", "augment a dataset with one strategy")

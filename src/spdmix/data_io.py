@@ -398,7 +398,10 @@ def gen_synthetic_series(
     latent = rng.standard_normal((latent_rank, t))
     series = mixing @ latent
     if noise > 0.0:
-        series = series + noise * rng.standard_normal((n, t))
+        with np.errstate(over="ignore"):  # rejected below
+            series = series + noise * rng.standard_normal((n, t))
+    if not np.isfinite(series).all():
+        raise ValueError(f"the series leaves float64's range at noise {noise}")
     return series
 
 
@@ -423,6 +426,9 @@ def gen_labeled_dataset(
     ``structure="clustered"`` (classification): per-class centers built from
     random SPD matrices pushed ``separation`` apart in log-space, with
     ``noise``-scaled log-space jitter per sample.
+
+    A ``noise`` or ``separation`` that takes a sample beyond float64's range
+    raises ``ValueError`` naming the parameters that set the spread.
     """
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
@@ -445,14 +451,22 @@ def gen_labeled_dataset(
         centers = []
         for c in range(n_classes):
             base = gen_random_spd(n, 10.0, rng)
-            centers.append(matrix_log(base) + c * separation * np.eye(n))
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+                centers.append(matrix_log(base) + c * separation * np.eye(n))
         labels = np.arange(count) % n_classes
         logs = np.stack(centers)[labels]
     else:
         raise ValueError(f"unknown structure {structure!r}")
-    for part in _chunks(count, n):  # a chunk's exponentials overwrite its logs
-        if noise > 0.0:
-            g = rng.standard_normal(logs[part].shape)
-            logs[part] += noise * (g + g.swapaxes(1, 2)) / (2.0 * np.sqrt(n))
-        logs[part] = matrix_exp(logs[part])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp rejects overflow
+            for part in _chunks(count, n):  # a chunk's exponentials overwrite its logs
+                if noise > 0.0:
+                    g = rng.standard_normal(logs[part].shape)
+                    logs[part] += noise * (g + g.swapaxes(1, 2)) / (2.0 * np.sqrt(n))
+                logs[part] = matrix_exp(logs[part])
+    except ValueError as exc:
+        spread = f"noise {noise}" + (
+            f" and separation {separation}" if structure == "clustered" else ""
+        )
+        raise ValueError(f"a sample leaves float64's range at {spread}: {exc}") from exc
     return LabeledDataset(matrices=logs, labels=labels, task=task)

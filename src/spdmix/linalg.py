@@ -14,15 +14,15 @@ and :func:`matrix_exp` accept stacks too and check every matrix of a stack on
 its own. A stacked call gives each matrix the same bits as a call on that
 matrix alone, so batched and one-at-a-time callers agree exactly.
 
-Solves and recomposes run with numpy's bundled OpenBLAS pinned to one
-thread, and a stack of two or more matrices is split into contiguous parts
-that a pool of one thread per core takes while the caller waits.
-Parallelism is across matrices, never inside one, so a matrix gets
-the same bits under any worker count and any ``OPENBLAS_NUM_THREADS``. The
-pin is process-wide, so it is held only for the duration of one solve or
-recompose, under a lock that serialises them. Where the OpenBLAS
-``scipy_openblas_{set,get}_num_threads64_`` pair cannot be found, every call
-is one numpy call on numpy's own threads.
+Each matrix function is one stacked kernel: per part of a stack, one pool
+task solves, applies the function to the spectrum and recomposes. Solves and
+recomposes run with numpy's bundled OpenBLAS pinned to one thread; a stack of
+two or more matrices is split into contiguous parts that a pool of one thread
+per core takes while the caller waits. Parallelism is across matrices, never
+inside one, so a matrix gets the same bits under any worker count and any
+``OPENBLAS_NUM_THREADS``. The pin is process-wide, so it is held only while
+one pinned call runs, under a lock that serialises them. Without the OpenBLAS
+``scipy_openblas_{set,get}_num_threads64_`` pair, each call is plain numpy.
 
 All inputs and outputs are double-precision dense arrays. Functions are pure
 and safe to call from any thread; :class:`SpdMatrix` instances are immutable.
@@ -74,7 +74,7 @@ _CHUNK_BYTES = 4 << 20
 
 
 def _chunks(total: int, n: int) -> Iterator[slice]:
-    step = max(1, _CHUNK_BYTES // (8 * n * n))
+    step = max(1, _CHUNK_BYTES // max(1, 8 * n * n))
     for start in range(0, total, step):
         yield slice(start, min(start + step, total))
 
@@ -212,26 +212,21 @@ def fro_norm(a: np.ndarray) -> float | np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", arr, arr))
 
 
-def _first(bad: np.ndarray) -> int | None:
-    """Stack position of the first matrix flagged in ``bad``; ``None`` when
-    ``bad`` describes a single matrix."""
-    return None if bad.ndim == 0 else int(np.argmax(bad))
+def _reject(bad: np.ndarray, error: type, message) -> None:
+    """Raise ``error`` for the first matrix flagged in ``bad``, one flag or one
+    per matrix of a stack; ``message(at)`` words it, with ``at`` indexing that
+    matrix's entry of a per-matrix array, and the error names its position."""
+    if bad.any():
+        k = None if bad.ndim == 0 else int(np.argmax(bad))
+        raise error(message(() if k is None else k), index=k)
 
 
-def _square(a) -> np.ndarray:
+def _square(a, stack: bool = True) -> np.ndarray:
+    """``a`` as one square matrix or, if ``stack``, a stack ``(k, n, n)``."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(
-            f"expected a square matrix or a stack (k, n, n) of them, got shape {arr.shape}"
-        )
-    return arr
-
-
-def _matrix(a) -> np.ndarray:
-    """``a`` as one square matrix, for the functions that take no stack."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim not in (2, 3 if stack else 2) or arr.shape[-1] != arr.shape[-2]:
+        of = " or a stack (k, n, n) of them" if stack else ""
+        raise ValueError(f"expected a square matrix{of}, got shape {arr.shape}")
     return arr
 
 
@@ -245,21 +240,16 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     own norm.
     """
     arr = _square(a)
-    if not np.isfinite(arr).all():
-        k = _first(~np.isfinite(arr).all(axis=(-2, -1)))
-        raise _StackError("matrix contains non-finite entries", index=k)
+    finite = np.isfinite(arr).all(axis=(-2, -1))
+    _reject(~finite, _StackError, lambda at: "matrix contains non-finite entries")
     arr_t = arr.swapaxes(-1, -2)
     norm = fro_norm(arr)
     drift = fro_norm(arr - arr_t)
     bad = drift > SYMMETRY_RTOL * np.maximum(norm, np.finfo(np.float64).tiny)
-    if bad.any():
-        k = _first(bad)
-        at = () if k is None else k
-        raise _StackError(
-            f"matrix is not symmetric: asymmetry {drift[at]:.3e} "
-            f"exceeds {SYMMETRY_RTOL:.1e} * ||A||_F = {SYMMETRY_RTOL * norm[at]:.3e}",
-            index=k,
-        )
+    _reject(bad, _StackError, lambda at: (
+        f"matrix is not symmetric: asymmetry {drift[at]:.3e} "
+        f"exceeds {SYMMETRY_RTOL:.1e} * ||A||_F = {SYMMETRY_RTOL * norm[at]:.3e}"
+    ))
     return (arr + arr_t) / 2.0
 
 
@@ -277,9 +267,9 @@ class EigenDecomposition(NamedTuple):
         return _pinned(_recompose, o, np.broadcast_to(w, o.shape[:-1]))
 
 
-def _recompose(o: np.ndarray, w: np.ndarray) -> np.ndarray:
-    out = (o * w[..., None, :]) @ o.swapaxes(-1, -2)
-    return (out + out.swapaxes(-1, -2)) / 2.0
+def _recompose(o: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    prod = (o * w[..., None, :]) @ o.swapaxes(-1, -2)
+    return np.divide(prod + prod.swapaxes(-1, -2), 2.0, out=out)
 
 
 @dataclass
@@ -307,14 +297,15 @@ def count_eig_calls() -> Iterator[EigCallCounter]:
         _COUNTERS.reset(token)
 
 
-def _solve(solver, sym: np.ndarray, *, values_only: bool):
-    """Run a numpy eigensolver on a matrix or stack, counting one per matrix."""
+def _solve(task, sym: np.ndarray, *stacks, values_only: bool = False):
+    """``task(sym, *stacks)``, pinned, on a symmetric matrix or stack,
+    counting one solve per matrix; the task solves with a numpy eigensolver."""
     matrices = len(sym) if sym.ndim == 3 else 1
     for counter in _COUNTERS.get():
         counter.count += matrices
         counter.values_only += matrices if values_only else 0
     try:
-        return _pinned(solver, sym)
+        return _pinned(task, sym, *stacks)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(
             f"symmetric eigensolver failed to converge on input of shape "
@@ -338,7 +329,7 @@ def eig_sym(a: np.ndarray) -> EigenDecomposition:
         If the underlying solver does not converge; the message carries the
         matrix dimension and Frobenius norm for diagnosis.
     """
-    w, v = _solve(np.linalg.eigh, symmetrize(a), values_only=False)
+    w, v = _solve(np.linalg.eigh, symmetrize(a))
     return EigenDecomposition(orthogonal=v, eigenvalues=w)
 
 
@@ -373,7 +364,7 @@ class SpdMatrix:
         """Validate ``a`` (symmetry, finiteness, strictly positive spectrum)."""
         if isinstance(a, SpdMatrix):
             return a
-        arr = symmetrize(_matrix(a))
+        arr = symmetrize(_square(a, stack=False))
         w = eigvals_sym(arr)
         _require_positive(w, "SpdMatrix")
         arr.setflags(write=False)
@@ -396,43 +387,52 @@ class SpdMatrix:
 def _require_positive(mu: np.ndarray, what: str) -> None:
     """Reject a spectrum, or a stack of them, whose smallest eigenvalue is <= 0."""
     low = mu[..., 0]
-    bad = low <= 0.0
-    if bad.any():
-        k = _first(bad)
-        raise NonPositiveEigenvalueError(
-            f"{what} requires a strictly positive spectrum; found min "
-            f"eigenvalue {low[() if k is None else k]:.6e} <= 0. Clamp the matrix "
-            f"to SPD first (spdmix never clamps silently).",
-            index=k,
-        )
+    _reject(~(low > 0.0), NonPositiveEigenvalueError, lambda at: (
+        f"{what} requires a strictly positive spectrum; found min "
+        f"eigenvalue {low[at]:.6e} <= 0. Clamp the matrix "
+        f"to SPD first (spdmix never clamps silently)."
+    ))
+
+
+def _spectral(s, f, check) -> tuple[np.ndarray, np.ndarray]:
+    """``O diag(f(mu)) O^T`` of a symmetric matrix, or of each matrix of a
+    stack, and its ascending spectrum ``mu``.
+
+    Each ``_CHUNK_BYTES`` part (one matrix is one part, ``...``) is
+    symmetrized here; one pinned task solves it, applies ``f`` with
+    floating-point warnings off and recomposes into the output. Then
+    ``check(mu)`` vets the spectra of the whole stack."""
+    arr = _square(s)
+    out, mu = np.empty_like(arr), np.empty(arr.shape[:-1])
+
+    def task(sym, dest):
+        w, o = np.linalg.eigh(sym)
+        with np.errstate(all="ignore"):
+            _recompose(o, f(w), out=dest)
+        return w
+
+    for part in _chunks(len(arr), arr.shape[-1]) if arr.ndim == 3 else [...]:
+        try:
+            sym = symmetrize(arr[part])
+        except _StackError as exc:
+            at = None if exc.index is None else part.start + exc.index
+            raise _StackError(exc.detail, index=at) from exc
+        mu[part] = _solve(task, sym, out[part])
+    check(mu)
+    return out, mu
 
 
 def matrix_log(s) -> np.ndarray:
     """Matrix logarithm ``O diag(log mu) O^T`` of a positive definite matrix,
-    or of each matrix of a stack, taken ``_CHUNK_BYTES`` of matrices at a
-    time.
+    or of each matrix of a stack, one decomposition and one pool task per
+    ``_CHUNK_BYTES`` of matrices.
 
     Never clamps: a non-positive eigenvalue raises
     :class:`NonPositiveEigenvalueError` telling the caller to clamp first;
     for a stack, its ``index`` names the first offending matrix by its
     position in the whole stack.
     """
-    arr = _square(s)
-    if arr.ndim == 2:
-        return _log(arr)
-    out = np.empty_like(arr)
-    for part in _chunks(len(arr), arr.shape[-1]):
-        try:
-            out[part] = _log(arr[part])
-        except _StackError as exc:
-            raise type(exc)(exc.detail, index=part.start + exc.index) from exc
-    return out
-
-
-def _log(arr: np.ndarray) -> np.ndarray:
-    dec = eig_sym(arr)
-    _require_positive(dec.eigenvalues, "matrix_log")
-    return dec.recompose(np.log(dec.eigenvalues))
+    return _spectral(s, np.log, lambda mu: _require_positive(mu, "matrix_log"))[0]
 
 
 def matrix_exp(h) -> SpdMatrix | np.ndarray:
@@ -445,45 +445,45 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
     :class:`SpdMatrix`; a stack ``(k, n, n)`` gives a plain array of the
     exponentials, each checked on its own.
     """
-    dec = eig_sym(h)
-    mu = dec.eigenvalues
-    peak = np.max(np.abs(mu), axis=-1)
-    bad = peak > EXP_EIGENVALUE_LIMIT
-    if bad.any():
-        k = _first(bad)
-        raise EigenvalueOverflowError(
-            "matrix_exp eigenvalue magnitude "
-            f"{peak[() if k is None else k]:.3e} exceeds the float64 limit "
-            f"{EXP_EIGENVALUE_LIMIT:g}",
-            index=k,
-        )
-    w = np.exp(mu)
-    out = dec.recompose(w)
+
+    def check(mu):
+        peak = np.max(np.abs(mu), axis=-1)
+        _reject(~(peak <= EXP_EIGENVALUE_LIMIT), EigenvalueOverflowError, lambda at: (
+            f"matrix_exp eigenvalue magnitude {peak[at]:.3e} exceeds the float64 "
+            f"limit {EXP_EIGENVALUE_LIMIT:g}"
+        ))
+
+    out, mu = _spectral(h, np.exp, check)
     if out.ndim > 2:
         return out
+    w = np.exp(mu)
     return SpdMatrix._trusted(out, float(w[0]), float(w[-1]))
 
 
 def matrix_power(s, p: float) -> SpdMatrix:
     """Real matrix power ``S^p = O diag(mu^p) O^T`` of an SPD matrix, or of
     the matrix an :class:`EigenDecomposition` ``s`` describes."""
-    dec = s if isinstance(s, EigenDecomposition) else eig_sym(_matrix(s))
-    _matrix(dec.orthogonal)
-    mu = dec.eigenvalues
-    _require_positive(mu, "matrix_power")
-    if p == 0.0:
-        n = mu.shape[0]
-        return SpdMatrix._trusted(np.eye(n), 1.0, 1.0)
-    peak = float(np.max(np.abs(p * np.log(mu))))
-    if peak > EXP_EIGENVALUE_LIMIT:
-        raise EigenvalueOverflowError(
+
+    def check(mu):
+        _require_positive(mu, "matrix_power")
+        with np.errstate(all="ignore"):
+            peak = np.max(np.abs(p * np.log(mu)))
+        _reject(~(peak <= EXP_EIGENVALUE_LIMIT), EigenvalueOverflowError, lambda at: (
             f"matrix_power exponent p*log(mu) reaches magnitude {peak:.3e}, "
             f"beyond the float64 limit {EXP_EIGENVALUE_LIMIT:g}"
-        )
+        ))
+
+    if isinstance(s, EigenDecomposition):
+        _square(s.orthogonal, stack=False)
+        check(s.eigenvalues)
+        out, mu = None, s.eigenvalues
+    else:
+        out, mu = _spectral(_square(s, stack=False), lambda w: w**p, check)
+    if p == 0.0:
+        return SpdMatrix._trusted(np.eye(len(mu)), 1.0, 1.0)
     w = mu**p
-    return SpdMatrix._trusted(
-        dec.recompose(w), float(np.min(w)), float(np.max(w))
-    )
+    out = s.recompose(w) if out is None else out
+    return SpdMatrix._trusted(out, float(np.min(w)), float(np.max(w)))
 
 
 def cholesky(s) -> np.ndarray:
@@ -492,7 +492,7 @@ def cholesky(s) -> np.ndarray:
     Raises :class:`CholeskyPivotError` naming the failing pivot index when the
     matrix is numerically semidefinite.
     """
-    arr = symmetrize(_matrix(s))
+    arr = symmetrize(_square(s, stack=False))
     try:
         return np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:
@@ -520,7 +520,7 @@ def log_det(s) -> float:
     Determinants are handled in log-space only; the raw determinant of a
     large matrix overflows float64 long before the log does.
     """
-    w = eigvals_sym(s.array if isinstance(s, SpdMatrix) else symmetrize(_matrix(s)))
+    w = eigvals_sym(s.array if isinstance(s, SpdMatrix) else symmetrize(_square(s, stack=False)))
     _require_positive(w, "log_det")
     return float(np.sum(np.log(w)))
 

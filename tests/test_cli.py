@@ -1089,3 +1089,169 @@ class TestConfigFile:
         )
         assert code == 0
 
+
+
+class TestKernelWidths:
+    """A kernel width whose ``2 * width**2`` overflows float64 is a domain
+    error at its rule's home, not an ``OverflowError`` out of ``main``."""
+
+    def test_cmixup_bandwidth(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        code, stdout, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", "cmixup", "--count", "2",
+            "--bandwidth", "1e308", "-o", str(tmp_path / "m.spdb"),
+        )
+        assert (code, stdout) == (3, "")
+        assert "error: cmixup bandwidth 1e+308 is too wide" in err
+        assert not (tmp_path / "m.spdb").exists()
+
+    def test_regress_sigma(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        code, stdout, err = run(capsys, "regress", "--input", str(src), "--trials", "2",
+                                "--sigma", "1e308")
+        assert (code, stdout) == (3, "")
+        assert "error: sigma 1e+308 is too wide" in err
+
+
+class TestGenFiniteOutput:
+    """``gen`` writes no non-finite value: a spread beyond float64's range
+    exits 3 naming the flag, and no file is written."""
+
+    @pytest.mark.parametrize("kind, flag, named", [
+        ("series", "--noise", "noise 1e+308"),
+        ("clustered", "--separation", "separation 1e+308"),
+        ("clustered", "--noise", "noise 1e+308"),
+        ("log-linear", "--noise", "noise 1e+308"),
+    ])
+    def test_overflowing_spread_is_domain_error(self, capsys, tmp_path, kind, flag, named):
+        series = ["--t", "10", "--count", "3"] if kind == "series" else ["--count", "4"]
+        code, stdout, err = run(
+            capsys, "gen", "--kind", kind, "--n", "3", *series, flag, "1e308",
+            "-o", str(tmp_path / "out"),
+        )
+        assert (code, stdout) == (3, "")
+        assert "error: " in err and "leaves float64's range at" in err and named in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestGenKindFlags:
+    """A ``gen`` flag that the chosen kind does not read is a usage error,
+    on the command line and in a config file alike."""
+
+    @pytest.mark.parametrize("kind, flag, value, applies", [
+        ("spd", "--t", "10", "series"),
+        ("spd", "--latent-rank", "2", "series"),
+        ("spd", "--classes", "5", "clustered"),
+        ("spd", "--separation", "1", "clustered"),
+        ("spd", "--noise", "0.3", "log-linear or clustered or series"),
+        ("log-linear", "--condition", "10", "spd"),
+        ("log-linear", "--series-layout", "vars-as-cols", "series"),
+        ("clustered", "--t", "10", "series"),
+        ("series", "--classes", "3", "clustered"),
+        ("series", "--condition", "10", "spd"),
+    ])
+    def test_other_kinds_flag_is_usage_error(self, capsys, tmp_path, kind, flag, value,
+                                             applies):
+        argv = ["gen", "--kind", kind, "--n", "3", "--count", "4", "-o", str(tmp_path / "out")]
+        if kind == "series" and flag != "--t":
+            argv += ["--t", "10"]
+        message = f"error: {flag} applies to --kind {applies} only"
+        code, stdout, err = run(capsys, *argv, flag, value)
+        assert (code, stdout) == (2, "")
+        assert message in err
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n")
+        code, stdout, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg"]
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("spd", ["--condition", "100"]),
+        ("log-linear", ["--noise", "0"]),
+        ("clustered", ["--noise", "0", "--classes", "2", "--separation", "3"]),
+        ("series", ["--t", "10", "--noise", "0", "--series-layout", "vars-as-rows"]),
+    ])
+    def test_own_defaults_spelled_out_give_the_same_bytes(self, capsys, tmp_path, kind, extra):
+        base = ["--t", "10"] if kind == "series" else []
+        outputs = []
+        for name, flags in (("a", base), ("b", extra)):
+            target = tmp_path / f"{name}.out"
+            code, _, err = run(capsys, "gen", "--kind", kind, "--n", "3", "--count", "4",
+                               "--seed", "5", *flags, "-o", str(target))
+            assert code == 0, err
+            outputs.append(sorted(p.read_bytes()[18:] for p in tmp_path.glob(f"{name}*")))
+        assert outputs[0] == outputs[1]
+
+
+class TestExitCodeSweep:
+    """Every numeric flag of every subcommand, over values at and past its
+    range, in-process: no exception escapes ``main``, the exit code is one
+    of the contract's, and every failing run prints an ``error:`` line,
+    which names the flag or its value unless a check failed (exit 4)."""
+
+    VALUES = ("0", "-1", "1", "nan", "inf", "1e308")
+    # each setup's numeric flags; a setup is a small valid run the flag joins
+    FLAGS = {
+        "gen-log-linear": ("--n", "--count", "--seed", "--noise"),
+        "gen-clustered": ("--n", "--count", "--seed", "--noise", "--classes", "--separation"),
+        "gen-spd": ("--n", "--count", "--seed", "--condition"),
+        "gen-series": ("--n", "--count", "--seed", "--noise", "--t", "--latent-rank"),
+        "mix-rmixup": ("--alpha", "--count", "--seed"),
+        "mix-dropnode": ("--keep-prob",),
+        "mix-cmixup": ("--bandwidth",),
+        "diagnose-spdb": ("--t",),
+        "diagnose-series": ("--sweep",),
+        "regress": ("--trials", "--seed", "--sigma", "--lambdas"),
+        "probe": ("--trials", "--seed"),
+        "bench": ("--n", "--batch", "--reps", "--seed"),
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sweep")
+        for argv in (
+            ["gen", "--kind", "spd", "--n", "2", "--count", "4", "-o", str(root / "spd.spdb")],
+            ["gen", "--kind", "log-linear", "--n", "2", "--count", "8", "--noise", "0.1",
+             "-o", str(root / "reg.spdb")],
+            ["gen", "--kind", "series", "--n", "2", "--t", "10", "--noise", "0.1",
+             "-o", str(root / "s.csv")],
+        ):
+            assert main(argv) == 0
+        return root
+
+    @staticmethod
+    def setup_argv(setup, inputs, out):
+        command, _, detail = setup.partition("-")
+        if command == "gen":
+            series = ["--t", "5"] if detail == "series" else []
+            return ["gen", "--kind", detail, "--n", "2", "--count", "4", *series, "-o", out]
+        if command == "mix":
+            return ["mix", "--input", str(inputs / "spd.spdb"), "--strategy", detail,
+                    "--count", "3", "-o", out]
+        if setup == "diagnose-spdb":
+            return ["diagnose", "--input", str(inputs / "spd.spdb"), "--t", "20"]
+        if setup == "diagnose-series":
+            return ["diagnose", "--input", str(inputs / "s.csv")]
+        if command == "regress":
+            return ["regress", "--input", str(inputs / "spd.spdb"), "--trials", "2"]
+        if command == "probe":
+            return ["probe", "--input", str(inputs / "reg.spdb"), "--trials", "5"]
+        return ["bench", "--n", "2", "--batch", "2", "--reps", "1"]
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("setup, flag", [
+        (setup, flag) for setup, flags in FLAGS.items() for flag in flags
+    ])
+    def test_exit_code_in_contract(self, capsys, tmp_path, inputs, setup, flag, value):
+        argv = self.setup_argv(setup, inputs, str(tmp_path / "out"))
+        assert main(argv) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        code, _, err = run(capsys, *argv, flag, value)
+        assert code in (0, 2, 3, 4), err
+        if code:
+            line = next((l for l in err.splitlines() if "error:" in l), None)
+            assert line is not None, err
+            if code != 4:  # exit 4 reports what a check measured, not the input
+                names = (flag[2:], flag[2:].replace("-", "_"), value, str(float(value)))
+                assert any(name in line for name in names), line

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -149,6 +150,14 @@ class TestMatrixExp:
         with pytest.raises(EigenvalueOverflowError, match="7.5"):
             matrix_exp(np.diag([750.0, 1.0]))
 
+    def test_nan_spectrum_rejected(self):
+        # finite entries whose symmetric part overflows leave no spectrum to
+        # take exp() of: rejected, not returned as a matrix of NaN
+        with pytest.raises(EigenvalueOverflowError, match="magnitude nan") as info:
+            with np.errstate(over="ignore"):
+                matrix_exp(np.full((2, 2), 1e308))
+        assert info.value.index is None
+
     def test_result_is_validated_spd(self):
         rng = np.random.default_rng(5)
         out = matrix_exp(random_symmetric(rng, 7))
@@ -192,6 +201,15 @@ class TestMatrixPower:
     def test_non_positive_rejected(self):
         with pytest.raises(NonPositiveEigenvalueError):
             matrix_power(np.diag([1.0, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("p", [0.5, -0.5, 2.0, 0.0])
+    def test_plain_matrix_matches_its_decomposition(self, p):
+        s = gen_random_spd(6, 1e3, np.random.default_rng(17))
+        got, want = matrix_power(s, p), matrix_power(eig_sym(s), p)
+        assert np.array_equal(got.array, want.array)
+        assert (got.min_eigenvalue, got.max_eigenvalue) == (
+            want.min_eigenvalue, want.max_eigenvalue
+        )
 
 
 class TestCholesky:
@@ -605,7 +623,7 @@ class TestStacks:
         stack = self.spd_stack(12, 6, 3)
         logs = matrix_log(stack)
         for part in (slice(0, 2), slice(2, 4), slice(4, 6)):
-            assert np.array_equal(linalg._log(stack[part]), logs[part])
+            assert np.array_equal(matrix_log(stack[part]), logs[part])
         bad = stack.copy()
         bad[5] = np.diag([1.0, -0.5, 2.0])
         with pytest.raises(NonPositiveEigenvalueError) as info:
@@ -616,6 +634,51 @@ class TestStacks:
         bad[3, 0, 1] += 1.0
         with pytest.raises(ValueError, match="^matrix 3 of the stack: matrix is not symmetric"):
             matrix_log(bad)
+
+    def test_chunked_exp_names_whole_stack_position(self, monkeypatch):
+        # two matrices per chunk: each bad matrix sits in a later chunk
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 3 * 3)
+        logs = matrix_log(self.spd_stack(16, 6, 3))
+        exps = matrix_exp(logs)
+        for part in (slice(0, 2), slice(2, 4), slice(4, 6)):
+            assert np.array_equal(matrix_exp(logs[part]), exps[part])
+        bad = logs.copy()
+        bad[5] = np.diag([750.0, 1.0, 2.0])
+        with pytest.raises(EigenvalueOverflowError) as info:
+            matrix_exp(bad)
+        assert info.value.index == 5
+        assert str(info.value) == (
+            "matrix 5 of the stack: matrix_exp eigenvalue magnitude 7.500e+02 "
+            "exceeds the float64 limit 700"
+        )
+        bad = logs.copy()
+        bad[3, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="^matrix 3 of the stack: matrix is not symmetric"):
+            matrix_exp(bad)
+        bad = logs.copy()
+        bad[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="^matrix 2 of the stack: matrix contains non-f"):
+            matrix_exp(bad)
+
+    def test_rejected_spectrum_emits_no_warning(self):
+        # log, exp and powers of a spectrum the check rejects are computed
+        # with floating-point warnings off, on any thread
+        stack = self.spd_stack(18, 6, 3)
+        zero, negative = stack.copy(), stack.copy()
+        zero[4] = np.diag([1.0, 0.0, 2.0])
+        negative[1] = np.diag([1.0, -1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (zero, negative, zero[4], negative[1]):
+                with pytest.raises(NonPositiveEigenvalueError):
+                    matrix_log(bad)
+            for big in (np.diag([800.0, 1.0, 2.0]), 800.0 * stack):
+                with pytest.raises(EigenvalueOverflowError):
+                    matrix_exp(big)
+            with pytest.raises(NonPositiveEigenvalueError):
+                matrix_power(zero[4], -0.5)
+            with pytest.raises(EigenvalueOverflowError):
+                matrix_power(stack[0], 1e308)
 
 
 @pytest.fixture
@@ -676,6 +739,28 @@ class TestPool:
             matrix_exp(matrix_log(stack[:5]))
         assert (c.count, c.values_only) == (7 + 7 + 10, 7)
         assert linalg._POOL is not None
+
+    def test_one_round_trip_per_chunk(self, monkeypatch, workers):
+        # a stacked log or exp hands each chunk to the pool once: the solve,
+        # the function of the spectrum and the recompose are one task
+        workers(2)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 3 * 8 * 4 * 4)
+        calls = []
+        pinned = linalg._pinned
+
+        def spy(fn, *stacks):
+            calls.append(len(stacks[0]))
+            return pinned(fn, *stacks)
+
+        monkeypatch.setattr(linalg, "_pinned", spy)
+        stack = TestStacks.spd_stack(15, 7, 4)
+        with count_eig_calls() as c:
+            logs = matrix_log(stack)
+            assert calls == [3, 3, 1]
+            calls.clear()
+            matrix_exp(logs)
+            assert calls == [3, 3, 1]
+        assert c.count == 14
 
     def test_solves_run_pinned_and_restore_the_count(self, monkeypatch, workers):
         workers(2)
