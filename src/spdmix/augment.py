@@ -96,14 +96,19 @@ def _check_keep_prob(keep_prob: float) -> None:
 _WIDEST_KERNEL = float(np.sqrt(np.finfo(np.float64).max / 2.0))
 
 
+def _check_width(name: str, width: float) -> None:
+    """Reject a Gaussian kernel ``width`` whose ``2 * width**2`` overflows."""
+    if width > _WIDEST_KERNEL:
+        raise ValueError(
+            f"{name} {width} is too wide: 2 * width**2 overflows float64 "
+            f"above {_WIDEST_KERNEL:.4g}"
+        )
+
+
 def _check_bandwidth(bandwidth: float) -> None:
     if not bandwidth > 0.0:
         raise ValueError(f"cmixup bandwidth must be positive, got {bandwidth}")
-    if bandwidth > _WIDEST_KERNEL:
-        raise ValueError(
-            f"cmixup bandwidth {bandwidth} is too wide: 2 * bandwidth**2 overflows "
-            f"float64 above {_WIDEST_KERNEL:.4g}"
-        )
+    _check_width("cmixup bandwidth", bandwidth)
 
 
 def _check_seed(seed: int) -> None:

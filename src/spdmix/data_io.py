@@ -427,8 +427,9 @@ def gen_labeled_dataset(
     random SPD matrices pushed ``separation`` apart in log-space, with
     ``noise``-scaled log-space jitter per sample.
 
-    A ``noise`` or ``separation`` that takes a sample beyond float64's range
-    raises ``ValueError`` naming the parameters that set the spread.
+    A ``noise``, ``separation`` or class count that takes a sample beyond
+    float64's range raises ``ValueError`` naming the parameters that set the
+    spread.
     """
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
@@ -465,8 +466,8 @@ def gen_labeled_dataset(
                     logs[part] += noise * (g + g.swapaxes(1, 2)) / (2.0 * np.sqrt(n))
                 logs[part] = matrix_exp(logs[part])
     except ValueError as exc:
-        spread = f"noise {noise}" + (
-            f" and separation {separation}" if structure == "clustered" else ""
+        spread = f"noise {noise}" if structure != "clustered" else (
+            f"noise {noise}, separation {separation} and classes {n_classes}"
         )
         raise ValueError(f"a sample leaves float64's range at {spread}: {exc}") from exc
     return LabeledDataset(matrices=logs, labels=labels, task=task)

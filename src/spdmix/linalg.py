@@ -14,8 +14,9 @@ and :func:`matrix_exp` accept stacks too and check every matrix of a stack on
 its own. A stacked call gives each matrix the same bits as a call on that
 matrix alone, so batched and one-at-a-time callers agree exactly.
 
-Each matrix function is one stacked kernel: per part of a stack, one pool
-task solves, applies the function to the spectrum and recomposes. Solves and
+:func:`matrix_log` and :func:`matrix_exp` are one stacked kernel: per part
+of a stack, one pool task solves, applies the function to the spectrum and
+recomposes. Solves and
 recomposes run with numpy's bundled OpenBLAS pinned to one thread; a stack of
 two or more matrices is split into contiguous parts that a pool of one thread
 per core takes while the caller waits. Parallelism is across matrices, never
@@ -463,27 +464,20 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
 def matrix_power(s, p: float) -> SpdMatrix:
     """Real matrix power ``S^p = O diag(mu^p) O^T`` of an SPD matrix, or of
     the matrix an :class:`EigenDecomposition` ``s`` describes."""
-
-    def check(mu):
-        _require_positive(mu, "matrix_power")
-        with np.errstate(all="ignore"):
-            peak = np.max(np.abs(p * np.log(mu)))
-        _reject(~(peak <= EXP_EIGENVALUE_LIMIT), EigenvalueOverflowError, lambda at: (
-            f"matrix_power exponent p*log(mu) reaches magnitude {peak:.3e}, "
-            f"beyond the float64 limit {EXP_EIGENVALUE_LIMIT:g}"
-        ))
-
-    if isinstance(s, EigenDecomposition):
-        _square(s.orthogonal, stack=False)
-        check(s.eigenvalues)
-        out, mu = None, s.eigenvalues
-    else:
-        out, mu = _spectral(_square(s, stack=False), lambda w: w**p, check)
+    dec = s if isinstance(s, EigenDecomposition) else eig_sym(_square(s, stack=False))
+    _square(dec.orthogonal, stack=False)
+    mu = dec.eigenvalues
+    _require_positive(mu, "matrix_power")
+    with np.errstate(all="ignore"):
+        peak = np.max(np.abs(p * np.log(mu)))
+    _reject(~(peak <= EXP_EIGENVALUE_LIMIT), EigenvalueOverflowError, lambda at: (
+        f"matrix_power exponent p*log(mu) reaches magnitude {peak:.3e}, "
+        f"beyond the float64 limit {EXP_EIGENVALUE_LIMIT:g}"
+    ))
     if p == 0.0:
         return SpdMatrix._trusted(np.eye(len(mu)), 1.0, 1.0)
     w = mu**p
-    out = s.recompose(w) if out is None else out
-    return SpdMatrix._trusted(out, float(np.min(w)), float(np.max(w)))
+    return SpdMatrix._trusted(dec.recompose(w), float(np.min(w)), float(np.max(w)))
 
 
 def cholesky(s) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .augment import _WIDEST_KERNEL, EigenCache
+from .augment import EigenCache, _check_width
 from .data_io import TASK_REGRESSION, LabeledDataset
 from .linalg import NonPositiveEigenvalueError, _chunks, fro_norm, matrix_log
 
@@ -59,11 +59,7 @@ class KernelConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.sigma > _WIDEST_KERNEL:
-            raise ValueError(
-                f"sigma {self.sigma} is too wide: 2 * sigma**2 overflows float64 "
-                f"above {_WIDEST_KERNEL:.4g}"
-            )
+        _check_width("sigma", self.sigma)
         if self.ridge < 0.0:
             raise ValueError(f"ridge must be non-negative, got {self.ridge}")
         if self.space not in (SPACE_RIEMANNIAN, SPACE_EUCLIDEAN):

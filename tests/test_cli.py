@@ -1117,16 +1117,18 @@ class TestGenFiniteOutput:
     """``gen`` writes no non-finite value: a spread beyond float64's range
     exits 3 naming the flag, and no file is written."""
 
-    @pytest.mark.parametrize("kind, flag, named", [
-        ("series", "--noise", "noise 1e+308"),
-        ("clustered", "--separation", "separation 1e+308"),
-        ("clustered", "--noise", "noise 1e+308"),
-        ("log-linear", "--noise", "noise 1e+308"),
+    @pytest.mark.parametrize("kind, flags, named", [
+        ("series", ["--noise", "1e308"], "noise 1e+308"),
+        ("clustered", ["--separation", "1e308"], "separation 1e+308"),
+        ("clustered", ["--noise", "1e308"], "noise 1e+308"),
+        ("log-linear", ["--noise", "1e308"], "noise 1e+308"),
+        # class 234's center sits 234 * 3 > 700 out in log-space
+        ("clustered", ["--classes", "300", "--count", "300"], "classes 300"),
     ])
-    def test_overflowing_spread_is_domain_error(self, capsys, tmp_path, kind, flag, named):
+    def test_overflowing_spread_is_domain_error(self, capsys, tmp_path, kind, flags, named):
         series = ["--t", "10", "--count", "3"] if kind == "series" else ["--count", "4"]
         code, stdout, err = run(
-            capsys, "gen", "--kind", kind, "--n", "3", *series, flag, "1e308",
+            capsys, "gen", "--kind", kind, "--n", "3", *series, *flags,
             "-o", str(tmp_path / "out"),
         )
         assert (code, stdout) == (3, "")
@@ -1180,7 +1182,7 @@ class TestGenKindFlags:
             code, _, err = run(capsys, "gen", "--kind", kind, "--n", "3", "--count", "4",
                                "--seed", "5", *flags, "-o", str(target))
             assert code == 0, err
-            outputs.append(sorted(p.read_bytes()[18:] for p in tmp_path.glob(f"{name}*")))
+            outputs.append(sorted(p.read_bytes() for p in tmp_path.glob(f"{name}*")))
         assert outputs[0] == outputs[1]
 
 

@@ -202,15 +202,6 @@ class TestMatrixPower:
         with pytest.raises(NonPositiveEigenvalueError):
             matrix_power(np.diag([1.0, 0.0]), 0.5)
 
-    @pytest.mark.parametrize("p", [0.5, -0.5, 2.0, 0.0])
-    def test_plain_matrix_matches_its_decomposition(self, p):
-        s = gen_random_spd(6, 1e3, np.random.default_rng(17))
-        got, want = matrix_power(s, p), matrix_power(eig_sym(s), p)
-        assert np.array_equal(got.array, want.array)
-        assert (got.min_eigenvalue, got.max_eigenvalue) == (
-            want.min_eigenvalue, want.max_eigenvalue
-        )
-
 
 class TestCholesky:
     def test_identity(self):
@@ -659,6 +650,20 @@ class TestStacks:
         bad[2, 1, 1] = np.nan
         with pytest.raises(ValueError, match="^matrix 2 of the stack: matrix contains non-f"):
             matrix_exp(bad)
+
+    @pytest.mark.parametrize("per_chunk", [2, 6])
+    def test_input_fault_wins_over_spectrum_fault(self, monkeypatch, per_chunk):
+        # a non-positive matrix in chunk 0 and an asymmetric one in chunk 2:
+        # every input is vetted before any spectrum, whatever the chunk size
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * 8 * 3 * 3)
+        bad = self.spd_stack(12, 6, 3)
+        bad[1] = np.diag([1.0, -0.5, 2.0])
+        bad[4, 0, 1] += 1.0
+        with pytest.raises(ValueError) as info:
+            matrix_log(bad)
+        assert type(info.value) is linalg._StackError
+        assert info.value.index == 4
+        assert str(info.value).startswith("matrix 4 of the stack: matrix is not symmetric")
 
     def test_rejected_spectrum_emits_no_warning(self):
         # log, exp and powers of a spectrum the check rejects are computed

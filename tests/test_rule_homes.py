@@ -28,6 +28,7 @@ HOMES = {
     r"alpha must be positive": "augment._check_alpha",
     r"keep_prob must lie in": "augment._check_keep_prob",
     r"bandwidth must be positive": "augment._check_bandwidth",
+    r"too wide|overflows float64": "augment._check_width",
     r"seed must be an unsigned 64-bit integer": "augment._check_seed",
     r"noise must be": "data_io._check_noise",
     r"series length must be at least 2": "spdness._check_series_length",
