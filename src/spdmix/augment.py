@@ -44,6 +44,7 @@ __all__ = [
     "EdgeGenerator",
     "MixConfig",
     "MixProvenance",
+    "MixStream",
     "MixedSample",
     "ProbeResult",
     "Provenance",
@@ -92,16 +93,24 @@ def _check_keep_prob(keep_prob: float) -> None:
         raise ValueError(f"keep_prob must lie in (0, 1), got {keep_prob}")
 
 
-# The widest Gaussian kernel whose 2 * width**2 is a finite float64.
+# The widest and the narrowest Gaussian kernels whose 2 * width**2 is a
+# finite, normal float64.
 _WIDEST_KERNEL = float(np.sqrt(np.finfo(np.float64).max / 2.0))
+_NARROWEST_KERNEL = float(np.sqrt(np.finfo(np.float64).tiny / 2.0))
 
 
 def _check_width(name: str, width: float) -> None:
-    """Reject a Gaussian kernel ``width`` whose ``2 * width**2`` overflows."""
+    """Reject a Gaussian kernel ``width`` whose ``2 * width**2`` overflows,
+    or underflows below the smallest normal float64."""
     if width > _WIDEST_KERNEL:
         raise ValueError(
             f"{name} {width} is too wide: 2 * width**2 overflows float64 "
             f"above {_WIDEST_KERNEL:.4g}"
+        )
+    if width < _NARROWEST_KERNEL:
+        raise ValueError(
+            f"{name} {width} is too narrow: 2 * width**2 underflows float64 "
+            f"below {_NARROWEST_KERNEL:.4g}"
         )
 
 
@@ -241,23 +250,27 @@ class EigenCache:
         return self._logs.view()
 
     def _fill(self, rows) -> None:
-        """Compute the logarithms of the samples in ``rows`` not yet held."""
+        """Compute the logarithms of the samples in ``rows`` not yet held, a
+        chunk of samples at a time, each chunk written into the stack as soon
+        as it is computed."""
         rows = np.unique(np.asarray(rows, dtype=np.intp))
         todo = rows[~self._filled[rows]]
-        try:
-            logs = matrix_log(self._dataset.matrices[todo])
-        except NonPositiveEigenvalueError as exc:
-            k = int(todo[exc.index])
-            err = NonPositiveEigenvalueError(
-                f"sample {self._dataset.ids[k]} is not SPD; clamp it before mixing "
-                f"({exc.detail})"
-            )
-            err.index = k
-            raise err from exc
-        self._logs.flags.writeable = True
-        self._logs[todo] = logs
-        self._logs.flags.writeable = False
-        self._filled[todo] = True
+        for part in _chunks(len(todo), self._dataset.dim):
+            chunk = todo[part]
+            try:
+                logs = matrix_log(self._dataset.matrices[chunk])
+            except NonPositiveEigenvalueError as exc:
+                k = int(chunk[exc.index])
+                err = NonPositiveEigenvalueError(
+                    f"sample {self._dataset.ids[k]} is not SPD; clamp it before mixing "
+                    f"({exc.detail})"
+                )
+                err.index = k
+                raise err from exc
+            self._logs.flags.writeable = True
+            self._logs[chunk] = logs
+            self._logs.flags.writeable = False
+            self._filled[chunk] = True
 
     def _mixes(
         self, first: np.ndarray, second: np.ndarray, lams: np.ndarray
@@ -413,11 +426,36 @@ class EdgeGenerator:
     edge_label_corr: np.ndarray | None = None
 
 
+def _edge_moments(mats: np.ndarray, rows, y=None):
+    """Per-edge mean and standard deviation of the samples ``rows`` of
+    ``mats`` and, given their centred labels ``y``, the edge-label
+    covariance.
+
+    Sums run one sample at a time in sample order, which is the order numpy's
+    axis-0 ``mean`` and ``std`` add in, so the bits are theirs; no
+    ``(count, n, n)`` temporary is made.
+    """
+    total = np.zeros(mats.shape[1:])
+    for k in rows:
+        total += mats[k]
+    mean = total / len(rows)
+    squares, products = np.zeros_like(mean), np.zeros_like(mean)
+    for t, k in enumerate(rows):
+        centered = mats[k] - mean
+        if y is not None:
+            products += centered * y[t]
+        squares += np.multiply(centered, centered, out=centered)
+    cov = None if y is None else products / len(rows)
+    return mean, np.sqrt(squares / len(rows)), cov
+
+
 def g_mixup_fit(dataset: LabeledDataset) -> EdgeGenerator:
     """Estimate per-edge generators from a labeled dataset.
 
     A classification class with a single sample gets zero variance and a
     warning; a regression dataset with zero label variance is rejected.
+    Every moment is summed one sample at a time, so the fit holds a few
+    ``(n, n)`` matrices beyond the dataset.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit edge generators on an empty dataset")
@@ -428,8 +466,8 @@ def g_mixup_fit(dataset: LabeledDataset) -> EdgeGenerator:
         means: dict[int, np.ndarray] = {}
         stds: dict[int, np.ndarray] = {}
         for c in np.unique(dataset.labels):
-            members = mats[dataset.labels == c]
-            means[int(c)] = members.mean(axis=0)
+            members = np.flatnonzero(dataset.labels == c).tolist()
+            means[int(c)], stds[int(c)], _ = _edge_moments(mats, members)
             if len(members) < 2:
                 warnings.warn(
                     f"class {int(c)} has a single sample; its edge variance "
@@ -437,9 +475,6 @@ def g_mixup_fit(dataset: LabeledDataset) -> EdgeGenerator:
                     UserWarning,
                     stacklevel=2,
                 )
-                stds[int(c)] = np.zeros_like(members[0])
-            else:
-                stds[int(c)] = members.std(axis=0)
         return EdgeGenerator(
             task=dataset.task,
             is_correlation=dataset.is_correlation,
@@ -451,11 +486,7 @@ def g_mixup_fit(dataset: LabeledDataset) -> EdgeGenerator:
     label_std = float(y.std())
     if label_std == 0.0:
         raise ValueError("regression labels have zero variance; cannot condition on y")
-    mean = mats.mean(axis=0)
-    std = mats.std(axis=0)
-    centered = mats - mean
-    y_centered = (y - y.mean()).reshape(-1, 1, 1)
-    cov_edge_label = (centered * y_centered).mean(axis=0)
+    mean, std, cov_edge_label = _edge_moments(mats, range(len(y)), (y - y.mean()).tolist())
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(std > 0.0, cov_edge_label / (std * label_std), 0.0)
     corr = np.clip(corr, -1.0, 1.0)
@@ -726,96 +757,153 @@ class MixProvenance:
                    self.source_j or blank, lams, self.mask_summary or blank)
 
 
+class MixStream:
+    """The outputs of one mix, a chunk at a time.
+
+    Building a stream checks the dataset and configuration and builds what
+    every output reads, so it raises before anything is drawn. Iterating
+    yields ``(rows, matrices)``: a slice of output indices and their
+    matrices, one ``_chunks`` part at a time, in order. Output ``k`` is drawn
+    from exactly the stream that ``np.random.default_rng([config.seed, k])``
+    starts, whose state is computed in bulk for all outputs, so it is a pure
+    function of (dataset, config, k). A baseline's row kernel writes each
+    output of a part into one reused buffer, so a yielded stack is valid
+    until the next item. rmixup first draws every pair and ratio, and fills
+    an :class:`EigenCache` with the logs of the drawn sources (naming a
+    non-SPD one before the first part); each part is then the exponentials of
+    a chunk of mixes. After the last part, ``ids`` holds the output ids
+    ``m000000, ...``, ``labels`` every output's label (hard class ids mixed as
+    one-hot rows) and ``provenance`` every output's :class:`MixProvenance`.
+
+    ``count``, ``dim``, ``task`` and ``is_correlation`` describe the output
+    dataset before any part is drawn; it holds correlation matrices only when
+    gmixup draws from correlation input.
+    """
+
+    def __init__(self, dataset: LabeledDataset, config: MixConfig, count: int):
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        strategy = config.strategy
+        size = len(dataset)
+        if size == 0 or (strategy in _PAIRWISE and size < 2):
+            if count:
+                raise ValueError(f"dataset too small for strategy {strategy!r}")
+            self._table = None
+        else:
+            self._table = _mix_constants(dataset, config)
+        self._dataset, self._config = dataset, config
+        self._hard = dataset.task == TASK_CLASSIFICATION and not dataset.has_soft_labels
+        self._y = dataset.labels.tolist() if strategy == "gmixup" else None
+        self.count, self.dim, self.task = count, dataset.dim, dataset.task
+        self.is_correlation = dataset.is_correlation and strategy == "gmixup"
+        self.ids: list[str] | None = None
+        self.labels: np.ndarray | None = None
+        self.provenance: MixProvenance | None = None
+
+    def __iter__(self) -> Iterator[tuple[slice, np.ndarray]]:
+        count = self.count
+        self._anchors = np.empty(count, dtype=np.intp)
+        self._partners = np.empty(count, dtype=np.intp)
+        self._lams = np.empty(count)
+        self._summaries: list[str] = []
+        streams = _streams(int(self._config.seed), np.arange(count))
+        if self._config.strategy == "rmixup":
+            self._draw(range(count), streams, None)
+            mixes = EigenCache(self._dataset)._mixes(self._anchors, self._partners, self._lams)
+            yield from mixes
+        else:
+            parts = list(_chunks(count, self.dim))
+            buffer = np.empty((parts[0].stop if parts else 0, self.dim, self.dim))
+            for part in parts:
+                out = buffer[: part.stop - part.start]
+                self._draw(range(part.start, part.stop), streams, out)
+                yield part, out
+        streams.close()  # drops its last block of seed words before the labels
+        self._finish()
+
+    def _draw(self, rows: range, streams, out) -> None:
+        """Draw outputs ``rows`` from the next ``streams``; a baseline writes
+        output ``k`` into ``out[k - rows.start]``, rmixup only draws."""
+        strategy, table, config = self._config.strategy, self._table, self._config
+        sources = self._dataset.matrices
+        size = len(sources)
+        anchors, partners, lams = self._anchors, self._partners, self._lams
+        summaries = self._summaries
+        hard, y = self._hard, self._y
+        for k, rng in zip(rows, streams):
+            anchor = anchors[k] = int(rng.integers(size))
+            row, mat_a = None if out is None else out[k - rows.start], sources[anchor]
+            if strategy == "dropnode":
+                summaries.append(_drop_node_row(row, mat_a, config.keep_prob, rng))
+                continue
+            if strategy == "dropedge":
+                summaries.append(_drop_edge_row(row, mat_a, config.keep_prob, rng, table))
+                continue
+            if strategy == "cmixup":
+                partner = table.draw(anchor, rng)
+            else:
+                partner = _partner_uniform(anchor, size, rng)
+            lam = sample_beta(config.alpha, rng)
+            partners[k], lams[k] = partner, lam
+            if strategy == "dmixup":
+                summaries.append(_d_mixup_row(row, mat_a, sources[partner], lam, rng, table))
+            elif strategy == "gmixup" and hard:
+                table.fill(row, lam, rng, classes=(y[anchor], y[partner]))
+            elif strategy == "gmixup":
+                table.fill(row, lam, rng, y_mix=(1.0 - lam) * y[anchor] + lam * y[partner])
+            elif strategy != "rmixup":
+                _v_mixup_row(row, mat_a, sources[partner], lam)
+
+    def _finish(self) -> None:
+        """Name every output, mix its label and record its provenance."""
+        dataset, strategy = self._dataset, self._config.strategy
+        self.ids = [f"m{k:06d}" for k in range(self.count)]
+        pairwise = strategy in _PAIRWISE
+        anchors, partners, lams = self._anchors, self._partners, self._lams
+        if self._hard:
+            source_labels = np.eye(dataset.n_classes)[dataset.labels]
+        else:
+            source_labels = np.asarray(dataset.labels, np.float64)
+        if pairwise:
+            w = lams.reshape(-1, *([1] * (source_labels.ndim - 1)))
+            self.labels = (1.0 - w) * source_labels[anchors] + w * source_labels[partners]
+        else:
+            self.labels = source_labels[anchors]
+        ids = dataset.ids
+        self.provenance = MixProvenance(
+            strategy,
+            source_i=[ids[a] for a in anchors.tolist()],
+            source_j=[ids[b] for b in partners.tolist()] if pairwise else None,
+            lam=lams if pairwise else None,
+            mask_summary=self._summaries if strategy in _MASKED else None,
+        )
+
+
 def mix_dataset(
     dataset: LabeledDataset, config: MixConfig, count: int
 ) -> tuple[LabeledDataset, MixProvenance]:
     """Mix ``count`` samples under one configuration into a new dataset.
 
-    Output ``k`` is drawn from exactly the stream that
-    ``np.random.default_rng([config.seed, k])`` starts, whose state is
-    computed in bulk for all outputs, so it is a pure function of (dataset,
-    config, k): a longer batch extends a shorter one. Pair selection is
-    anchor-then-partner, uniform without replacement, except the
-    label-distance strategy. A baseline's row kernel writes output ``k`` in
-    place into row ``k`` of one matrix stack allocated up front; labels are
-    mixed for all outputs at once after the draws, hard class ids as one-hot
-    rows. rmixup draws every pair and ratio first, then
-    mixes through an :class:`EigenCache`: each drawn source is decomposed
-    once and each mix once more, in stacked chunks. Output ids are
-    ``m000000, ...``; the output holds correlation matrices only when gmixup
-    draws from correlation input.
+    The parts of one :class:`MixStream` are copied into one ``(count, n,
+    n)`` stack, so the outputs are the stream's, bit for bit. Output ``k``
+    is a pure function of (dataset, config, k): a longer batch extends a
+    shorter one. Pair selection is anchor-then-partner, uniform without
+    replacement, except the label-distance strategy. rmixup decomposes each
+    drawn source once and each mix once more, in stacked chunks. Output ids
+    are ``m000000, ...``.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    strategy = config.strategy
-    size = len(dataset)
-    pairwise = strategy in _PAIRWISE
-    if size == 0 or (pairwise and size < 2):
-        if count:
-            raise ValueError(f"dataset too small for strategy {strategy!r}")
-        table = None
-    else:
-        table = _mix_constants(dataset, config)
-    hard = dataset.task == TASK_CLASSIFICATION and not dataset.has_soft_labels
-    y = dataset.labels.tolist() if strategy == "gmixup" else None
-    sources = dataset.matrices
+    stream = MixStream(dataset, config, count)
     matrices = np.empty((count, dataset.dim, dataset.dim))
-    anchors = np.empty(count, dtype=np.intp)
-    partners = np.empty(count, dtype=np.intp)
-    lams = np.empty(count)
-    summaries: list[str] = []
-    for k, rng in enumerate(_streams(int(config.seed), np.arange(count))):
-        anchor = anchors[k] = int(rng.integers(size))
-        out, mat_a = matrices[k], sources[anchor]
-        if strategy == "dropnode":
-            summaries.append(_drop_node_row(out, mat_a, config.keep_prob, rng))
-            continue
-        if strategy == "dropedge":
-            summaries.append(_drop_edge_row(out, mat_a, config.keep_prob, rng, table))
-            continue
-        if strategy == "cmixup":
-            partner = table.draw(anchor, rng)
-        else:
-            partner = _partner_uniform(anchor, size, rng)
-        lam = sample_beta(config.alpha, rng)
-        partners[k], lams[k] = partner, lam
-        if strategy == "dmixup":
-            summaries.append(_d_mixup_row(out, mat_a, sources[partner], lam, rng, table))
-        elif strategy == "gmixup" and hard:
-            table.fill(out, lam, rng, classes=(y[anchor], y[partner]))
-        elif strategy == "gmixup":
-            table.fill(out, lam, rng, y_mix=(1.0 - lam) * y[anchor] + lam * y[partner])
-        elif strategy != "rmixup":
-            _v_mixup_row(out, mat_a, sources[partner], lam)
-    if strategy == "rmixup" and count:
-        for part, mixed in EigenCache(dataset)._mixes(anchors, partners, lams):
-            matrices[part] = mixed
-    source_labels = (
-        np.eye(dataset.n_classes)[dataset.labels]
-        if hard
-        else np.asarray(dataset.labels, np.float64)
-    )
-    if pairwise:
-        w = lams.reshape(-1, *([1] * (source_labels.ndim - 1)))
-        labels = (1.0 - w) * source_labels[anchors] + w * source_labels[partners]
-    else:
-        labels = source_labels[anchors]
+    for rows, part in stream:
+        matrices[rows] = part
     mixed_set = LabeledDataset(
         matrices=matrices,
-        labels=labels,
-        task=dataset.task,
-        is_correlation=dataset.is_correlation and strategy == "gmixup",
-        ids=[f"m{k:06d}" for k in range(count)],
+        labels=stream.labels,
+        task=stream.task,
+        is_correlation=stream.is_correlation,
+        ids=stream.ids,
     )
-    ids = dataset.ids
-    provenance = MixProvenance(
-        strategy,
-        source_i=[ids[a] for a in anchors.tolist()],
-        source_j=[ids[b] for b in partners.tolist()] if pairwise else None,
-        lam=lams if pairwise else None,
-        mask_summary=summaries if strategy in _MASKED else None,
-    )
-    return mixed_set, provenance
+    return mixed_set, stream.provenance
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .data_io import (
     TASK_REGRESSION,
     FormatError,
     LabeledDataset,
+    SpdbWriter,
     csv_writer,
     gen_labeled_dataset,
     gen_random_spd,
@@ -173,9 +174,10 @@ def cmd_gen(args) -> int:
             separation=args.separation,
         )
     else:  # spd
-        mats = np.stack(
-            [gen_random_spd(args.n, args.condition, rng).array for _ in range(args.count)]
-        )
+        # drawn in order into one stack: the output is held once
+        mats = np.empty((args.count, args.n, args.n))
+        for k in range(args.count):
+            mats[k] = gen_random_spd(args.n, args.condition, rng).array
         dataset = LabeledDataset(
             matrices=mats,
             labels=rng.uniform(0.0, 1.0, size=args.count),
@@ -204,15 +206,19 @@ def cmd_mix(args) -> int:
     )
     if args.cache is not None:
         print("note: --cache is deprecated and has no effect", file=sys.stderr)
-    out, provenance = augment.mix_dataset(dataset, config, args.count)
-    write_matrices(args.output, out)
-    prov_path = Path(args.output).with_name(Path(args.output).stem + ".provenance.csv")
-    with open(prov_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv_writer(fh, dataset.ids)
-        writer.writerow(provenance.CSV_HEADER)
-        writer.writerows(provenance.csv_rows(out.ids))
+    # each part goes to disk as it comes; a failure unlinks what was written
+    stream = augment.MixStream(dataset, config, args.count)
+    output = Path(args.output)
+    with SpdbWriter(output, stream.dim, stream.count, stream.task, stream.is_correlation) as out:
+        for _, part in stream:
+            out.write(part)
+        out.finish(stream.ids, stream.labels)
+        with out.open(output.with_name(output.stem + ".provenance.csv")) as fh:
+            writer = csv_writer(fh, dataset.ids)
+            writer.writerow(stream.provenance.CSV_HEADER)
+            writer.writerows(stream.provenance.csv_rows(stream.ids))
     _emit_json(
-        {"strategy": args.strategy, "count": len(out), "n": dataset.dim,
+        {"strategy": args.strategy, "count": stream.count, "n": dataset.dim,
          "seed": args.seed, "output": str(args.output)}
     )
     return 0

@@ -34,6 +34,7 @@ __all__ = [
     "FormatError",
     "LabeledDataset",
     "SpdbFormatError",
+    "SpdbWriter",
     "csv_writer",
     "gen_labeled_dataset",
     "gen_random_spd",
@@ -161,20 +162,84 @@ def _format_labels(labels) -> list[str]:
     return list(map(repr, labels.astype(np.float64).tolist()))
 
 
+class SpdbWriter:
+    """A dataset written as an SPDB file plus its labels sidecar, a chunk of
+    matrices at a time::
+
+        with SpdbWriter(path, n, count, task, is_correlation) as out:
+            for chunk in chunks:
+                out.write(chunk)
+            out.finish(ids, labels)
+
+    The header holds ``count``, so it can go out first: with the first chunk,
+    or in :meth:`finish` when there is none, so a failure before then leaves
+    no file. :meth:`finish` checks that ``count`` matrices came and writes the
+    sidecar. Leaving the block on an exception closes and unlinks every file
+    the writer opened, those of :meth:`open` included.
+    """
+
+    def __init__(self, path, dim: int, count: int, task: str, is_correlation: bool = False):
+        flags = (FLAG_CORRELATION if is_correlation else 0) | (
+            FLAG_REGRESSION if task == TASK_REGRESSION else 0
+        )
+        self.path = Path(path)
+        self._header = _HEADER.pack(MAGIC, VERSION, dim, count, flags)
+        self._shape = (dim, dim)
+        self._count = self._left = count
+        self._fh = None
+        self._opened: list[Path] = []
+
+    def __enter__(self) -> "SpdbWriter":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if self._fh is not None:
+            self._fh.close()
+        if kind is not None:
+            for path in self._opened:
+                path.unlink(missing_ok=True)
+
+    def open(self, path):
+        """Open another text file written along with the dataset (UTF-8, LF
+        kept as is); it is unlinked with the dataset on failure."""
+        fh = open(path, "w", encoding="utf-8", newline="")
+        self._opened.append(Path(path))
+        return fh
+
+    def write(self, matrices) -> None:
+        """Append a stack ``(k, n, n)`` of matrices to the file."""
+        payload = np.ascontiguousarray(matrices, dtype="<f8")
+        if payload.shape[1:] != self._shape or len(payload) > self._left:
+            raise ValueError(
+                f"a stack of shape {payload.shape} does not fit the {self._left} "
+                f"matrices of shape {self._shape} left to write"
+            )
+        if self._fh is None:
+            self._fh = open(self.path, "wb")
+            self._opened.append(self.path)
+            self._fh.write(self._header)
+        self._fh.write(payload.data)
+        self._left -= len(payload)
+
+    def finish(self, ids, labels) -> None:
+        """Close the SPDB file and write the labels sidecar."""
+        if self._left:
+            raise ValueError(f"{self._left} of {self._count} matrices were never written")
+        if self._fh is None:
+            self.write(np.empty((0, *self._shape)))
+        self._fh.close()
+        with self.open(_labels_path(self.path)) as fh:
+            writer = csv_writer(fh, ids)
+            writer.writerow(["id", "label"])
+            writer.writerows(zip(ids, _format_labels(labels)))
+
+
 def write_matrices(path, dataset: LabeledDataset) -> None:
-    """Write a dataset as an SPDB file plus its labels sidecar CSV."""
-    path = Path(path)
-    flags = (FLAG_CORRELATION if dataset.is_correlation else 0) | (
-        FLAG_REGRESSION if dataset.task == TASK_REGRESSION else 0
-    )
-    payload = np.ascontiguousarray(dataset.matrices, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, dataset.dim, len(dataset), flags))
-        fh.write(payload.data)
-    with open(_labels_path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv_writer(fh, dataset.ids)
-        writer.writerow(["id", "label"])
-        writer.writerows(zip(dataset.ids, _format_labels(dataset.labels)))
+    """Write a dataset as an SPDB file plus its labels sidecar CSV, as one
+    chunk of an :class:`SpdbWriter`."""
+    with SpdbWriter(path, dataset.dim, len(dataset), dataset.task, dataset.is_correlation) as out:
+        out.write(dataset.matrices)
+        out.finish(dataset.ids, dataset.labels)
 
 
 def _number(sample_id: str, text: str) -> float:

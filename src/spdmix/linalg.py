@@ -67,6 +67,8 @@ __all__ = [
 SYMMETRY_RTOL = 1e-10
 # |eigenvalue| bound beyond which exp() overflows / underflows in float64.
 EXP_EIGENVALUE_LIMIT = 700.0
+# The largest entry whose sum with another entry cannot overflow float64.
+_HALF_MAX = float(np.finfo(np.float64).max / 2.0)
 
 # Bytes of matrices handed to one stacked call. It bounds the working set of
 # a batched operation at large n and still stacks thousands of matrices at
@@ -239,18 +241,36 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     anything larger is treated as a caller bug and raises ``ValueError``.
     ``a`` may be a stack ``(k, n, n)``; each matrix is checked against its
     own norm.
+
+    A matrix whose largest entry lies beyond ``2**±400``, where squares over-
+    or underflow, is checked scaled by the power of two that brings that
+    entry into [0.5, 1); the scaling is exact, so the check holds at any
+    magnitude. The symmetric part is built from halves when ``A + A^T`` could
+    overflow.
     """
     arr = _square(a)
-    finite = np.isfinite(arr).all(axis=(-2, -1))
-    _reject(~finite, _StackError, lambda at: "matrix contains non-finite entries")
+    # NaN and inf reach the largest magnitude; zero sizes reduce to 0
+    peak = np.maximum(arr.max(axis=(-2, -1), initial=0.0), -arr.min(axis=(-2, -1), initial=0.0))
+    _reject(~np.isfinite(peak), _StackError, lambda at: "matrix contains non-finite entries")
     arr_t = arr.swapaxes(-1, -2)
-    norm = fro_norm(arr)
-    drift = fro_norm(arr - arr_t)
+    exponent = np.frexp(peak)[1]
+    exponent = np.where(np.abs(exponent) > 400, np.clip(exponent, -1021, 1021), 0)
+    unit = arr * np.ldexp(1.0, -exponent)[..., None, None] if exponent.any() else arr
+    norm = fro_norm(unit)
+    drift = fro_norm(unit - unit.swapaxes(-1, -2))
     bad = drift > SYMMETRY_RTOL * np.maximum(norm, np.finfo(np.float64).tiny)
-    _reject(bad, _StackError, lambda at: (
-        f"matrix is not symmetric: asymmetry {drift[at]:.3e} "
-        f"exceeds {SYMMETRY_RTOL:.1e} * ||A||_F = {SYMMETRY_RTOL * norm[at]:.3e}"
-    ))
+
+    def asymmetry(at):
+        with np.errstate(over="ignore"):
+            found, bound = np.ldexp([drift[at], SYMMETRY_RTOL * norm[at]], exponent[at])
+        return (
+            f"matrix is not symmetric: asymmetry {found:.3e} "
+            f"exceeds {SYMMETRY_RTOL:.1e} * ||A||_F = {bound:.3e}"
+        )
+
+    _reject(bad, _StackError, asymmetry)
+    if peak.max(initial=0.0) > _HALF_MAX:
+        return arr / 2.0 + arr_t / 2.0
     return (arr + arr_t) / 2.0
 
 

@@ -10,6 +10,7 @@ from spdmix.augment import (
     STRATEGIES,
     EigenCache,
     MixConfig,
+    MixStream,
     c_mixup_pair,
     d_mixup,
     drop_edge,
@@ -430,6 +431,26 @@ class TestGMixupFit:
         with pytest.raises(ValueError, match="variance"):
             g_mixup_fit(ds)
 
+    # sums taken one sample at a time, in sample order, are numpy's axis-0 sums
+    @pytest.mark.parametrize("count, n", [(64, 50), (7, 8), (1000, 8), (2, 3)])
+    def test_moments_are_numpys_axis_0_moments(self, count, n):
+        rng = np.random.default_rng(count + n)
+        mats = rng.standard_normal((count, n, n)) * rng.uniform(0.1, 100.0, size=(count, n, n))
+        y = rng.uniform(size=count)
+        gen = g_mixup_fit(LabeledDataset(mats, y, "regression"))
+        std = mats.std(axis=0)
+        cov = ((mats - mats.mean(axis=0)) * (y - y.mean()).reshape(-1, 1, 1)).mean(axis=0)
+        assert np.array_equal(gen.edge_mean, mats.mean(axis=0))
+        assert np.array_equal(gen.edge_std, std)
+        assert np.array_equal(gen.edge_label_corr,
+                              np.clip(np.where(std > 0.0, cov / (std * y.std()), 0.0), -1, 1))
+        classes = np.arange(count) % 3 if count > 3 else np.zeros(count, dtype=int)
+        gen = g_mixup_fit(LabeledDataset(mats, classes, "classification"))
+        for c in np.unique(classes):
+            members = mats[classes == c]
+            assert np.array_equal(gen.class_means[c], members.mean(axis=0))
+            assert np.array_equal(gen.class_stds[c], members.std(axis=0))
+
 
 class TestGMixupSample:
     def _zero_variance_generator(self):
@@ -637,6 +658,47 @@ class TestStreams:
         ref = np.random.default_rng([5, 1])
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+
+
+class TestMixStream:
+    """``mix_dataset`` is the fill of one :class:`MixStream`; the stream
+    yields ``_chunks`` parts in order, and a part boundary changes no bit."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7])
+    def test_parts_at_any_chunk_size_give_the_same_outputs(self, monkeypatch, strategy, count):
+        ds = regression_dataset(seed=40, count=6, n=3)
+        config = MixConfig(strategy=strategy, seed=8)
+        whole, prov = mix_dataset(ds, config, count)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 3 * 8 * 3 * 3)
+        stream = MixStream(ds, config, count)
+        parts = [(rows, part.copy()) for rows, part in stream]
+        assert [rows for rows, _ in parts] == list(linalg._chunks(count, 3))
+        stacked = np.concatenate([part for _, part in parts]) if parts else whole.matrices
+        assert np.array_equal(stacked, whole.matrices)
+        assert stream.ids == whole.ids
+        assert np.array_equal(stream.labels, whole.labels)
+        assert list(stream.provenance.csv_rows(stream.ids)) == list(prov.csv_rows(whole.ids))
+
+    def test_baseline_parts_share_one_buffer(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 4 * 4)
+        stream = MixStream(regression_dataset(seed=41), MixConfig("vmixup"), 5)
+        parts = [part for _, part in stream]
+        assert [len(part) for part in parts] == [2, 2, 1]
+        assert all(np.shares_memory(part, parts[0]) for part in parts)
+
+    def test_checks_come_before_any_draw(self):
+        ds = regression_dataset(seed=42, count=3)
+        ds.labels[:] = 0.5
+        with pytest.raises(ValueError, match="zero variance"):
+            MixStream(ds, MixConfig("gmixup"), 4)
+        with pytest.raises(ValueError, match="too small"):
+            MixStream(LabeledDataset(np.stack([np.eye(2)]), [0.5], "regression"),
+                      MixConfig("vmixup"), 1)
+        stream = MixStream(regression_dataset(seed=42), MixConfig("rmixup"), 3)
+        assert (stream.count, stream.dim, stream.task, stream.is_correlation) == (
+            3, 4, "regression", False)
+        assert stream.ids is stream.labels is stream.provenance is None
 
 
 class TestMixDataset:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from spdmix.data_io import (
     TASK_REGRESSION,
     LabeledDataset,
     gen_labeled_dataset,
+    gen_random_spd,
     read_matrices,
     write_matrices,
 )
@@ -53,6 +55,30 @@ class TestGen:
         assert p1.read_bytes()[18:] == p2.read_bytes()[18:]
         ds = read_matrices(p1)
         assert len(ds) == 20 and ds.dim == 6
+
+    def test_spd_bytes_are_the_draws_in_order(self, capsys, tmp_path):
+        path, _ = gen_dataset(capsys, tmp_path, kind="spd", n=5, count=6, seed=11,
+                              extra=("--condition", "30"))
+        rng = np.random.default_rng(11)
+        mats = np.stack([gen_random_spd(5, 30.0, rng).array for _ in range(6)])
+        expected = tmp_path / "expected.spdb"
+        write_matrices(expected, LabeledDataset(mats, rng.uniform(0.0, 1.0, size=6),
+                                                TASK_REGRESSION))
+        assert path.read_bytes() == expected.read_bytes()
+        assert (tmp_path / "spd.labels.csv").read_bytes() == \
+            (tmp_path / "expected.labels.csv").read_bytes()
+
+    def test_spd_peak_is_the_output(self, capsys, tmp_path):
+        # 128 matrices at n=120 (14 MiB) are drawn into one stack and written
+        # from it; a list of draws stacked afterwards held them twice
+        n, count = 120, 128
+        code, err, peak = traced_peak(
+            capsys, "gen", "--kind", "spd", "--n", str(n), "--count", str(count),
+            "-o", str(tmp_path / "g.spdb"),
+        )
+        budget = count * n * n * 8 + (1 << 20)
+        assert code == 0, err
+        assert peak < budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB"
 
     def test_summary_json_fields(self, capsys, tmp_path):
         _, summary = gen_dataset(capsys, tmp_path, seed=3)
@@ -377,29 +403,75 @@ class TestMixOracle:
             assert len(out) == 5
 
 
+def traced_peak(capsys, *argv):
+    """``main(argv)``'s exit code, stderr and traced peak above its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code, _, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return code, err, peak
+
+
 class TestMixMemory:
+    """``mix`` streams its outputs to disk: it holds the input, the logs of
+    the drawn sources (rmixup) and a few ``_CHUNK_BYTES`` chunks, whatever
+    the output count."""
+
     @pytest.mark.parametrize("strategy", augment.STRATEGIES)
     def test_peak_is_one_copy_of_each_stack(self, capsys, tmp_path, strategy):
-        # 64 inputs -> 1000 outputs at n=50: the input, the logs (rmixup)
-        # and the 19.1 MiB output are each held once; mixing rmixup in
-        # stacked chunks adds a few chunks on top
+        # 64 inputs -> 1000 outputs at n=50: the 19.1 MiB of output is never
+        # held; a baseline fills one reused chunk, rmixup's stacked
+        # exponentials take a few chunks on top of the logs
         n, inputs, outputs = 50, 64, 1000
         src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=n, count=inputs)
-        in_bytes, out_bytes = inputs * n * n * 8, outputs * n * n * 8
+        in_bytes = inputs * n * n * 8
         if strategy == "rmixup":
-            budget = 2 * in_bytes + out_bytes + 6 * linalg._CHUNK_BYTES
+            budget = 2 * in_bytes + 6 * linalg._CHUNK_BYTES
         else:
-            budget = in_bytes + out_bytes + (1 << 20)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            code, _, err = run(
-                capsys, "mix", "--input", str(src), "--strategy", strategy,
-                "--count", str(outputs), "--seed", "3", "-o", str(tmp_path / "m.spdb"),
-            )
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+            budget = in_bytes + linalg._CHUNK_BYTES + (1 << 20)
+        code, err, peak = traced_peak(
+            capsys, "mix", "--input", str(src), "--strategy", strategy,
+            "--count", str(outputs), "--seed", "3", "-o", str(tmp_path / "m.spdb"),
+        )
+        assert code == 0, err
+        assert peak < budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB"
+
+    def test_rmixup_logs_fill_in_place(self, capsys, tmp_path, monkeypatch):
+        # 512 inputs at n=40 (6.2 MiB) and 64 KiB chunks: the logs of the
+        # ~440 drawn sources dwarf the slack, so a gathered copy of them or a
+        # whole-stack log output would break the budget
+        n, size = 40, 512
+        src = tmp_path / "in.spdb"
+        write_matrices(src, gen_labeled_dataset(n, size, "regression", "log-linear",
+                                                np.random.default_rng(4), noise=0.1))
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 64 << 10)
+        in_bytes = size * n * n * 8
+        budget = 2 * in_bytes + 6 * linalg._CHUNK_BYTES + (1 << 20)
+        code, err, peak = traced_peak(
+            capsys, "mix", "--input", str(src), "--strategy", "rmixup",
+            "--count", str(size), "--seed", "3", "-o", str(tmp_path / "m.spdb"),
+        )
+        assert code == 0, err
+        assert peak < budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("kind", ["log-linear", "clustered"])
+    def test_gmixup_fit_holds_no_stacked_temporaries(self, capsys, tmp_path, kind):
+        # 1024 inputs at n=30 (7 MiB) -> 8 outputs: a (count, n, n)
+        # temporary of the fit (centred samples, a class's members) would
+        # break the budget
+        n, size = 30, 1024
+        src = tmp_path / "in.spdb"
+        task = "regression" if kind == "log-linear" else "classification"
+        write_matrices(src, gen_labeled_dataset(n, size, task, kind,
+                                                np.random.default_rng(5), noise=0.1))
+        budget = size * n * n * 8 + (1 << 20)
+        code, err, peak = traced_peak(
+            capsys, "mix", "--input", str(src), "--strategy", "gmixup",
+            "--count", "8", "--seed", "3", "-o", str(tmp_path / "m.spdb"),
+        )
         assert code == 0, err
         assert peak < budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB"
 
@@ -410,18 +482,66 @@ class TestMixMemory:
         n, size = 2, 2048
         src, _ = gen_dataset(capsys, tmp_path, kind="log-linear", n=n, count=size)
         budget = 2 * size * n * n * 8 + (1 << 20)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            code, _, err = run(
-                capsys, "mix", "--input", str(src), "--strategy", "cmixup",
-                "--count", str(size), "--seed", "3", "-o", str(tmp_path / "m.spdb"),
-            )
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        code, err, peak = traced_peak(
+            capsys, "mix", "--input", str(src), "--strategy", "cmixup",
+            "--count", str(size), "--seed", "3", "-o", str(tmp_path / "m.spdb"),
+        )
         assert code == 0, err
         assert peak < budget, f"peak {peak / 2**20:.1f} MiB, budget {budget / 2**20:.1f} MiB"
+
+
+class TestMixFailures:
+    """A failing ``mix`` names what failed and leaves no partial output."""
+
+    @staticmethod
+    def outputs(tmp_path):
+        return sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("m."))
+
+    def test_overflow_in_a_later_chunk_unlinks_the_outputs(self, capsys, tmp_path, monkeypatch):
+        # four tame samples and two whose log has eigenvalue 705: a mix of
+        # the two overflows exp's limit of 700 whatever its ratio. At seed 2
+        # output 5 is the first such mix, in the third chunk of two, so two
+        # chunks are on disk when it fails
+        logs = [[0.0, 0.5], [0.3, 0.1], [0.2, 0.4], [0.1, 0.0], [705.0, 0.0], [705.0, 0.0]]
+        src = tmp_path / "in.spdb"
+        write_matrices(src, LabeledDataset(
+            np.stack([np.diag(np.exp(d)) for d in logs]), np.linspace(0.0, 1.0, 6), "regression"
+        ))
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
+        code, stdout, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", "rmixup", "--count", "10",
+            "--seed", "2", "-o", str(tmp_path / "m.spdb"),
+        )
+        assert (code, stdout) == (3, "")
+        assert "error: mix 5 of samples s000004 and s000005: matrix_exp eigenvalue" in err
+        assert self.outputs(tmp_path) == []
+
+    def test_non_spd_source_is_named_before_any_byte_is_written(self, capsys, tmp_path):
+        mats = np.stack([np.eye(3) * (k + 1.0) for k in range(4)])
+        mats[2, 0, 0] = -1.0
+        src = tmp_path / "in.spdb"
+        write_matrices(src, LabeledDataset(mats, [0.1, 0.2, 0.3, 0.4], "regression"))
+        # an earlier run's output stays as it was
+        (tmp_path / "m.spdb").write_bytes(b"earlier")
+        code, stdout, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", "rmixup", "--count", "16",
+            "-o", str(tmp_path / "m.spdb"),
+        )
+        assert (code, stdout) == (3, "")
+        assert "error: sample s000002 is not SPD" in err
+        assert self.outputs(tmp_path) == ["m.spdb"]
+        assert (tmp_path / "m.spdb").read_bytes() == b"earlier"
+
+    def test_unwritable_provenance_unlinks_the_dataset(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, n=3, count=4)
+        (tmp_path / "m.provenance.csv").mkdir()
+        code, stdout, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", "vmixup", "--count", "3",
+            "-o", str(tmp_path / "m.spdb"),
+        )
+        assert (code, stdout) == (1, "")
+        assert "error: " in err
+        assert self.outputs(tmp_path) == ["m.provenance.csv"]
 
 
 class TestBlasThreads:
@@ -1112,6 +1232,32 @@ class TestKernelWidths:
         assert (code, stdout) == (3, "")
         assert "error: sigma 1e+308 is too wide" in err
 
+    # 2 * width**2 underflows to 0 (or below the normal range) and used to
+    # give divide-by-zero warnings and an error blaming the samples
+    @pytest.mark.parametrize("width", ["1e-300", "1e-155"])
+    def test_narrow_widths_are_domain_errors(self, capsys, tmp_path, width):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "regress", "--input", str(src), "--trials", "2",
+                                    "--sigma", width)
+            assert (code, stdout) == (3, "")
+            assert f"error: sigma {float(width)} is too narrow" in err
+            code, stdout, err = run(
+                capsys, "mix", "--input", str(src), "--strategy", "cmixup", "--count", "2",
+                "--bandwidth", width, "-o", str(tmp_path / "m.spdb"),
+            )
+            assert (code, stdout) == (3, "")
+            assert f"error: cmixup bandwidth {float(width)} is too narrow" in err
+        assert not (tmp_path / "m.spdb").exists()
+
+    def test_narrowest_width_runs(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        width = repr(augment._NARROWEST_KERNEL)
+        code, _, err = run(capsys, "mix", "--input", str(src), "--strategy", "cmixup",
+                           "--count", "2", "--bandwidth", width, "-o", str(tmp_path / "m.spdb"))
+        assert code == 0, err
+
 
 class TestGenFiniteOutput:
     """``gen`` writes no non-finite value: a spread beyond float64's range
@@ -1192,7 +1338,7 @@ class TestExitCodeSweep:
     of the contract's, and every failing run prints an ``error:`` line,
     which names the flag or its value unless a check failed (exit 4)."""
 
-    VALUES = ("0", "-1", "1", "nan", "inf", "1e308")
+    VALUES = ("0", "-1", "1", "nan", "inf", "1e308", "1e-300")
     # each setup's numeric flags; a setup is a small valid run the flag joins
     FLAGS = {
         "gen-log-linear": ("--n", "--count", "--seed", "--noise"),

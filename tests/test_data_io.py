@@ -14,6 +14,7 @@ from spdmix.data_io import (
     FormatError,
     LabeledDataset,
     SpdbFormatError,
+    SpdbWriter,
     gen_labeled_dataset,
     gen_random_spd,
     gen_synthetic_series,
@@ -281,6 +282,61 @@ class TestSpdbRoundtrip:
         path.with_name("s.labels.csv").unlink()
         with pytest.raises(SpdbFormatError, match="missing labels"):
             read_matrices(path)
+
+
+class TestSpdbWriter:
+    """``write_matrices`` is the one-chunk case of :class:`SpdbWriter`."""
+
+    def test_chunks_write_the_bytes_of_one_stack(self, tmp_path):
+        ds = small_regression_dataset(count=7)
+        write_matrices(tmp_path / "one.spdb", ds)
+        with SpdbWriter(tmp_path / "parts.spdb", 4, 7, "regression") as out:
+            for rows in (slice(0, 3), slice(3, 3), slice(3, 7)):
+                out.write(ds.matrices[rows])
+            out.finish(ds.ids, ds.labels)
+        for name in ("{}.spdb", "{}.labels.csv"):
+            assert (tmp_path / name.format("parts")).read_bytes() == \
+                (tmp_path / name.format("one")).read_bytes()
+
+    def test_empty_dataset_gets_its_header(self, tmp_path):
+        ds = LabeledDataset(np.zeros((0, 3, 3)), np.zeros(0), "classification")
+        with SpdbWriter(tmp_path / "e.spdb", 3, 0, "classification") as out:
+            out.finish([], np.zeros(0, dtype=np.int64))
+        assert read_matrices(tmp_path / "e.spdb").matrices.shape == (0, 3, 3)
+        write_matrices(tmp_path / "w.spdb", ds)
+        assert (tmp_path / "w.spdb").read_bytes() == (tmp_path / "e.spdb").read_bytes()
+
+    def test_count_is_held_to(self, tmp_path):
+        ds = small_regression_dataset(count=3)
+        with pytest.raises(ValueError, match="does not fit"):
+            with SpdbWriter(tmp_path / "a.spdb", 4, 2, "regression") as out:
+                out.write(ds.matrices)
+        with pytest.raises(ValueError, match="1 of 3 matrices were never written"):
+            with SpdbWriter(tmp_path / "b.spdb", 4, 3, "regression") as out:
+                out.write(ds.matrices[:2])
+                out.finish(ds.ids, ds.labels)
+        with pytest.raises(ValueError, match="does not fit"):
+            with SpdbWriter(tmp_path / "c.spdb", 3, 3, "regression") as out:
+                out.write(ds.matrices)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_unlinks_what_was_opened(self, tmp_path):
+        ds = small_regression_dataset(count=4)
+        (tmp_path / "x.labels.csv").write_text("earlier")
+        with pytest.raises(RuntimeError):
+            with SpdbWriter(tmp_path / "x.spdb", 4, 4, "regression") as out:
+                out.write(ds.matrices[:2])
+                raise RuntimeError("interrupted")
+        # the sidecar was never opened, so it is not this writer's to remove
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.labels.csv"]
+        with pytest.raises(RuntimeError):
+            with SpdbWriter(tmp_path / "x.spdb", 4, 4, "regression") as out:
+                out.write(ds.matrices)
+                out.finish(ds.ids, ds.labels)
+                with out.open(tmp_path / "x.extra.csv") as fh:
+                    fh.write("partial")
+                    raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeriesCsv:

@@ -70,6 +70,36 @@ class TestSymmetrize:
         with pytest.raises(ValueError, match="finite"):
             symmetrize(a)
 
+    # the Frobenius norm of entries beyond 1e154 (or below 1e-154) over- or
+    # underflows when squared, which used to disable the check
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324])
+    def test_asymmetry_rejected_at_any_scale(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not symmetric"):
+                symmetrize(np.array([[1.0, 0.0], [1.0, 1.0]]) * scale)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 1.7e308])
+    def test_symmetric_part_at_any_scale(self, scale):
+        # (A + A^T) / 2 overflows above half the float64 range
+        a = np.array([[1.0, 1.0], [1.0 + 1e-14, 0.5]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = symmetrize(np.stack([a, a.T]))
+        assert np.isfinite(out).all()
+        assert np.array_equal(out[0], out[1]) and np.array_equal(out[0], out[0].T)
+        np.testing.assert_allclose(out[0], a, rtol=1e-13)
+
+    def test_bits_unchanged_in_range(self):
+        # power-of-two scaling is exact: the check and the output keep the
+        # bits of the plain computation wherever it neither over- nor underflows
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 8, 50):
+            a = random_symmetric(rng, n, scale=10.0 ** rng.uniform(-100, 100))
+            drifted = a + 1e-12 * np.abs(a).max() * rng.standard_normal((n, n))
+            assert np.array_equal(symmetrize(drifted), (drifted + drifted.T) / 2.0)
+            assert np.array_equal(symmetrize(a), a)
+
 
 class TestEigSym:
     def test_identity(self):
@@ -151,10 +181,13 @@ class TestMatrixExp:
             matrix_exp(np.diag([750.0, 1.0]))
 
     def test_nan_spectrum_rejected(self):
-        # finite entries whose symmetric part overflows leave no spectrum to
-        # take exp() of: rejected, not returned as a matrix of NaN
-        with pytest.raises(EigenvalueOverflowError, match="magnitude nan") as info:
-            with np.errstate(over="ignore"):
+        # finite entries whose spectrum leaves float64's range (eigenvalue
+        # 2e308) leave nothing to take exp() of: rejected, not returned as a
+        # matrix of NaN. The symmetric part itself no longer overflows, so
+        # the spectrum reads inf rather than nan, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigenvalueOverflowError, match="magnitude inf") as info:
                 matrix_exp(np.full((2, 2), 1e308))
         assert info.value.index is None
 
