@@ -1,4 +1,4 @@
-"""Command-line front end: dataset generation, mixing, diagnostics, benchmarks.
+"""Command-line front end: dataset generation, mixing, diagnostics and checks.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 domain
 incompatibility (strategy/task mismatch, invalid dataset for an operation),
@@ -19,7 +19,6 @@ import argparse
 import io
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,6 @@ from .data_io import (
     write_matrices,
     write_series_csv,
 )
-from .linalg import count_eig_calls
 
 __all__ = ["main"]
 
@@ -350,73 +348,12 @@ def cmd_probe(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# bench
-
-
-def _median_seconds(fn, reps: int) -> float:
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
-
-
-def cmd_bench(args) -> int:
-    dims = _parse_list(args.n, "--n", int)
-    header = [
-        "n", "batch", "reps", "strategy", "median_per_mix_seconds",
-        "eig_calls_per_mix", "precompute_seconds",
-    ]
-    rows: list[list] = []
-    for n in dims:
-        rng = np.random.default_rng(args.seed + n)
-        mats = np.stack(
-            [gen_random_spd(n, 100.0, rng).array for _ in range(args.batch)]
-        )
-        labels = rng.uniform(0.0, 1.0, size=args.batch)
-        dataset = LabeledDataset(matrices=mats, labels=labels, task=TASK_REGRESSION)
-        lams = rng.uniform(0.0, 1.0, size=args.batch)
-        pairs = [(k, (k + 1) % args.batch) for k in range(args.batch)]
-        precompute_start = time.perf_counter()
-        cache = augment.EigenCache.build(dataset)
-        precompute = time.perf_counter() - precompute_start
-        logs = [cache.entry(sample_id) for sample_id in dataset.ids]
-        mixers = (
-            ("rmixup-direct", augment.r_mixup, mats, ""),
-            ("rmixup-cached", augment.r_mixup_cached, logs, repr(precompute)),
-            ("vmixup", augment.v_mixup, mats, ""),
-        )
-        per_mix = []
-        for strategy, mixer, inputs, precompute_cell in mixers:
-            with count_eig_calls() as counter:
-                mixer(inputs[0], inputs[1], labels[0], labels[1], 0.5)
-
-            def run():
-                for (a, b), lam in zip(pairs, lams):
-                    mixer(inputs[a], inputs[b], labels[a], labels[b], float(lam))
-
-            per_mix.append(_median_seconds(run, args.reps) / args.batch)
-            rows.append([n, args.batch, args.reps, strategy, repr(per_mix[-1]), counter.count,
-                         precompute_cell])
-        t_direct, t_cached, t_vmix = per_mix
-        print(
-            f"n={n}: direct {t_direct * 1e3:.3f} ms/mix, cached {t_cached * 1e3:.3f} "
-            f"ms/mix (speedup {t_direct / t_cached:.2f}x), vmixup "
-            f"{t_vmix * 1e3:.3f} ms/mix",
-            file=sys.stderr,
-        )
-    _emit_csv(header, rows, args.output)
-    return 0
-
-
-# ----------------------------------------------------------------------
 # parser plumbing
 
 
 _COMMANDS = {
     "gen": cmd_gen, "mix": cmd_mix, "diagnose": cmd_diagnose,
-    "regress": cmd_regress, "probe": cmd_probe, "bench": cmd_bench,
+    "regress": cmd_regress, "probe": cmd_probe,
 }
 
 
@@ -489,13 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--trials", type=_count(1), default=1000)
     p.add_argument("--seed", type=_seed, default=0)
-
-    p = sub("bench", "time direct vs cached geodesic mixing")
-    p.add_argument("--n", default="8,50,120,360", help="comma-separated dimensions")
-    p.add_argument("--batch", type=_count(2), default=64)
-    p.add_argument("--reps", type=_count(1), default=3)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("-o", "--output", default=None)
 
     return parser
 

@@ -5,22 +5,19 @@ symmetric eigendecomposition rather than Pade approximants or
 scaling-and-squaring, which keeps ``matrix_exp`` and ``matrix_log`` exact
 mutual inverses up to the accuracy of the decomposition itself.
 
-:func:`eig_sym` is that decomposition: ``numpy.linalg.eigh`` (LAPACK
-``syevd``) on one matrix or on a stack of shape ``(k, n, n)``. Its
-values-only twin :func:`eigvals_sym` (``eigvalsh``) is the only other
-eigensolver in spdmix, and :func:`count_eig_calls` counts both.
-:func:`symmetrize`, :meth:`EigenDecomposition.recompose`, :func:`matrix_log`
-and :func:`matrix_exp` accept stacks too and check every matrix of a stack on
-its own. A stacked call gives each matrix the same bits as a call on that
-matrix alone, so batched and one-at-a-time callers agree exactly.
+:func:`eig_sym` (``numpy.linalg.eigh``, LAPACK ``syevd``) and its values-only
+twin :func:`eigvals_sym` (``eigvalsh``) solve one matrix; :func:`count_eig_calls`
+counts every solve. :func:`symmetrize`, :func:`matrix_log` and
+:func:`matrix_exp` also take a stack ``(k, n, n)`` and check each matrix on its
+own; a stacked call gives each matrix the bits it gets alone.
 
-:func:`matrix_log` and :func:`matrix_exp` are one stacked kernel: per part
-of a stack, one pool task solves, applies the function to the spectrum and
-recomposes. Solves and
-recomposes run with numpy's bundled OpenBLAS pinned to one thread; a stack of
-two or more matrices is split into contiguous parts that a pool of one thread
-per core takes while the caller waits. Parallelism is across matrices, never
-inside one, so a matrix gets the same bits under any worker count and any
+:func:`matrix_log` and :func:`matrix_exp` are one stacked kernel, the only
+code that hands the pool a stack: per part, one pool task solves, applies the
+function to the spectrum and recomposes. Every solve and recompose runs with
+numpy's bundled OpenBLAS pinned to one thread; a stack of two or more matrices
+is split into contiguous parts that a pool of one thread per core takes while
+the caller waits. Parallelism is across matrices, never inside one, so a
+matrix gets the same bits under any worker count and any
 ``OPENBLAS_NUM_THREADS``. The pin is process-wide, so it is held only while
 one pinned call runs, under a lock that serialises them. Without the OpenBLAS
 ``scipy_openblas_{set,get}_num_threads64_`` pair, each call is plain numpy.
@@ -137,12 +134,12 @@ if hasattr(os, "register_at_fork"):
 def _pinned(fn, *stacks):
     """``fn(*stacks)`` on one OpenBLAS thread per matrix.
 
-    The stacks share their leading axis. Two or more matrices are split
-    into contiguous parts, a few per thread, that the pool takes in turn, so
-    a thread the host stalls holds up one part at most. The caller waits for
+    The arguments are one matrix each, or stacks that share their leading
+    axis and give one stacked array. Two or more matrices are split into
+    contiguous parts, a few per thread, that the pool takes in turn, so a
+    thread the host stalls holds up one part at most. The caller waits for
     every part, or the first failure, and joins the results in order, so each
-    matrix gets the bits it gets alone. Without a thread setter, one plain
-    call.
+    matrix gets the bits it gets alone. Without a thread setter, one call.
     """
     global _POOL
     if _SET_THREADS is None:
@@ -171,8 +168,6 @@ def _pinned(fn, *stacks):
                 wait(futures)
         finally:
             _SET_THREADS(previous)
-    if isinstance(results[0], tuple):
-        return tuple(np.concatenate(arrays) for arrays in zip(*results))
     return np.concatenate(results)
 
 
@@ -275,15 +270,14 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 class EigenDecomposition(NamedTuple):
-    """Orthogonal basis and ascending eigenvalues of a symmetric matrix, or
-    of each matrix of a stack (``(k, n, n)`` and ``(k, n)``)."""
+    """Orthogonal basis and ascending eigenvalues of a symmetric matrix."""
 
     orthogonal: np.ndarray
     eigenvalues: np.ndarray
 
     def recompose(self, values: np.ndarray | None = None) -> np.ndarray:
         """Rebuild ``O diag(values) O^T`` (defaults to the stored spectrum)."""
-        o = _square(self.orthogonal)
+        o = _square(self.orthogonal, stack=False)
         w = self.eigenvalues if values is None else values
         return _pinned(_recompose, o, np.broadcast_to(w, o.shape[:-1]))
 
@@ -335,14 +329,13 @@ def _solve(task, sym: np.ndarray, *stacks, values_only: bool = False):
 
 
 def eig_sym(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecompose a symmetric matrix, or a stack of them, with LAPACK
-    ``syevd`` (``numpy.linalg.eigh``).
+    """Eigendecompose one symmetric matrix with LAPACK ``syevd``
+    (``numpy.linalg.eigh``).
 
     Returns eigenvalues in ascending order and an orthogonal eigenvector
     matrix ``O`` with ``O diag(mu) O^T`` reconstructing the input. The call is
-    deterministic for identical input bits, and each matrix of a stack gets
-    the bits it would get alone. :func:`count_eig_calls` counts one call per
-    matrix.
+    deterministic for identical input bits. :func:`count_eig_calls` counts
+    one call.
 
     Raises
     ------
@@ -350,19 +343,19 @@ def eig_sym(a: np.ndarray) -> EigenDecomposition:
         If the underlying solver does not converge; the message carries the
         matrix dimension and Frobenius norm for diagnosis.
     """
-    w, v = _solve(np.linalg.eigh, symmetrize(a))
+    w, v = _solve(np.linalg.eigh, symmetrize(_square(a, stack=False)))
     return EigenDecomposition(orthogonal=v, eigenvalues=w)
 
 
 def eigvals_sym(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
-    stack, without eigenvectors (``numpy.linalg.eigvalsh``).
+    """Ascending eigenvalues of one symmetric matrix, without eigenvectors
+    (``numpy.linalg.eigvalsh``).
 
     ``a`` must be exactly symmetric, as :func:`symmetrize` returns it or an
     :class:`SpdMatrix` holds it: the solver reads only the lower triangle.
     Counted and checked for convergence like :func:`eig_sym`.
     """
-    return _solve(np.linalg.eigvalsh, _square(a), values_only=True)
+    return _solve(np.linalg.eigvalsh, _square(a, stack=False), values_only=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,7 +477,7 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
 def matrix_power(s, p: float) -> SpdMatrix:
     """Real matrix power ``S^p = O diag(mu^p) O^T`` of an SPD matrix, or of
     the matrix an :class:`EigenDecomposition` ``s`` describes."""
-    dec = s if isinstance(s, EigenDecomposition) else eig_sym(_square(s, stack=False))
+    dec = s if isinstance(s, EigenDecomposition) else eig_sym(s)
     _square(dec.orthogonal, stack=False)
     mu = dec.eigenvalues
     _require_positive(mu, "matrix_power")

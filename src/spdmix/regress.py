@@ -332,7 +332,8 @@ def theorem1_trials(
     chunks of at most 4 MiB; the tables equal the per-pair calls bit for
     bit. Errors come in this order: a negative label in ``dataset``, a bad
     ratio, bandwidth or pair index (all before any solve), a drawn sample
-    that is not SPD, then the first coincident pair in draw order.
+    that is not SPD, then the first coincident pair, or pair whose kernel
+    value underflows to 0, in draw order.
     """
     labels = dataset.labels.astype(np.float64).tolist()
     _check_labels(labels)
@@ -370,28 +371,37 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
     ``logs`` holds the logarithm of every matrix a pair uses and ``labels``
     every label, as Python floats. Pair checks come first, in pair order;
     then the four distances of every (pair, ratio) row are reduced a chunk
-    of rows at a time; the predictions stay scalar arithmetic per row.
+    of rows at a time, and a kernel value that underflows to 0 is rejected
+    before any prediction; the predictions stay scalar arithmetic per row.
     """
     n = mats.shape[-1]
     per = len(lams)
     d_ij = np.empty(len(first))
     for part in _chunks(len(first), n):
         d_ij[part] = fro_norm(logs[first[part]] - logs[second[part]])
-    two_sig_sq = np.empty(len(first))
+    widths, two_sig_sq = np.empty(len(first)), np.empty(len(first))
     k_ij = []
     for t, d in enumerate(d_ij):
-        s = _default_sigma(d) if sigma is None else sigma
+        s = widths[t] = _default_sigma(d) if sigma is None else sigma
         if d <= 1e-12:
             raise ValueError("endpoints coincide; the two-sample system is singular")
         two_sig_sq[t] = 2.0 * s**2
-        k_ij.append(float(np.exp(-d / two_sig_sq[t])))
+        with np.errstate(over="ignore"):
+            k_ij.append(float(np.exp(-d / two_sig_sq[t])))
+        if k_ij[-1] == 0.0:
+            raise _vanished(s, first[t], second[t], d)
 
     ratio = np.asarray(lams)
     kernel = np.empty((len(first) * per, 4))
     for part in _chunks(len(kernel), n):
         t, l = np.divmod(np.arange(part.start, part.stop), per)
         dist = _row_distances(mats, logs, first[t], second[t], ratio[l])
-        kernel[part] = np.exp(-dist / two_sig_sq[t][:, None])
+        with np.errstate(over="ignore"):
+            kernel[part] = np.exp(-dist / two_sig_sq[t][:, None])
+        if not kernel[part].all():
+            r, col = np.argwhere(kernel[part] == 0.0)[0]
+            point = f"the {('geodesic', 'line')[col // 2]} point at lam={float(ratio[l[r]])} of "
+            raise _vanished(widths[t[r]], first[t[r]], second[t[r]], dist[r, col], point)
 
     tables = []
     rows = iter(kernel.tolist())
@@ -411,6 +421,14 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
             table.append(row)
         tables.append(table)
     return tables
+
+
+def _vanished(sigma, i, j, d, point="") -> ValueError:
+    """The error for a kernel value ``exp(-d / (2 sigma^2))`` that underflowed to 0."""
+    return ValueError(
+        f"sigma {float(sigma)} gives {point}the pair of matrices {i} and {j} a kernel "
+        f"value exp(-d / (2 sigma^2)) of 0 at distance d = {float(d):.6e}; widen sigma"
+    )
 
 
 def _row_distances(mats, logs, i, j, lam) -> np.ndarray:

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NonPositiveEigenvalueError, SpdMatrix, eig_sym, eigvals_sym, symmetrize
+from .linalg import (
+    NonPositiveEigenvalueError,
+    SpdMatrix,
+    _square,
+    eig_sym,
+    eigvals_sym,
+    symmetrize,
+)
 
 __all__ = [
     "CLAMP_FLOOR_DEFAULT",
@@ -122,7 +129,7 @@ def spdness_report(s: np.ndarray, n: int, t: int) -> SpdnessReport:
     requires every eigenvalue to clear the threshold. The count is checked
     against the centering rank bound ``min(n, t - 1)``.
     """
-    arr = symmetrize(s)
+    arr = symmetrize(_square(s, stack=False))
     if arr.shape[0] != n:
         raise ValueError(f"matrix dimension {arr.shape[0]} does not match n={n}")
     _check_series_length(t)

@@ -43,6 +43,13 @@ def gen_dataset(capsys, tmp_path, kind="log-linear", n=6, count=20, seed=7, extr
     return path, json.loads(out)
 
 
+def test_unknown_subcommand_is_usage_error(capsys):
+    # ``bench`` timed one-sample mixing paths that ``mix`` no longer takes
+    code, out, err = run(capsys, "bench", "--n", "3")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'bench'" in err
+
+
 class TestGen:
     def test_reproducible_bytes(self, capsys, tmp_path):
         p1, _ = gen_dataset(capsys, tmp_path, seed=7)
@@ -209,7 +216,6 @@ class TestMix:
             ("gen", "--kind", "spd", "--n", "3", "-o", out),
             ("regress", "--input", str(src)),
             ("probe", "--input", str(src)),
-            ("bench", "--n", "3"),
         )
         for argv in commands:
             for seed in ("-1", str(2**64)):
@@ -593,9 +599,6 @@ class TestCountFlags:
         ("regress", "--trials", "-3"),
         ("gen", "--count", "0"),
         ("probe", "--trials", "0"),
-        ("bench", "--batch", "0"),
-        ("bench", "--batch", "1"),
-        ("bench", "--reps", "0"),
     ])
     def test_below_minimum_is_usage_error(self, capsys, tmp_path, command, flag, value):
         src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
@@ -605,7 +608,6 @@ class TestCountFlags:
             "regress": ["regress", "--input", str(src)],
             "gen": ["gen", "--kind", "spd", "--n", "3", "-o", out],
             "probe": ["probe", "--input", str(src)],
-            "bench": ["bench", "--n", "3"],
         }[command]
         code, stdout, err = run(capsys, *argv, flag, value)
         assert (code, stdout) == (2, "")
@@ -621,14 +623,12 @@ class TestListFlags:
     @pytest.mark.parametrize("command, flag, kind", [
         ("diagnose", "--sweep", "integer"),
         ("regress", "--lambdas", "float"),
-        ("bench", "--n", "integer"),
     ])
     def test_bad_list_is_usage_error(self, capsys, tmp_path, command, flag, kind):
         src, _ = gen_dataset(capsys, tmp_path, n=3, count=4)
         argv = {
             "diagnose": ["diagnose", "--input", str(src), "--t", "10"],
             "regress": ["regress", "--input", str(src)],
-            "bench": ["bench"],
         }[command]
         for value, message in (
             ("4,x", f"{flag} expects a comma-separated {kind} list"),
@@ -926,24 +926,6 @@ class TestProbe:
         code, _, err = self._cut_row(capsys, tmp_path, "s000001,abc")
         assert code == 1
         assert "s000001" in err and "'abc'" in err
-
-
-class TestBench:
-    def test_small_benchmark_reports_counts(self, capsys, tmp_path):
-        code, out, err = run(
-            capsys, "bench", "--n", "4,8", "--batch", "4", "--reps", "1",
-            "--seed", "0",
-        )
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 6
-        by_strategy = {(r["n"], r["strategy"]): r for r in rows}
-        for n in ("4", "8"):
-            assert by_strategy[(n, "rmixup-direct")]["eig_calls_per_mix"] == "3"
-            assert by_strategy[(n, "rmixup-cached")]["eig_calls_per_mix"] == "1"
-            assert by_strategy[(n, "vmixup")]["eig_calls_per_mix"] == "0"
-            assert float(by_strategy[(n, "rmixup-cached")]["precompute_seconds"]) > 0
-        assert "speedup" in err
 
 
 class TestGenInputRules:
@@ -1251,6 +1233,19 @@ class TestKernelWidths:
             assert f"error: cmixup bandwidth {float(width)} is too narrow" in err
         assert not (tmp_path / "m.spdb").exists()
 
+    def test_kernel_underflow_names_sigma(self, capsys, tmp_path):
+        # 2 * sigma**2 is normal, but exp(-d / (2 sigma^2)) underflows to 0 at
+        # the pair's distance: the bandwidth is named, not the samples
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "regress", "--input", str(src), "--trials", "2",
+                                    "--sigma", "1.1e-154")
+        assert (code, stdout) == (3, "")
+        line = next(l for l in err.splitlines() if l.startswith("error:"))
+        assert "sigma 1.1e-154 gives the pair of matrices" in line
+        assert "of 0 at distance d = " in line
+
     def test_narrowest_width_runs(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
         width = repr(augment._NARROWEST_KERNEL)
@@ -1352,7 +1347,6 @@ class TestExitCodeSweep:
         "diagnose-series": ("--sweep",),
         "regress": ("--trials", "--seed", "--sigma", "--lambdas"),
         "probe": ("--trials", "--seed"),
-        "bench": ("--n", "--batch", "--reps", "--seed"),
     }
 
     @pytest.fixture(scope="class")
@@ -1383,9 +1377,7 @@ class TestExitCodeSweep:
             return ["diagnose", "--input", str(inputs / "s.csv")]
         if command == "regress":
             return ["regress", "--input", str(inputs / "spd.spdb"), "--trials", "2"]
-        if command == "probe":
-            return ["probe", "--input", str(inputs / "reg.spdb"), "--trials", "5"]
-        return ["bench", "--n", "2", "--batch", "2", "--reps", "1"]
+        return ["probe", "--input", str(inputs / "reg.spdb"), "--trials", "5"]
 
     @pytest.mark.parametrize("value", VALUES)
     @pytest.mark.parametrize("setup, flag", [

@@ -38,6 +38,7 @@ from spdmix.linalg import (
     matrix_power,
     symmetrize,
 )
+from spdmix.spdness import spdness_report
 
 DIMS = [2, 3, 8, 50, 120]
 
@@ -432,21 +433,18 @@ class TestEigCallCounting:
             assert (c.count, c.values_only) == (1, 1)
         with count_eig_calls() as c:
             eig_sym(np.eye(3))
-            eigvals_sym(np.zeros((5, 3, 3)))
-        assert (c.count, c.values_only) == (6, 5)
+            matrix_log(np.stack([np.eye(3)] * 5))
+            eigvals_sym(np.zeros((3, 3)))
+        assert (c.count, c.values_only) == (7, 1)
 
 
 class TestEigvalsSym:
     @pytest.mark.parametrize("n", [1, 5, 50])
     def test_matches_full_decomposition(self, n):
-        stack = TestStacks.spd_stack(n, 4, n)
-        w = eigvals_sym(stack)
-        assert w.shape == (4, n)
-        for k in range(4):
-            assert np.array_equal(w[k], eigvals_sym(stack[k]))
-            np.testing.assert_allclose(
-                w[k], eig_sym(stack[k]).eigenvalues, rtol=1e-12, atol=1e-14
-            )
+        for s in TestStacks.spd_stack(n, 4, n):
+            w = eigvals_sym(s)
+            assert w.shape == (n,)
+            np.testing.assert_allclose(w, eig_sym(s).eigenvalues, rtol=1e-12, atol=1e-14)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -458,8 +456,11 @@ class TestEigvalsSym:
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(np.linalg, name, fail)
-        with pytest.raises(EigenConvergenceError, match=r"shape \(3, 2, 2\).*2\.0"):
-            solve(np.stack([np.eye(2), 2.0 * np.eye(2) / np.sqrt(2.0), np.eye(2)]))
+        with pytest.raises(EigenConvergenceError, match=r"shape \(2, 2\).*2\.0"):
+            solve(2.0 * np.eye(2) / np.sqrt(2.0))
+        if name == "eigh":
+            with pytest.raises(EigenConvergenceError, match=r"shape \(3, 2, 2\).*2\.0"):
+                matrix_log(np.stack([np.eye(2), 2.0 * np.eye(2) / np.sqrt(2.0), np.eye(2)]))
 
 
 class TestOneBackend:
@@ -555,14 +556,10 @@ class TestStacks:
     @pytest.mark.parametrize("n", [1, 5, 8, 50, 120, 360])
     def test_matches_single_calls_bitwise(self, n):
         stack = self.spd_stack(n, 6, n)
-        dec = eig_sym(stack)
         logs = matrix_log(stack)
         exps = matrix_exp(logs)
         assert isinstance(exps, np.ndarray) and exps.shape == stack.shape
         for k in range(len(stack)):
-            single = eig_sym(stack[k])
-            assert np.array_equal(dec.eigenvalues[k], single.eigenvalues)
-            assert np.array_equal(dec.orthogonal[k], single.orthogonal)
             assert np.array_equal(logs[k], matrix_log(stack[k]))
             assert np.array_equal(exps[k], matrix_exp(logs[k]).array)
         for part in (slice(0, 1), slice(1, 4), slice(4, 6)):
@@ -571,10 +568,7 @@ class TestStacks:
     def test_higher_rank_rejected(self):
         stack = self.spd_stack(9, 6, 4).reshape(2, 3, 4, 4)
 
-        def recompose(a):
-            return EigenDecomposition(a, np.ones(a.shape[:-1])).recompose()
-
-        for fn in (symmetrize, eig_sym, eigvals_sym, matrix_log, matrix_exp, recompose):
+        for fn in (symmetrize, matrix_log, matrix_exp):
             with pytest.raises(ValueError, match=r"stack \(k, n, n\).*\(2, 3, 4, 4\)"):
                 fn(stack)
 
@@ -582,6 +576,10 @@ class TestStacks:
         stack = np.stack([2.0 * np.eye(3), 3.0 * np.eye(3)])
         semidefinite = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])])
         cases = (
+            (eig_sym, stack),
+            (eigvals_sym, stack),
+            (lambda a: EigenDecomposition(a, np.ones(a.shape[:-1])).recompose(), stack),
+            (lambda a: spdness_report(a, 3, 10), stack),
             (log_det, stack),
             (lambda a: matrix_power(a, 0.0), stack),
             (lambda a: matrix_power(a, 0.5), stack),
@@ -597,7 +595,7 @@ class TestStacks:
     def test_counts_one_per_matrix(self):
         stack = self.spd_stack(10, 7, 3)
         with count_eig_calls() as c:
-            eig_sym(stack)
+            matrix_log(stack)
         assert c.count == 7
         with count_eig_calls() as c:
             matrix_exp(matrix_log(stack))
@@ -620,7 +618,7 @@ class TestStacks:
     def test_asymmetric_matrix_named(self):
         stack = np.stack([np.eye(2)] * 4)
         stack[1] = [[1.0, 2.0], [0.0, 1.0]]
-        for fn in (symmetrize, eig_sym, matrix_log, matrix_exp):
+        for fn in (symmetrize, matrix_log, matrix_exp):
             with pytest.raises(ValueError, match="matrix 1 of the stack.*not symmetric"):
                 fn(stack)
 
@@ -636,7 +634,7 @@ class TestStacks:
         stack = np.stack([np.eye(2)] * 3)
         stack[2, 0, 0] = np.inf
         with pytest.raises(ValueError, match="matrix 2 of the stack.*finite"):
-            eig_sym(stack)
+            matrix_log(stack)
 
     def test_empty_stack(self):
         assert matrix_log(np.zeros((0, 3, 3))).shape == (0, 3, 3)
@@ -745,13 +743,8 @@ class TestPool:
 
     @staticmethod
     def results(stack):
-        dec = eig_sym(stack)
-        return [
-            dec.eigenvalues,
-            dec.orthogonal,
-            eigvals_sym(symmetrize(stack)),
-            dec.recompose(np.log(dec.eigenvalues)),
-        ]
+        logs = matrix_log(stack)
+        return [logs, np.asarray(matrix_exp(logs))]
 
     @pytest.mark.parametrize("n, count", [(8, 7), (50, 5), (120, 4), (360, 3)])
     def test_worker_counts_agree_bitwise(self, workers, n, count):
@@ -772,10 +765,10 @@ class TestPool:
         workers(3)
         stack = TestStacks.spd_stack(13, 7, 4)
         with count_eig_calls() as c:
-            eig_sym(stack)
-            eigvals_sym(stack)
-            matrix_exp(matrix_log(stack[:5]))
-        assert (c.count, c.values_only) == (7 + 7 + 10, 7)
+            matrix_exp(matrix_log(stack))
+            matrix_log(stack[:5])
+            eigvals_sym(stack[0])
+        assert (c.count, c.values_only) == (7 + 7 + 5 + 1, 1)
         assert linalg._POOL is not None
 
     def test_one_round_trip_per_chunk(self, monkeypatch, workers):
@@ -812,30 +805,32 @@ class TestPool:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         previous = linalg._SET_THREADS(2)
         try:
-            eig_sym(np.eye(3))
-            eig_sym(TestStacks.spd_stack(14, 4, 3))
+            matrix_log(np.eye(3))
+            matrix_log(TestStacks.spd_stack(14, 4, 3))
         finally:
             assert linalg._SET_THREADS(previous) == 2
         assert len(seen) > 2 and set(seen) == {1}
 
     def test_convergence_failure_in_a_worker(self, monkeypatch, workers):
         workers(2)
+        eigh = np.linalg.eigh
 
         def fail_late(a):
             if a[0, 0, 0] == 3.0:
                 raise np.linalg.LinAlgError("did not converge")
-            return np.ones(a.shape[:-1])
+            return eigh(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail_late)
+        monkeypatch.setattr(np.linalg, "eigh", fail_late)
         stack = np.stack([np.eye(2), np.eye(2), 3.0 * np.eye(2), np.eye(2)])
         with pytest.raises(EigenConvergenceError, match=r"shape \(4, 2, 2\)"):
-            eigvals_sym(stack)
+            matrix_log(stack)
 
     def test_failed_part_leaves_no_part_running(self, monkeypatch, workers):
         # the first part fails at once: the call returns only after the parts
         # already running finish, with the count restored and the lock free
         workers(2)
         running = []
+        eigh = np.linalg.eigh
 
         def solve(a):
             if a[0, 0, 0] == 3.0:
@@ -843,14 +838,14 @@ class TestPool:
             running.append(id(a))
             time.sleep(0.02)
             running.remove(id(a))
-            return np.ones(a.shape[:-1])
+            return eigh(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+        monkeypatch.setattr(np.linalg, "eigh", solve)
         stack = np.stack([3.0 * np.eye(2)] + [np.eye(2)] * 7)
         previous = linalg._SET_THREADS(2)
         try:
             with pytest.raises(EigenConvergenceError):
-                eigvals_sym(stack)
+                matrix_log(stack)
             assert not running and not linalg._PINNED.locked()
         finally:
             assert linalg._SET_THREADS(previous) == 2
@@ -894,12 +889,12 @@ class TestPool:
             "from spdmix import linalg",
             "linalg._WORKERS = 2",
             "stack = np.stack([np.eye(3)] * 4)",
-            "linalg.eig_sym(stack)",
+            "linalg.matrix_log(stack)",
             "assert linalg._POOL is not None",
             "pid = os.fork()",
             "if pid == 0:",
             "    signal.alarm(30)",  # a child stuck on the dead pool ends
-            "    linalg.eig_sym(stack)",
+            "    linalg.matrix_log(stack)",
             "    os._exit(0)",
             "print(os.waitpid(pid, 0)[1])",
         ])

@@ -1,5 +1,6 @@
 """Kernel, kernel ridge, geodesic regression, and comparison harness tests."""
 
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -388,6 +389,32 @@ class TestTheoremHarness:
         mats = spd_set(20, 2, n=3)
         with pytest.raises(ValueError, match=field):
             theorem1_harness(mats[0], mats[1], 0.1, 0.5, [0.5], config)
+
+    def test_underflowing_kernel_names_sigma(self, monkeypatch):
+        # d / (2 sigma^2) overflows: exp(-d / (2 sigma^2)) of the pair is 0
+        a, b = spd_set(22, 2, n=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                r"^sigma 1\.1e-154 gives the pair of matrices 0 and 1 a kernel value "
+                r"exp\(-d / \(2 sigma\^2\)\) of 0 at distance d = \d"
+            )):
+                theorem1_harness(a, b, 0.1, 0.5, [0.5], KernelConfig(sigma=1.1e-154))
+        # the pair's value is positive and a row's is not: that row is named
+        d = log_euclidean_distance(a, b)
+        sigma = np.sqrt(d / 1400.0)
+        near = regress._row_distances
+
+        def far(*args):
+            dist = near(*args)
+            dist[:, 2:] *= 4.0  # the line points' columns
+            return dist
+
+        monkeypatch.setattr(regress, "_row_distances", far)
+        with pytest.raises(ValueError, match=(
+            rf"^sigma {sigma} gives the line point at lam=0.5 of the pair of matrices 0 and 1"
+        )):
+            theorem1_harness(a, b, 0.1, 0.5, [0.5], KernelConfig(sigma=sigma))
 
     def test_coincident_endpoints_rejected(self):
         s = np.eye(3)

@@ -33,6 +33,7 @@ HOMES = {
     r"seed must be an unsigned 64-bit integer": "augment._check_seed",
     r"noise must be": "data_io._check_noise",
     r"series length must be at least 2": "spdness._check_series_length",
+    r"expected a square matrix": "linalg._square",
 }
 
 
