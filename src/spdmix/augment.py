@@ -35,6 +35,7 @@ from .linalg import (
     EigenvalueOverflowError,
     NonPositiveEigenvalueError,
     _chunks,
+    _pinned,
     matrix_exp,
     matrix_log,
 )
@@ -277,24 +278,28 @@ class EigenCache:
     ) -> Iterator[tuple[slice, np.ndarray]]:
         """``exp((1-lam) log S_first + lam log S_second)`` row by row.
 
-        Yields ``(rows, stack)`` a chunk at a time; each matrix has the bits
+        Yields ``(rows, stack)`` a chunk at a time; pool tasks blend and
+        exponentiate the parts of each chunk, and each matrix has the bits
         :func:`r_mixup_cached` gives the same pair and ratio.
         """
         self._fill(np.concatenate([first, second]))
-        for part in _chunks(len(lams), self._dataset.dim):
-            w = lams[part, None, None]
-            log_mix = (1.0 - w) * self._logs[first[part]] + w * self._logs[second[part]]
+
+        def mix(rows):
+            w = lams[rows, None, None]
+            log_mix = (1.0 - w) * self._logs[first[rows]] + w * self._logs[second[rows]]
             try:
-                mixed = matrix_exp(log_mix)
+                return matrix_exp(log_mix)
             except EigenvalueOverflowError as exc:
-                k = part.start + exc.index
+                k = int(rows[exc.index])
                 ids = self._dataset.ids
                 err = EigenvalueOverflowError(
                     f"mix {k} of samples {ids[first[k]]} and {ids[second[k]]}: {exc.detail}"
                 )
                 err.index = k
                 raise err from exc
-            yield part, mixed
+
+        for part in _chunks(len(lams), self._dataset.dim):
+            yield part, _pinned(mix, np.arange(part.start, part.stop))
 
 
 def r_mixup_cached(log_i, log_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:

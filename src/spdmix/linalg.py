@@ -11,15 +11,16 @@ counts every solve. :func:`symmetrize`, :func:`matrix_log` and
 :func:`matrix_exp` also take a stack ``(k, n, n)`` and check each matrix on its
 own; a stacked call gives each matrix the bits it gets alone.
 
-:func:`matrix_log` and :func:`matrix_exp` are one stacked kernel, the only
-code that hands the pool a stack: per part, one pool task solves, applies the
-function to the spectrum and recomposes. Every solve and recompose runs with
-numpy's bundled OpenBLAS pinned to one thread; a stack of two or more matrices
-is split into contiguous parts that a pool of one thread per core takes while
-the caller waits. Parallelism is across matrices, never inside one, so a
-matrix gets the same bits under any worker count and any
-``OPENBLAS_NUM_THREADS``. The pin is process-wide, so it is held only while
-one pinned call runs, under a lock that serialises them. Without the OpenBLAS
+:func:`matrix_log` and :func:`matrix_exp` are one stacked kernel: per part,
+one pool task symmetrizes, solves, applies the function to the spectrum and
+recomposes. Every solve and recompose runs with numpy's bundled OpenBLAS
+pinned to one thread; a stack of two or more matrices is split into
+contiguous parts that a pool of one thread per core takes while the caller
+waits. Parallelism is across matrices, never inside one, so a matrix gets the
+same bits under any worker count and any ``OPENBLAS_NUM_THREADS``. The pin is
+process-wide, so it is held only while one pinned call runs, under a lock
+that serialises them. A pool task may call the matrix functions; they run
+inline on its thread, already pinned. Without the OpenBLAS
 ``scipy_openblas_{set,get}_num_threads64_`` pair, each call is plain numpy.
 
 All inputs and outputs are double-precision dense arrays. Functions are pure
@@ -33,7 +34,7 @@ import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -119,43 +120,53 @@ _PARTS_PER_THREAD = 4
 # Held for each pinned call: in numpy's build the OpenBLAS thread count is
 # process-wide, so a pin would slow every other matrix product it outlived.
 _PINNED = threading.Lock()
+# True in the context of a pinned call's ``fn``, on the caller or in a pool
+# task, where the pin and the lock are already held.
+_INSIDE: ContextVar[bool] = ContextVar("inside_pinned", default=False)
+# Held for each update of the count_eig_calls counters, which pool tasks share.
+_COUNTING = threading.Lock()
 
 
 def _forget_pool() -> None:
     # a forked child has the pool object but none of its threads
-    global _POOL, _PINNED
-    _POOL, _PINNED = None, threading.Lock()
+    global _POOL, _PINNED, _COUNTING
+    _POOL, _PINNED, _COUNTING = None, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pinned(fn, *stacks):
+def _pinned(fn, *stacks, least: int = 1):
     """``fn(*stacks)`` on one OpenBLAS thread per matrix.
 
-    The arguments are one matrix each, or stacks that share their leading
-    axis and give one stacked array. Two or more matrices are split into
-    contiguous parts, a few per thread, that the pool takes in turn, so a
-    thread the host stalls holds up one part at most. The caller waits for
-    every part, or the first failure, and joins the results in order, so each
-    matrix gets the bits it gets alone. Without a thread setter, one call.
+    The arguments are one matrix each, or arrays (of matrices or of any rows)
+    that share their leading axis and give one array. Rows are split into
+    contiguous parts of at least ``least`` rows, a few per thread, that the
+    pool takes in turn, each in a copy of the caller's context, so a thread
+    the host stalls holds up one part at most. The caller waits for every
+    part, or the first failure, raises the first failing part's error in row
+    order, and joins the results in order, so each matrix gets the bits it
+    gets alone. Inside ``fn``, on the caller or in a pool task, a pinned call
+    is plain ``fn``. Without a thread setter, one call.
     """
     global _POOL
-    if _SET_THREADS is None:
+    if _SET_THREADS is None or _INSIDE.get():
         return fn(*stacks)
     with _PINNED:
         previous = _SET_THREADS(1)
+        token = _INSIDE.set(True)
         try:
-            total = len(stacks[0]) if stacks[0].ndim == 3 else 1
-            if total < 2 or _WORKERS < 2:
+            total = 1 if stacks[0].ndim == 2 else len(stacks[0])
+            count = min(total // least, _PARTS_PER_THREAD * _WORKERS)
+            if count < 2 or _WORKERS < 2:
                 return fn(*stacks)
             if _POOL is None:
                 _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="spdmix-linalg")
-            count = min(total, _PARTS_PER_THREAD * _WORKERS)
             ends = [total * p // count for p in range(count + 1)]
             futures = [
-                _POOL.submit(fn, *(s[a:b] for s in stacks)) for a, b in zip(ends, ends[1:])
+                _POOL.submit(copy_context().run, fn, *(s[a:b] for s in stacks))
+                for a, b in zip(ends, ends[1:])
             ]
             try:
                 # one wake-up per call: a caller woken per part preempts a
@@ -167,6 +178,7 @@ def _pinned(fn, *stacks):
                     f.cancel()
                 wait(futures)
         finally:
+            _INSIDE.reset(token)
             _SET_THREADS(previous)
     return np.concatenate(results)
 
@@ -297,7 +309,8 @@ class EigCallCounter:
 
 
 # The counters of every enclosing count_eig_calls scope, innermost last. The
-# calling thread counts a whole stack before any part of it goes to the pool.
+# thread that hands a stack to _pinned counts it whole; a pool task sees its
+# submitter's counters, through the context it runs in.
 _COUNTERS: ContextVar[tuple[EigCallCounter, ...]] = ContextVar("eig_counters", default=())
 
 
@@ -313,12 +326,14 @@ def count_eig_calls() -> Iterator[EigCallCounter]:
 
 
 def _solve(task, sym: np.ndarray, *stacks, values_only: bool = False):
-    """``task(sym, *stacks)``, pinned, on a symmetric matrix or stack,
-    counting one solve per matrix; the task solves with a numpy eigensolver."""
+    """``task(sym, *stacks)``, pinned, on a symmetric matrix or stack (or one
+    the task symmetrizes), counting one solve per matrix; the task solves
+    with a numpy eigensolver."""
     matrices = len(sym) if sym.ndim == 3 else 1
-    for counter in _COUNTERS.get():
-        counter.count += matrices
-        counter.values_only += matrices if values_only else 0
+    with _COUNTING:
+        for counter in _COUNTERS.get():
+            counter.count += matrices
+            counter.values_only += matrices if values_only else 0
     try:
         return _pinned(task, sym, *stacks)
     except np.linalg.LinAlgError as exc:
@@ -412,26 +427,29 @@ def _spectral(s, f, check) -> tuple[np.ndarray, np.ndarray]:
     """``O diag(f(mu)) O^T`` of a symmetric matrix, or of each matrix of a
     stack, and its ascending spectrum ``mu``.
 
-    Each ``_CHUNK_BYTES`` part (one matrix is one part, ``...``) is
-    symmetrized here; one pinned task solves it, applies ``f`` with
+    Each ``_CHUNK_BYTES`` part (one matrix is one part, ``...``) goes to one
+    pinned task, which symmetrizes it, naming a failing matrix by its
+    position ``at`` in the whole stack, solves, applies ``f`` with
     floating-point warnings off and recomposes into the output. Then
-    ``check(mu)`` vets the spectra of the whole stack."""
+    ``check(mu)`` vets the spectra of the whole stack, so an input fault
+    anywhere wins over a spectrum fault."""
     arr = _square(s)
     out, mu = np.empty_like(arr), np.empty(arr.shape[:-1])
 
-    def task(sym, dest):
+    def task(part, dest, at):
+        try:
+            sym = symmetrize(part)
+        except _StackError as exc:
+            where = None if exc.index is None else int(at[exc.index])
+            raise _StackError(exc.detail, index=where) from exc
         w, o = np.linalg.eigh(sym)
         with np.errstate(all="ignore"):
             _recompose(o, f(w), out=dest)
         return w
 
+    at = np.arange(len(arr))
     for part in _chunks(len(arr), arr.shape[-1]) if arr.ndim == 3 else [...]:
-        try:
-            sym = symmetrize(arr[part])
-        except _StackError as exc:
-            at = None if exc.index is None else part.start + exc.index
-            raise _StackError(exc.detail, index=at) from exc
-        mu[part] = _solve(task, sym, out[part])
+        mu[part] = _solve(task, arr[part], out[part], at[part])
     check(mu)
     return out, mu
 

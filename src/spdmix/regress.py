@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .augment import EigenCache, _check_width
 from .data_io import TASK_REGRESSION, LabeledDataset
-from .linalg import NonPositiveEigenvalueError, _chunks, fro_norm, matrix_log
+from .linalg import NonPositiveEigenvalueError, _chunks, _pinned, fro_norm, matrix_log
 
 __all__ = [
     "GeodesicRegressionModel",
@@ -67,9 +67,20 @@ class KernelConfig:
 
 
 def _gaussian(d2, n: int, sigma: float, space: str):
-    """Normalizer and values of the Gaussian kernel at squared distances ``d2``."""
+    """Normalizer and values of the Gaussian kernel at squared distances ``d2``.
+
+    The normalizer ``(2 pi sigma^2)^-power`` must be a normal float64: one
+    that overflows or underflows is rejected, naming its size in log space."""
     power = n * (n - 1) / 4.0 if space == SPACE_RIEMANNIAN else n / 2.0
-    norm = (2.0 * np.pi * sigma**2) ** -power
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.float64(2.0 * np.pi * sigma**2) ** -power
+    if not np.finfo(np.float64).tiny <= norm < np.inf:
+        log10 = -power * (np.log10(2.0 * np.pi) + 2.0 * np.log10(sigma))
+        raise ValueError(
+            f"sigma {sigma} gives the n={n} kernel normalizer (2 pi sigma^2)^-{power:g} "
+            f"= 10^{log10:.6g}, too {'large' if log10 > 0 else 'small'} for a normal "
+            f"float64; use a sigma nearer 1/sqrt(2 pi) or a smaller n"
+        )
     return norm, norm * np.exp(-d2 / (2.0 * sigma**2))
 
 
@@ -328,12 +339,14 @@ def theorem1_trials(
     ``first`` and ``second`` index samples of ``dataset``. ``sigma=None``
     gives each pair :func:`default_harness_sigma`'s bandwidth, from the same
     logarithms. Every drawn sample is decomposed once, through an
-    :class:`EigenCache`, and every interior line point once, in stacked
-    chunks of at most 4 MiB; the tables equal the per-pair calls bit for
-    bit. Errors come in this order: a negative label in ``dataset``, a bad
-    ratio, bandwidth or pair index (all before any solve), a drawn sample
-    that is not SPD, then the first coincident pair, or pair whose kernel
-    value underflows to 0, in draw order.
+    :class:`EigenCache`, and every interior line point once, in chunks of
+    rows of at most 4 MiB whose parts run as pool tasks; the tables equal the
+    per-pair calls bit for bit, under any worker count. Errors come in this
+    order: a negative label in ``dataset``, a bad ratio, bandwidth or pair
+    index (all before any solve), a drawn sample that is not SPD, the first
+    coincident pair, or pair whose kernel value underflows to 0, in draw
+    order, then, a chunk of rows at a time, the first line point that is not
+    SPD and then the first row whose kernel value underflows.
     """
     labels = dataset.labels.astype(np.float64).tolist()
     _check_labels(labels)
@@ -369,10 +382,12 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
     """Harness tables of the pairs ``(first[t], second[t])`` of ``mats``.
 
     ``logs`` holds the logarithm of every matrix a pair uses and ``labels``
-    every label, as Python floats. Pair checks come first, in pair order;
-    then the four distances of every (pair, ratio) row are reduced a chunk
-    of rows at a time, and a kernel value that underflows to 0 is rejected
-    before any prediction; the predictions stay scalar arithmetic per row.
+    every label, as Python floats. Pair checks come first, in pair order.
+    Then, a chunk of (pair, ratio) rows at a time, pool tasks of whole ratio
+    grids or more run :func:`_row_distances` (gathers, geodesic blend, the
+    line points' logarithms and the four distances), and the caller rejects
+    a kernel value that underflows to 0 before any prediction; the
+    predictions stay scalar arithmetic per row.
     """
     n = mats.shape[-1]
     per = len(lams)
@@ -395,7 +410,8 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
     kernel = np.empty((len(first) * per, 4))
     for part in _chunks(len(kernel), n):
         t, l = np.divmod(np.arange(part.start, part.stop), per)
-        dist = _row_distances(mats, logs, first[t], second[t], ratio[l])
+        dist = _pinned(lambda i, j, lam: _row_distances(mats, logs, i, j, lam),
+                       first[t], second[t], ratio[l], least=per)
         with np.errstate(over="ignore"):
             kernel[part] = np.exp(-dist / two_sig_sq[t][:, None])
         if not kernel[part].all():

@@ -503,17 +503,15 @@ class TestMixFailures:
     def outputs(tmp_path):
         return sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("m."))
 
-    def test_overflow_in_a_later_chunk_unlinks_the_outputs(self, capsys, tmp_path, monkeypatch):
+    def overflowing_mix(self, capsys, tmp_path):
         # four tame samples and two whose log has eigenvalue 705: a mix of
         # the two overflows exp's limit of 700 whatever its ratio. At seed 2
-        # output 5 is the first such mix, in the third chunk of two, so two
-        # chunks are on disk when it fails
+        # output 5 is the first such mix of ten
         logs = [[0.0, 0.5], [0.3, 0.1], [0.2, 0.4], [0.1, 0.0], [705.0, 0.0], [705.0, 0.0]]
         src = tmp_path / "in.spdb"
         write_matrices(src, LabeledDataset(
             np.stack([np.diag(np.exp(d)) for d in logs]), np.linspace(0.0, 1.0, 6), "regression"
         ))
-        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
         code, stdout, err = run(
             capsys, "mix", "--input", str(src), "--strategy", "rmixup", "--count", "10",
             "--seed", "2", "-o", str(tmp_path / "m.spdb"),
@@ -521,6 +519,22 @@ class TestMixFailures:
         assert (code, stdout) == (3, "")
         assert "error: mix 5 of samples s000004 and s000005: matrix_exp eigenvalue" in err
         assert self.outputs(tmp_path) == []
+
+    def test_overflow_in_a_later_chunk_unlinks_the_outputs(self, capsys, tmp_path, monkeypatch):
+        # output 5 is in the third chunk of two, so two chunks are on disk
+        # when it fails
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
+        self.overflowing_mix(capsys, tmp_path)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_overflow_in_a_later_part_is_named_by_output_index(
+        self, capsys, tmp_path, workers, count
+    ):
+        # ten outputs in one chunk: with two workers the chunk goes to the
+        # pool in eight parts and output 5 is the first row of the fifth,
+        # but the error names it by its place in the output
+        workers(count)
+        self.overflowing_mix(capsys, tmp_path)
 
     def test_non_spd_source_is_named_before_any_byte_is_written(self, capsys, tmp_path):
         mats = np.stack([np.eye(3) * (k + 1.0) for k in range(4)])

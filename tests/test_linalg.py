@@ -717,25 +717,6 @@ class TestStacks:
                 matrix_power(stack[0], 1e308)
 
 
-@pytest.fixture
-def workers(monkeypatch):
-    """``use(count)`` runs later solves on a pool of their own with
-    ``count`` threads; one thread means no pool."""
-    original = linalg._POOL
-
-    def retire():
-        if linalg._POOL not in (None, original):
-            linalg._POOL.shutdown()
-
-    def use(count):
-        retire()
-        monkeypatch.setattr(linalg, "_WORKERS", count)
-        monkeypatch.setattr(linalg, "_POOL", None)
-
-    yield use
-    retire()
-
-
 @pytest.mark.skipif(linalg._SET_THREADS is None, reason="numpy's OpenBLAS has no thread setter")
 class TestPool:
     """Stacks split across a pool while the caller waits, with OpenBLAS on
@@ -907,6 +888,67 @@ class TestPool:
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "0"
+
+    @staticmethod
+    def bounded(fn, seconds=60.0):
+        """``fn()`` on a daemon thread: a call that deadlocks fails the test
+        after ``seconds`` instead of hanging the suite."""
+        done = {}
+
+        def target():
+            try:
+                done["value"] = fn()
+            except BaseException as exc:  # re-raised on the test's thread
+                done["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(seconds)
+        if thread.is_alive():
+            # end the deadlock, so that no thread outlives the test: the pool
+            # takes no more parts and the blocked acquire goes through
+            if linalg._POOL is not None:
+                linalg._POOL.shutdown(wait=False, cancel_futures=True)
+            if linalg._PINNED.locked():
+                linalg._PINNED.release()
+            thread.join(seconds)
+            pytest.fail("a pinned call inside a pool task did not finish")
+        if "error" in done:
+            raise done["error"]
+        return done["value"]
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_pool_task_may_call_the_matrix_functions(self, monkeypatch, workers, count):
+        # each part of the outer call takes stacked logs and exps of its rows,
+        # which run inline on its thread; every solve is counted once, in the
+        # scope of the thread that made the outer call, even with more
+        # workers than cores switching often
+        workers(count)
+        monkeypatch.setattr(linalg, "_PINNED", threading.Lock())
+        stack = TestStacks.spd_stack(31, 12, 4)
+        want = self.results(stack)
+
+        def task(rows):
+            logs = matrix_log(stack[rows])
+            return np.stack([logs, matrix_exp(logs)], axis=1)
+
+        def nested():
+            with count_eig_calls() as c:
+                runs = [linalg._pinned(task, np.arange(len(stack))) for _ in range(50)]
+            return runs, c.count
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs, solves = self.bounded(nested)
+        finally:
+            sys.setswitchinterval(interval)
+        assert solves == 50 * 2 * len(stack)
+        for run in runs:
+            assert np.array_equal(run[:, 0], want[0])
+            assert np.array_equal(run[:, 1], want[1])
+        assert (linalg._POOL is None) == (count == 1)
+        assert not linalg._PINNED.locked()
 
     def test_without_setter_no_pool_and_same_bits(self, monkeypatch, workers):
         workers(2)

@@ -70,6 +70,27 @@ class TestHeatKernel:
             heat_kernel(mats[1], mats[0], 1.3), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "second, sigma, size",
+        [("same", 1e-3, r"10\^1131\.4\d*, too large"),
+         ("random", 1.1e-154, r"10\^66798\.\d+, too large"),
+         ("double", 100.0, r"10\^-1043\.6\d*, too small")],
+        ids=["narrow", "tiny", "wide"],
+    )
+    def test_normalizer_outside_float64_named(self, second, sigma, size):
+        # (2 pi sigma^2)^(-n(n-1)/4) at n=30 leaves float64 for these widths:
+        # the error names sigma, n and the size, with no OverflowError or 0.0
+        a, b = spd_set(5, 2, n=30)
+        s_i, s_hat = {"same": (np.eye(30), np.eye(30)), "random": (a, b),
+                      "double": (np.eye(30), 2.0 * np.eye(30))}[second]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                rf"^sigma {sigma} gives the n=30 kernel normalizer \(2 pi sigma\^2\)\^-217\.5 "
+                rf"= {size} for a normal float64"
+            )):
+                heat_kernel(s_i, s_hat, sigma)
+
 
 class TestEuclideanKernel:
     def test_zero_distance_value(self):
@@ -567,6 +588,51 @@ class TestBatchedHarness:
             theorem1_trials(ds, pair["first"], pair["second"], DEFAULT_GRID)
         assert c.count == 0
 
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("per_chunk, want", [(18, "line point"), (9, "kernel")])
+    def test_first_failing_row_raises_the_serial_error(
+        self, monkeypatch, workers, count, per_chunk, want
+    ):
+        # six pairs of three rows: with two workers each pair is one task.
+        # Row 1 (pair 0, lam 0.5) gets a kernel value that underflows, and row
+        # 13 (pair 4, lam 0.5) a line point that is not SPD. Rows are vetted
+        # a chunk at a time, line points before kernels: with one chunk the
+        # line point is named, with chunks of nine rows the earlier kernel
+        workers(count)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * 8 * 3 * 3)
+        ds = regression_dataset(seed=417, count=7, n=3)
+        first, second = np.arange(6), np.arange(1, 7)
+        logs = matrix_log(ds.matrices)
+        sigma = float(np.sqrt(np.max(fro_norm(logs[first] - logs[second])) / 200.0))
+        bad = ds.matrices[4] * 0.5 + ds.matrices[5] * 0.5
+        near = regress._row_distances
+
+        def far(mats, logs, i, j, lam):
+            dist = near(mats, logs, i, j, lam)
+            dist[(i == 0) & (j == 1) & (lam == 0.5), 2:] *= 1e6
+            return dist
+
+        def breaking_log(stack):
+            hit = (stack == bad).all(axis=(-2, -1))
+            if stack.ndim == 3 and hit.any():
+                stack = stack.copy()
+                stack[hit] = -np.eye(3)
+            return matrix_log(stack)
+
+        monkeypatch.setattr(regress, "_row_distances", far)
+        monkeypatch.setattr(regress, "matrix_log", breaking_log)
+        with pytest.raises(ValueError) as info:
+            theorem1_trials(ds, first, second, [0.25, 0.5, 0.75], sigma)
+        if want == "line point":
+            assert type(info.value) is NonPositiveEigenvalueError
+            assert str(info.value).startswith(
+                "the line point at lam=0.5 between matrices 4 and 5 is not SPD"
+            )
+        else:
+            assert str(info.value).startswith(
+                f"sigma {sigma} gives the line point at lam=0.5 of the pair of matrices 0 and 1"
+            )
+
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
     def test_library_fits_independent_of_chunking(self, monkeypatch, per_chunk):
         ds = regression_dataset(seed=412, count=7, n=4)
@@ -640,21 +706,29 @@ class TestRegressCli:
         assert out == per_pair_csv(ds, trials, 4, lambdas, sigma)
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
-    def test_stdout_independent_of_chunking(self, capsys, tmp_path, monkeypatch, per_chunk):
+    def test_stdout_independent_of_chunking(
+        self, capsys, tmp_path, monkeypatch, workers, per_chunk
+    ):
         ds, path = self.dataset(tmp_path)
         monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * 8 * 5 * 5)
-        code, out, _ = self.run(capsys, path, "--trials", "7", "--seed", "5")
-        assert code == 0
-        assert out == per_pair_csv(ds, 7, 5, DEFAULT_GRID)
+        for count in (1, 2):
+            workers(count)
+            code, out, _ = self.run(capsys, path, "--trials", "7", "--seed", "5")
+            assert code == 0
+            assert out == per_pair_csv(ds, 7, 5, DEFAULT_GRID)
 
     @pytest.mark.parametrize("grid", [None, "0,1e-300,0.5,1", "0.25,0.5"])
-    def test_solve_ledger(self, capsys, tmp_path, grid):
+    def test_solve_ledger(self, capsys, tmp_path, workers, grid):
         ds, path = self.dataset(tmp_path, count=12)
         lambdas = DEFAULT_GRID if grid is None else [float(v) for v in grid.split(",")]
         extra = () if grid is None else ("--lambdas", grid)
-        with count_eig_calls() as c:
-            code, _, _ = self.run(capsys, path, "--trials", "20", "--seed", "6", *extra)
-        assert code == 0
+        counts = []
+        for count in (1, 2):
+            workers(count)
+            with count_eig_calls() as c:
+                code, _, _ = self.run(capsys, path, "--trials", "20", "--seed", "6", *extra)
+            assert code == 0
+            counts.append(c.count)
         pairs = draws(len(ds), 20, 6)
         sources = {k for pair in pairs for k in pair}
         interior = 0
@@ -663,7 +737,7 @@ class TestRegressCli:
             for lam in lambdas:
                 line = ((1.0 - lam) * s_a + lam * s_b).tobytes()
                 interior += line not in (s_a.tobytes(), s_b.tobytes())
-        assert c.count == len(sources) + interior
+        assert counts == [len(sources) + interior] * 2
         if grid is None:
             assert interior == 20 * 9
 

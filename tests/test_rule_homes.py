@@ -34,6 +34,7 @@ HOMES = {
     r"noise must be": "data_io._check_noise",
     r"series length must be at least 2": "spdness._check_series_length",
     r"expected a square matrix": "linalg._square",
+    r"kernel normalizer": "regress._gaussian",
 }
 
 
