@@ -279,16 +279,16 @@ class EigenCache:
         """``exp((1-lam) log S_first + lam log S_second)`` row by row.
 
         Yields ``(rows, stack)`` a chunk at a time; pool tasks blend and
-        exponentiate the parts of each chunk, and each matrix has the bits
-        :func:`r_mixup_cached` gives the same pair and ratio.
+        exponentiate the parts of each chunk into its stack, and each matrix
+        has the bits :func:`r_mixup_cached` gives the same pair and ratio.
         """
         self._fill(np.concatenate([first, second]))
 
-        def mix(rows):
+        def mix(rows, dest):
             w = lams[rows, None, None]
             log_mix = (1.0 - w) * self._logs[first[rows]] + w * self._logs[second[rows]]
             try:
-                return matrix_exp(log_mix)
+                dest[...] = matrix_exp(log_mix)
             except EigenvalueOverflowError as exc:
                 k = int(rows[exc.index])
                 ids = self._dataset.ids
@@ -299,7 +299,9 @@ class EigenCache:
                 raise err from exc
 
         for part in _chunks(len(lams), self._dataset.dim):
-            yield part, _pinned(mix, np.arange(part.start, part.stop))
+            mixed = np.empty((part.stop - part.start,) + self._logs.shape[1:])
+            _pinned(mix, np.arange(part.start, part.stop), mixed)
+            yield part, mixed
 
 
 def r_mixup_cached(log_i, log_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:

@@ -20,8 +20,8 @@ waits. Parallelism is across matrices, never inside one, so a matrix gets the
 same bits under any worker count and any ``OPENBLAS_NUM_THREADS``. The pin is
 process-wide, so it is held only while one pinned call runs, under a lock
 that serialises them. A pool task may call the matrix functions; they run
-inline on its thread, already pinned. Without the OpenBLAS
-``scipy_openblas_{set,get}_num_threads64_`` pair, each call is plain numpy.
+inline on its thread, already pinned. Without the OpenBLAS thread setter
+pair, ``scipy_openblas_{set,get}_num_threads64_``, each call is plain numpy.
 
 All inputs and outputs are double-precision dense arrays. Functions are pure
 and safe to call from any thread; :class:`SpdMatrix` instances are immutable.
@@ -120,8 +120,7 @@ _PARTS_PER_THREAD = 4
 # Held for each pinned call: in numpy's build the OpenBLAS thread count is
 # process-wide, so a pin would slow every other matrix product it outlived.
 _PINNED = threading.Lock()
-# True in the context of a pinned call's ``fn``, on the caller or in a pool
-# task, where the pin and the lock are already held.
+# True while a pinned call's ``fn`` runs, which holds the pin and the lock.
 _INSIDE: ContextVar[bool] = ContextVar("inside_pinned", default=False)
 # Held for each update of the count_eig_calls counters, which pool tasks share.
 _COUNTING = threading.Lock()
@@ -137,18 +136,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pinned(fn, *stacks, least: int = 1):
+def _pinned(fn, *stacks):
     """``fn(*stacks)`` on one OpenBLAS thread per matrix.
 
-    The arguments are one matrix each, or arrays (of matrices or of any rows)
-    that share their leading axis and give one array. Rows are split into
-    contiguous parts of at least ``least`` rows, a few per thread, that the
-    pool takes in turn, each in a copy of the caller's context, so a thread
-    the host stalls holds up one part at most. The caller waits for every
-    part, or the first failure, raises the first failing part's error in row
-    order, and joins the results in order, so each matrix gets the bits it
-    gets alone. Inside ``fn``, on the caller or in a pool task, a pinned call
-    is plain ``fn``. Without a thread setter, one call.
+    The arguments are one matrix each, or arrays that share their leading
+    axis; the results join into one array (``None`` when ``fn`` writes in
+    place). Two or more rows are split into contiguous parts, a few per
+    thread, that the pool takes in turn in copies of the caller's context,
+    so a thread the host stalls holds up one part at most. The caller waits
+    for every part, or the first failure, then raises the first failing
+    part's error or joins the results in order, so each matrix gets the bits
+    it gets alone. Inside ``fn`` a pinned call is plain ``fn``. Without a
+    thread setter, one call.
     """
     global _POOL
     if _SET_THREADS is None or _INSIDE.get():
@@ -158,11 +157,11 @@ def _pinned(fn, *stacks, least: int = 1):
         token = _INSIDE.set(True)
         try:
             total = 1 if stacks[0].ndim == 2 else len(stacks[0])
-            count = min(total // least, _PARTS_PER_THREAD * _WORKERS)
-            if count < 2 or _WORKERS < 2:
+            if total < 2 or _WORKERS < 2:
                 return fn(*stacks)
             if _POOL is None:
                 _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="spdmix-linalg")
+            count = min(total, _PARTS_PER_THREAD * _WORKERS)
             ends = [total * p // count for p in range(count + 1)]
             futures = [
                 _POOL.submit(copy_context().run, fn, *(s[a:b] for s in stacks))
@@ -180,7 +179,7 @@ def _pinned(fn, *stacks, least: int = 1):
         finally:
             _INSIDE.reset(token)
             _SET_THREADS(previous)
-    return np.concatenate(results)
+    return None if results[0] is None else np.concatenate(results)
 
 
 class EigenConvergenceError(RuntimeError):
@@ -326,9 +325,8 @@ def count_eig_calls() -> Iterator[EigCallCounter]:
 
 
 def _solve(task, sym: np.ndarray, *stacks, values_only: bool = False):
-    """``task(sym, *stacks)``, pinned, on a symmetric matrix or stack (or one
-    the task symmetrizes), counting one solve per matrix; the task solves
-    with a numpy eigensolver."""
+    """``task(sym, *stacks)``, pinned, on a matrix or stack that is or the task
+    makes symmetric, counting one solve per matrix, with a numpy eigensolver."""
     matrices = len(sym) if sym.ndim == 3 else 1
     with _COUNTING:
         for counter in _COUNTERS.get():
@@ -428,11 +426,10 @@ def _spectral(s, f, check) -> tuple[np.ndarray, np.ndarray]:
     stack, and its ascending spectrum ``mu``.
 
     Each ``_CHUNK_BYTES`` part (one matrix is one part, ``...``) goes to one
-    pinned task, which symmetrizes it, naming a failing matrix by its
-    position ``at`` in the whole stack, solves, applies ``f`` with
-    floating-point warnings off and recomposes into the output. Then
-    ``check(mu)`` vets the spectra of the whole stack, so an input fault
-    anywhere wins over a spectrum fault."""
+    pinned task, which symmetrizes it (naming a bad matrix by its place
+    ``at`` in the stack), solves, applies ``f`` with floating-point warnings
+    off and recomposes into the output. Then ``check(mu)`` vets the spectra
+    of the whole stack, so an input fault anywhere wins over a spectrum fault."""
     arr = _square(s)
     out, mu = np.empty_like(arr), np.empty(arr.shape[:-1])
 

@@ -67,10 +67,8 @@ class KernelConfig:
 
 
 def _gaussian(d2, n: int, sigma: float, space: str):
-    """Normalizer and values of the Gaussian kernel at squared distances ``d2``.
-
-    The normalizer ``(2 pi sigma^2)^-power`` must be a normal float64: one
-    that overflows or underflows is rejected, naming its size in log space."""
+    """Normalizer and values of the Gaussian kernel at squared distances ``d2``;
+    a normalizer outside the normal float64 range is rejected."""
     power = n * (n - 1) / 4.0 if space == SPACE_RIEMANNIAN else n / 2.0
     with np.errstate(over="ignore", under="ignore"):
         norm = np.float64(2.0 * np.pi * sigma**2) ** -power
@@ -383,10 +381,11 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
 
     ``logs`` holds the logarithm of every matrix a pair uses and ``labels``
     every label, as Python floats. Pair checks come first, in pair order.
-    Then, a chunk of (pair, ratio) rows at a time, pool tasks of whole ratio
-    grids or more run :func:`_row_distances` (gathers, geodesic blend, the
-    line points' logarithms and the four distances), and the caller rejects
-    a kernel value that underflows to 0 before any prediction; the
+    Then, a chunk of (pair, ratio) rows at a time, pool tasks of a few rows
+    each run :func:`_row_distances` (gathers, geodesic blend, the line
+    points' logarithms and the four distances); a chunk with a failing task
+    runs again as one call, which raises the serial code's error. The caller
+    rejects a kernel value that underflows to 0 before any prediction; the
     predictions stay scalar arithmetic per row.
     """
     n = mats.shape[-1]
@@ -410,8 +409,11 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
     kernel = np.empty((len(first) * per, 4))
     for part in _chunks(len(kernel), n):
         t, l = np.divmod(np.arange(part.start, part.stop), per)
-        dist = _pinned(lambda i, j, lam: _row_distances(mats, logs, i, j, lam),
-                       first[t], second[t], ratio[l], least=per)
+        rows = first[t], second[t], ratio[l]
+        try:
+            dist = _pinned(lambda *r: _row_distances(mats, logs, *r), *rows)
+        except Exception:
+            dist = _row_distances(mats, logs, *rows)
         with np.errstate(over="ignore"):
             kernel[part] = np.exp(-dist / two_sig_sq[t][:, None])
         if not kernel[part].all():

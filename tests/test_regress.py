@@ -1,5 +1,6 @@
 """Kernel, kernel ridge, geodesic regression, and comparison harness tests."""
 
+import threading
 import warnings
 from dataclasses import astuple
 
@@ -593,8 +594,8 @@ class TestBatchedHarness:
     def test_first_failing_row_raises_the_serial_error(
         self, monkeypatch, workers, count, per_chunk, want
     ):
-        # six pairs of three rows: with two workers each pair is one task.
-        # Row 1 (pair 0, lam 0.5) gets a kernel value that underflows, and row
+        # six pairs of three rows, cut into parts of a few rows each. Row 1
+        # (pair 0, lam 0.5) gets a kernel value that underflows, and row
         # 13 (pair 4, lam 0.5) a line point that is not SPD. Rows are vetted
         # a chunk at a time, line points before kernels: with one chunk the
         # line point is named, with chunks of nine rows the earlier kernel
@@ -632,6 +633,26 @@ class TestBatchedHarness:
             assert str(info.value).startswith(
                 f"sigma {sigma} gives the line point at lam=0.5 of the pair of matrices 0 and 1"
             )
+
+    @pytest.mark.skipif(linalg._SET_THREADS is None, reason="numpy's OpenBLAS has no thread setter")
+    def test_chunk_of_fewer_rows_than_a_grid_still_splits(self, monkeypatch, workers):
+        # chunks of four rows, fewer than one pair's eleven, as at large n:
+        # every row still reaches the pool as a task of its own
+        ds = regression_dataset(seed=418, count=4, n=3)
+        first, second = np.array([0, 2]), np.array([1, 3])
+        want = theorem1_trials(ds, first, second, DEFAULT_GRID, 1.0)
+        workers(2)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 4 * 8 * 3 * 3)
+        near, seen = regress._row_distances, []
+
+        def spy(mats, logs, i, j, lam):
+            seen.append((threading.current_thread().name, len(lam)))
+            return near(mats, logs, i, j, lam)
+
+        monkeypatch.setattr(regress, "_row_distances", spy)
+        assert theorem1_trials(ds, first, second, DEFAULT_GRID, 1.0) == want
+        assert [rows for _, rows in seen] == [1] * 22
+        assert all(name.startswith("spdmix-linalg") for name, _ in seen)
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
     def test_library_fits_independent_of_chunking(self, monkeypatch, per_chunk):
