@@ -17,14 +17,16 @@ What the kernels read that is the same for every output (the mirror index
 of the triangle a mask or edge draw lives on, gmixup's per-edge means and
 spreads, cmixup's float labels and index) is built once per mix.
 Batched geodesic mixes (rmixup batches and the label probe) first draw every
-pair and ratio, then run stacked matrix logarithms and exponentials a chunk
-of matrices at a time.
+pair and ratio, then take the logs of the drawn sources in one stacked call
+and the exponentials a chunk of mixes at a time, one chunk ahead of their
+consumer.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +37,7 @@ from .linalg import (
     EigenvalueOverflowError,
     NonPositiveEigenvalueError,
     _chunks,
-    _pinned,
+    _session,
     matrix_exp,
     matrix_log,
 )
@@ -219,9 +221,10 @@ class EigenCache:
     Geodesic mixing is linear in log coordinates, so mixing two cached
     samples costs one eigendecomposition instead of three. The logarithms
     fill rows of one stack allocated up front, by one stacked
-    :func:`matrix_log` per fill; pages of a large stack become resident only
-    once written. The stack is read-only outside a fill, so no view of it
-    handed out can be made writeable. Not thread-safe.
+    :func:`matrix_log` per fill whose pool parts write straight into the
+    rows; pages of a large stack become resident only once written. The
+    stack is read-only outside a fill, so no view of it handed out can be
+    made writeable. Not thread-safe.
     """
 
     def __init__(self, dataset: LabeledDataset):
@@ -251,44 +254,48 @@ class EigenCache:
         return self._logs.view()
 
     def _fill(self, rows) -> None:
-        """Compute the logarithms of the samples in ``rows`` not yet held, a
-        chunk of samples at a time, each chunk written into the stack as soon
-        as it is computed."""
+        """Compute the logarithms of the samples in ``rows`` not yet held, in
+        one pinned call whose parts write them into the stack."""
         rows = np.unique(np.asarray(rows, dtype=np.intp))
         todo = rows[~self._filled[rows]]
-        for part in _chunks(len(todo), self._dataset.dim):
-            chunk = todo[part]
-            try:
-                logs = matrix_log(self._dataset.matrices[chunk])
-            except NonPositiveEigenvalueError as exc:
-                k = int(chunk[exc.index])
-                err = NonPositiveEigenvalueError(
-                    f"sample {self._dataset.ids[k]} is not SPD; clamp it before mixing "
-                    f"({exc.detail})"
-                )
-                err.index = k
-                raise err from exc
-            self._logs.flags.writeable = True
-            self._logs[chunk] = logs
+        self._logs.flags.writeable = True
+        try:
+            matrix_log(self._dataset.matrices, rows=todo, out=self._logs)
+        except NonPositiveEigenvalueError as exc:
+            k = int(todo[exc.index])
+            err = NonPositiveEigenvalueError(
+                f"sample {self._dataset.ids[k]} is not SPD; clamp it before mixing "
+                f"({exc.detail})"
+            )
+            err.index = k
+            raise err from exc
+        finally:
             self._logs.flags.writeable = False
-            self._filled[chunk] = True
+        self._filled[todo] = True
 
     def _mixes(
         self, first: np.ndarray, second: np.ndarray, lams: np.ndarray
     ) -> Iterator[tuple[slice, np.ndarray]]:
         """``exp((1-lam) log S_first + lam log S_second)`` row by row.
 
-        Yields ``(rows, stack)`` a chunk at a time; pool tasks blend and
-        exponentiate the parts of each chunk into its stack, and each matrix
-        has the bits :func:`r_mixup_cached` gives the same pair and ratio.
+        Yields ``(rows, stack)`` a chunk at a time, each matrix with the bits
+        :func:`r_mixup_cached` gives the same pair and ratio. Pool tasks blend
+        a part of a chunk and exponentiate it in place, in its rows of one of
+        two stacks that take turns: chunk k+1 is handed to the pool before
+        chunk k is yielded, so a yielded stack is valid until the next item.
         """
         self._fill(np.concatenate([first, second]))
+        n = self._dataset.dim
+        chunks = list(_chunks(len(lams), n))
+        stacks = [np.empty((chunks[0].stop, n, n)) for _ in chunks[:2]]
 
-        def mix(rows, dest):
+        def mix(c, part):
+            rows = np.arange(chunks[c].start + part.start, chunks[c].start + part.stop)
             w = lams[rows, None, None]
-            log_mix = (1.0 - w) * self._logs[first[rows]] + w * self._logs[second[rows]]
+            blend = np.add((1.0 - w) * self._logs[first[rows]], w * self._logs[second[rows]],
+                           out=stacks[c % 2][part])
             try:
-                dest[...] = matrix_exp(log_mix)
+                matrix_exp(blend, out=blend)
             except EigenvalueOverflowError as exc:
                 k = int(rows[exc.index])
                 ids = self._dataset.ids
@@ -298,10 +305,14 @@ class EigenCache:
                 err.index = k
                 raise err from exc
 
-        for part in _chunks(len(lams), self._dataset.dim):
-            mixed = np.empty((part.stop - part.start,) + self._logs.shape[1:])
-            _pinned(mix, np.arange(part.start, part.stop), mixed)
-            yield part, mixed
+        with _session() as submit:
+            started = (submit(partial(mix, k), c.stop - c.start, 8 * n * n)
+                       for k, c in enumerate(chunks))
+            ahead = next(started, None)
+            for k, chunk in enumerate(chunks):
+                collect, ahead = ahead, next(started, None)
+                collect()
+                yield chunk, stacks[k % 2][: chunk.stop - chunk.start]
 
 
 def r_mixup_cached(log_i, log_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
@@ -773,12 +784,14 @@ class MixStream:
     matrices, one ``_chunks`` part at a time, in order. Output ``k`` is drawn
     from exactly the stream that ``np.random.default_rng([config.seed, k])``
     starts, whose state is computed in bulk for all outputs, so it is a pure
-    function of (dataset, config, k). A baseline's row kernel writes each
-    output of a part into one reused buffer, so a yielded stack is valid
-    until the next item. rmixup first draws every pair and ratio, and fills
-    an :class:`EigenCache` with the logs of the drawn sources (naming a
-    non-SPD one before the first part); each part is then the exponentials of
-    a chunk of mixes. After the last part, ``ids`` holds the output ids
+    function of (dataset, config, k). A yielded stack is valid until the
+    next item: a baseline's row kernel writes each output of a part into one
+    reused buffer. rmixup first draws every pair and ratio, and fills an
+    :class:`EigenCache` with the logs of the drawn sources (naming a non-SPD
+    one before the first part); each part is then the exponentials of a
+    chunk of mixes, the next of which the pool computes while the consumer
+    holds this one, so a consumer that stops early or raises ends the pool
+    work of the stream once the iterator is dropped. After the last part, ``ids`` holds the output ids
     ``m000000, ...``, ``labels`` every output's label (hard class ids mixed as
     one-hot rows) and ``provenance`` every output's :class:`MixProvenance`.
 
@@ -816,8 +829,7 @@ class MixStream:
         streams = _streams(int(self._config.seed), np.arange(count))
         if self._config.strategy == "rmixup":
             self._draw(range(count), streams, None)
-            mixes = EigenCache(self._dataset)._mixes(self._anchors, self._partners, self._lams)
-            yield from mixes
+            yield from EigenCache(self._dataset)._mixes(self._anchors, self._partners, self._lams)
         else:
             parts = list(_chunks(count, self.dim))
             buffer = np.empty((parts[0].stop if parts else 0, self.dim, self.dim))

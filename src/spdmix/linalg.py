@@ -14,13 +14,15 @@ own; a stacked call gives each matrix the bits it gets alone.
 :func:`matrix_log` and :func:`matrix_exp` are one stacked kernel: per part,
 one pool task symmetrizes, solves, applies the function to the spectrum and
 recomposes. Every solve and recompose runs with numpy's bundled OpenBLAS
-pinned to one thread; a stack of two or more matrices is split into
-contiguous parts that a pool of one thread per core takes while the caller
-waits. Parallelism is across matrices, never inside one, so a matrix gets the
-same bits under any worker count and any ``OPENBLAS_NUM_THREADS``. The pin is
-process-wide, so it is held only while one pinned call runs, under a lock
-that serialises them. A pool task may call the matrix functions; they run
-inline on its thread, already pinned. Without the OpenBLAS thread setter
+pinned to one thread; a stack of two or more matrices goes to a pool of one
+thread per core in one call, cut by bytes into contiguous parts that the
+threads take in row order. Parallelism is across matrices, never inside one,
+so a matrix gets the same bits under any worker count and any
+``OPENBLAS_NUM_THREADS``. The pin is process-wide, so it is held only while a
+pinned session runs, under a lock that serialises sessions; a session may
+keep parts out while its caller works, as the geodesic mixes do. A pool
+task, or the caller holding the session, may call the matrix functions; they
+run inline on its thread, already pinned. Without the OpenBLAS thread setter
 pair, ``scipy_openblas_{set,get}_num_threads64_``, each call is plain numpy.
 
 All inputs and outputs are double-precision dense arrays. Functions are pure
@@ -32,7 +34,8 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
@@ -114,13 +117,15 @@ _SET_THREADS = _thread_setter()
 # this process may run on. The pool starts on first use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _POOL: ThreadPoolExecutor | None = None
-# Parts a split stack is cut into per thread: more parts balance the load
-# when the host stalls a thread, each costs one more numpy call.
+# Parts a split stack is cut into per thread, at least: more parts balance
+# the load when the host stalls a thread, each costs one more numpy call.
 _PARTS_PER_THREAD = 4
-# Held for each pinned call: in numpy's build the OpenBLAS thread count is
+# Held for each pinned session: in numpy's build the OpenBLAS thread count is
 # process-wide, so a pin would slow every other matrix product it outlived.
 _PINNED = threading.Lock()
-# True while a pinned call's ``fn`` runs, which holds the pin and the lock.
+# The thread that holds the open session; pinned calls it makes run inline.
+_HOLDER: int | None = None
+# True in the context a pool part runs in; pinned calls it makes run inline.
 _INSIDE: ContextVar[bool] = ContextVar("inside_pinned", default=False)
 # Held for each update of the count_eig_calls counters, which pool tasks share.
 _COUNTING = threading.Lock()
@@ -128,58 +133,94 @@ _COUNTING = threading.Lock()
 
 def _forget_pool() -> None:
     # a forked child has the pool object but none of its threads
-    global _POOL, _PINNED, _COUNTING
-    _POOL, _PINNED, _COUNTING = None, threading.Lock(), threading.Lock()
+    global _POOL, _PINNED, _COUNTING, _HOLDER
+    _POOL, _PINNED, _COUNTING, _HOLDER = None, threading.Lock(), threading.Lock(), None
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pinned(fn, *stacks):
-    """``fn(*stacks)`` on one OpenBLAS thread per matrix.
+def _ends(total: int, row_bytes: int) -> list[int]:
+    """Bounds of the parts of ``range(total)``: ``_PARTS_PER_THREAD`` per
+    thread, or more to keep a part of rows ``row_bytes`` long near
+    ``_CHUNK_BYTES // (_PARTS_PER_THREAD * _WORKERS)`` bytes, or one row."""
+    least = _PARTS_PER_THREAD * _WORKERS
+    count = min(total, max(least, -(-total * row_bytes // (_CHUNK_BYTES // least))))
+    return [total * p // count for p in range(count + 1)]
 
-    The arguments are one matrix each, or arrays that share their leading
-    axis; the results join into one array (``None`` when ``fn`` writes in
-    place). Two or more rows are split into contiguous parts, a few per
-    thread, that the pool takes in turn in copies of the caller's context,
-    so a thread the host stalls holds up one part at most. The caller waits
-    for every part, or the first failure, then raises the first failing
-    part's error or joins the results in order, so each matrix gets the bits
-    it gets alone. Inside ``fn`` a pinned call is plain ``fn``. Without a
-    thread setter, one call.
+
+def _drain(fn, parts: deque, failed: list) -> None:
+    # a pool thread's share of one submit: parts in row order, until none is
+    # left or one has failed
+    _INSIDE.set(True)
+    while not failed:
+        try:
+            part = parts.popleft()
+        except IndexError:
+            return
+        try:
+            fn(part)
+        except BaseException as exc:  # raised again by the submitter's collect
+            failed.append((part.start, exc))
+
+
+@contextmanager
+def _session():
+    """OpenBLAS pinned to one thread, under the lock, until the session
+    closes. Yields ``submit(fn, total, row_bytes=0)``: one pool task per
+    thread takes ``fn(part)`` on the parts (slices, :func:`_ends`) of
+    ``range(total)``, in a copy of the caller's context, and ``fn`` writes
+    its output in place. ``submit`` returns ``collect()``, which waits for
+    them (one wake-up) and raises the first failing part's error; one row,
+    or one worker, runs as one call in ``collect``, which returns its value.
+    Closing drops the parts not yet taken and waits for those running, also
+    when the caller leaves the session early. The holder's and the parts'
+    pinned calls run inline; without a thread setter all of them do.
     """
-    global _POOL
-    if _SET_THREADS is None or _INSIDE.get():
-        return fn(*stacks)
+    global _HOLDER
+    if _SET_THREADS is None or _INSIDE.get() or _HOLDER == threading.get_ident():
+        yield lambda fn, total, row_bytes=0: lambda: fn(slice(0, total))
+        return
+    jobs: dict[int, tuple] = {}
+
+    def submit(fn, total, row_bytes=0):
+        global _POOL
+        if total < 2 or _WORKERS < 2:
+            return lambda: fn(slice(0, total))
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="spdmix-linalg")
+        ends, failed = _ends(total, row_bytes), []
+        parts = deque(map(slice, ends, ends[1:]))
+        tasks = [_POOL.submit(copy_context().run, _drain, fn, parts, failed)
+                 for _ in range(min(_WORKERS, len(parts)))]
+        jobs[id(parts)] = parts, tasks
+
+        def collect():
+            wait(tasks)  # a caller woken per part would preempt a worker
+            del jobs[id(parts)]
+            if failed:
+                raise min(failed)[1]
+
+        return collect
+
     with _PINNED:
         previous = _SET_THREADS(1)
-        token = _INSIDE.set(True)
+        _HOLDER = threading.get_ident()
         try:
-            total = 1 if stacks[0].ndim == 2 else len(stacks[0])
-            if total < 2 or _WORKERS < 2:
-                return fn(*stacks)
-            if _POOL is None:
-                _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="spdmix-linalg")
-            count = min(total, _PARTS_PER_THREAD * _WORKERS)
-            ends = [total * p // count for p in range(count + 1)]
-            futures = [
-                _POOL.submit(copy_context().run, fn, *(s[a:b] for s in stacks))
-                for a, b in zip(ends, ends[1:])
-            ]
-            try:
-                # one wake-up per call: a caller woken per part preempts a
-                # worker whenever there are no more cores than workers
-                wait(futures, return_when=FIRST_EXCEPTION)
-                results = [f.result() for f in futures]
-            finally:
-                for f in futures:
-                    f.cancel()
-                wait(futures)
+            yield submit
         finally:
-            _INSIDE.reset(token)
+            for parts, _ in jobs.values():
+                parts.clear()
+            wait([task for _, tasks in jobs.values() for task in tasks])
+            _HOLDER = None
             _SET_THREADS(previous)
-    return None if results[0] is None else np.concatenate(results)
+
+
+def _pinned(fn, total: int, row_bytes: int = 0):
+    """One ``submit`` and ``collect`` of a :func:`_session` of its own."""
+    with _session() as submit:
+        return submit(fn, total, row_bytes)()
 
 
 class EigenConvergenceError(RuntimeError):
@@ -290,12 +331,14 @@ class EigenDecomposition(NamedTuple):
         """Rebuild ``O diag(values) O^T`` (defaults to the stored spectrum)."""
         o = _square(self.orthogonal, stack=False)
         w = self.eigenvalues if values is None else values
-        return _pinned(_recompose, o, np.broadcast_to(w, o.shape[:-1]))
+        return _pinned(lambda _: _recompose(o, np.broadcast_to(w, o.shape[:-1])), 1)
 
 
 def _recompose(o: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     prod = (o * w[..., None, :]) @ o.swapaxes(-1, -2)
-    return np.divide(prod + prod.swapaxes(-1, -2), 2.0, out=out)
+    out = np.add(prod, prod.swapaxes(-1, -2), out=out)
+    out /= 2.0
+    return out
 
 
 @dataclass
@@ -324,17 +367,19 @@ def count_eig_calls() -> Iterator[EigCallCounter]:
         _COUNTERS.reset(token)
 
 
-def _solve(task, sym: np.ndarray, *stacks, values_only: bool = False):
-    """``task(sym, *stacks)``, pinned, on a matrix or stack that is or the task
-    makes symmetric, counting one solve per matrix, with a numpy eigensolver."""
-    matrices = len(sym) if sym.ndim == 3 else 1
+def _solve(task, a: np.ndarray, rows=None, values_only: bool = False):
+    """``task(part)``, pinned, over the parts of the matrices ``a[rows]`` (one
+    matrix, or a stack's every matrix by default) that the task solves with a
+    numpy eigensolver, counting one solve per matrix."""
+    matrices = 1 if a.ndim == 2 else len(a) if rows is None else len(rows)
     with _COUNTING:
         for counter in _COUNTERS.get():
             counter.count += matrices
             counter.values_only += matrices if values_only else 0
     try:
-        return _pinned(task, sym, *stacks)
+        return _pinned(task, matrices, a.itemsize * a.shape[-1] ** 2)
     except np.linalg.LinAlgError as exc:
+        sym = a if rows is None else a[rows]
         raise EigenConvergenceError(
             f"symmetric eigensolver failed to converge on input of shape "
             f"{sym.shape}, largest ||A||_F = {float(np.max(fro_norm(sym))):.6e}"
@@ -356,7 +401,8 @@ def eig_sym(a: np.ndarray) -> EigenDecomposition:
         If the underlying solver does not converge; the message carries the
         matrix dimension and Frobenius norm for diagnosis.
     """
-    w, v = _solve(np.linalg.eigh, symmetrize(_square(a, stack=False)))
+    sym = symmetrize(_square(a, stack=False))
+    w, v = _solve(lambda _: np.linalg.eigh(sym), sym)
     return EigenDecomposition(orthogonal=v, eigenvalues=w)
 
 
@@ -368,7 +414,8 @@ def eigvals_sym(a: np.ndarray) -> np.ndarray:
     :class:`SpdMatrix` holds it: the solver reads only the lower triangle.
     Counted and checked for convergence like :func:`eig_sym`.
     """
-    return _solve(np.linalg.eigvalsh, _square(a, stack=False), values_only=True)
+    sym = _square(a, stack=False)
+    return _solve(lambda _: np.linalg.eigvalsh(sym), sym, values_only=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,50 +468,54 @@ def _require_positive(mu: np.ndarray, what: str) -> None:
     ))
 
 
-def _spectral(s, f, check) -> tuple[np.ndarray, np.ndarray]:
-    """``O diag(f(mu)) O^T`` of a symmetric matrix, or of each matrix of a
-    stack, and its ascending spectrum ``mu``.
+def _spectral(s, f, check, rows=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """``O diag(f(mu)) O^T`` of a symmetric matrix, or of each matrix
+    ``s[rows]`` of a stack (every one by default), written into ``out`` (a
+    new array by default) at the same place, and the ascending spectra ``mu``.
 
-    Each ``_CHUNK_BYTES`` part (one matrix is one part, ``...``) goes to one
-    pinned task, which symmetrizes it (naming a bad matrix by its place
-    ``at`` in the stack), solves, applies ``f`` with floating-point warnings
-    off and recomposes into the output. Then ``check(mu)`` vets the spectra
-    of the whole stack, so an input fault anywhere wins over a spectrum fault."""
+    One pinned call: each part's task symmetrizes its matrices (naming a bad
+    one by its place in ``rows``), solves, applies ``f`` with floating-point
+    warnings off and recomposes into ``out``. Then ``check(mu)`` vets every
+    spectrum, so an input fault anywhere wins over a spectrum fault."""
     arr = _square(s)
-    out, mu = np.empty_like(arr), np.empty(arr.shape[:-1])
+    out = np.empty_like(arr) if out is None else out
+    stack, dest = (arr, out) if arr.ndim == 3 else (arr[None], out[None])
+    mu = np.empty((len(stack) if rows is None else len(rows), arr.shape[-1]))
 
-    def task(part, dest, at):
+    def task(part):
+        at = part if rows is None else rows[part]
         try:
-            sym = symmetrize(part)
+            sym = symmetrize(stack[at])
         except _StackError as exc:
-            where = None if exc.index is None else int(at[exc.index])
+            where = part.start + exc.index if arr.ndim == 3 else None
             raise _StackError(exc.detail, index=where) from exc
-        w, o = np.linalg.eigh(sym)
+        mu[part], o = np.linalg.eigh(sym)
         with np.errstate(all="ignore"):
-            _recompose(o, f(w), out=dest)
-        return w
+            _recompose(o, f(mu[part]), out=sym if rows is not None else dest[at])
+        if rows is not None:
+            dest[at] = sym
 
-    at = np.arange(len(arr))
-    for part in _chunks(len(arr), arr.shape[-1]) if arr.ndim == 3 else [...]:
-        mu[part] = _solve(task, arr[part], out[part], at[part])
+    _solve(task, arr, rows)
+    mu = mu if arr.ndim == 3 else mu[0]
     check(mu)
     return out, mu
 
 
-def matrix_log(s) -> np.ndarray:
+def matrix_log(s, *, rows=None, out=None) -> np.ndarray:
     """Matrix logarithm ``O diag(log mu) O^T`` of a positive definite matrix,
-    or of each matrix of a stack, one decomposition and one pool task per
-    ``_CHUNK_BYTES`` of matrices.
+    or of each matrix of a stack, one decomposition per matrix and one pool
+    round trip per stack. With ``rows``, the logarithms of ``s[rows]`` are
+    written into ``out[rows]``; ``out`` may be ``s``.
 
     Never clamps: a non-positive eigenvalue raises
     :class:`NonPositiveEigenvalueError` telling the caller to clamp first;
     for a stack, its ``index`` names the first offending matrix by its
-    position in the whole stack.
+    position in the whole stack (in ``rows``, when given).
     """
-    return _spectral(s, np.log, lambda mu: _require_positive(mu, "matrix_log"))[0]
+    return _spectral(s, np.log, lambda mu: _require_positive(mu, "matrix_log"), rows, out)[0]
 
 
-def matrix_exp(h) -> SpdMatrix | np.ndarray:
+def matrix_exp(h, *, out=None) -> SpdMatrix | np.ndarray:
     """Matrix exponential ``O diag(exp mu) O^T`` of a symmetric matrix.
 
     The result is strictly positive definite and satisfies
@@ -472,7 +523,8 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
     ``EXP_EIGENVALUE_LIMIT`` raise :class:`EigenvalueOverflowError` instead of
     silently overflowing or flushing to zero. A 2-D input gives an
     :class:`SpdMatrix`; a stack ``(k, n, n)`` gives a plain array of the
-    exponentials, each checked on its own.
+    exponentials, each checked on its own, written into ``out`` when given
+    (which may be ``h``).
     """
 
     def check(mu):
@@ -482,7 +534,7 @@ def matrix_exp(h) -> SpdMatrix | np.ndarray:
             f"limit {EXP_EIGENVALUE_LIMIT:g}"
         ))
 
-    out, mu = _spectral(h, np.exp, check)
+    out, mu = _spectral(h, np.exp, check, out=out)
     if out.ndim > 2:
         return out
     w = np.exp(mu)

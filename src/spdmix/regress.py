@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .augment import EigenCache, _check_width
 from .data_io import TASK_REGRESSION, LabeledDataset
-from .linalg import NonPositiveEigenvalueError, _chunks, _pinned, fro_norm, matrix_log
+from .linalg import NonPositiveEigenvalueError, _chunks, _pinned, fro_norm, matrix_log, symmetrize
 
 __all__ = [
     "GeodesicRegressionModel",
@@ -307,8 +307,10 @@ def theorem1_harness(
     decomposes each distinct endpoint once and each interior line point once
     more, the line points in stacked chunks of at most 4 MiB; a line point
     whose bytes equal an endpoint's (``lam`` 0 and 1) reuses that endpoint's
-    logarithm. One pair on the default 11-value grid costs 2 + 9 = 11
-    eigensolves. This is the one-pair case of :func:`theorem1_trials`.
+    logarithm. Line points mix the symmetrized endpoints, so each is exactly
+    symmetric and the asymmetry check its endpoints passed cannot reject it.
+    One pair on the default 11-value grid costs 2 + 9 = 11 eigensolves. This
+    is the one-pair case of :func:`theorem1_trials`.
     Only ``config.sigma`` enters the comparison: a non-Riemannian ``space``
     or a non-zero ``ridge`` is rejected rather than ignored.
     """
@@ -321,6 +323,7 @@ def theorem1_harness(
     _check_labels([y_i, y_j])
     a, b = metrics._check_pair(s_i, s_j)
     lams = [metrics._check_ratio(lam) for lam in lambdas]
+    a, b = symmetrize(a), symmetrize(b)
     logs = np.stack([matrix_log(a), matrix_log(b)])
     tables = _tables(
         np.stack([a, b]), logs, np.array([0]), np.array([1]), [y_i, y_j], lams,
@@ -337,14 +340,16 @@ def theorem1_trials(
     ``first`` and ``second`` index samples of ``dataset``. ``sigma=None``
     gives each pair :func:`default_harness_sigma`'s bandwidth, from the same
     logarithms. Every drawn sample is decomposed once, through an
-    :class:`EigenCache`, and every interior line point once, in chunks of
-    rows of at most 4 MiB whose parts run as pool tasks; the tables equal the
-    per-pair calls bit for bit, under any worker count. Errors come in this
-    order: a negative label in ``dataset``, a bad ratio, bandwidth or pair
-    index (all before any solve), a drawn sample that is not SPD, the first
-    coincident pair, or pair whose kernel value underflows to 0, in draw
-    order, then, a chunk of rows at a time, the first line point that is not
-    SPD and then the first row whose kernel value underflows.
+    :class:`EigenCache`, and symmetrized once for the line points, as in
+    :func:`theorem1_harness`; every interior line point is decomposed once,
+    in chunks of rows of at most 4 MiB whose parts run as pool tasks; the
+    tables equal the per-pair calls bit for bit, under any worker count.
+    Errors come in this order: a negative label in ``dataset``, a bad ratio,
+    bandwidth or pair index (all before any solve), a drawn sample that is
+    not SPD, the first coincident pair, or pair whose kernel value underflows
+    to 0, in draw order, then, a chunk of rows at a time, the first line
+    point that is not SPD and then the first row whose kernel value
+    underflows.
     """
     labels = dataset.labels.astype(np.float64).tolist()
     _check_labels(labels)
@@ -358,7 +363,10 @@ def theorem1_trials(
     if len(outside):
         raise ValueError(f"pair index {outside[0]} is outside the {len(dataset)}-sample dataset")
     logs = EigenCache(dataset).log_stack(drawn)
-    return _tables(dataset.matrices, logs, first, second, labels, lams, sigma)
+    mats = np.empty_like(dataset.matrices)  # rows never drawn are never read
+    distinct = np.unique(drawn)
+    mats[distinct] = symmetrize(dataset.matrices[distinct])
+    return _tables(mats, logs, first, second, labels, lams, sigma)
 
 
 def _check_labels(labels) -> None:
@@ -410,8 +418,13 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
     for part in _chunks(len(kernel), n):
         t, l = np.divmod(np.arange(part.start, part.stop), per)
         rows = first[t], second[t], ratio[l]
+        dist = np.empty((len(t), 4))
+
+        def distances(k):
+            dist[k] = _row_distances(mats, logs, *(r[k] for r in rows))
+
         try:
-            dist = _pinned(lambda *r: _row_distances(mats, logs, *r), *rows)
+            _pinned(distances, len(t))
         except Exception:
             dist = _row_distances(mats, logs, *rows)
         with np.errstate(over="ignore"):

@@ -20,7 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdmix import linalg
-from spdmix.data_io import gen_random_spd
+from spdmix.augment import MixConfig, MixStream, mix_dataset
+from spdmix.data_io import LabeledDataset, SpdbWriter, gen_random_spd
 from spdmix.linalg import (
     CholeskyPivotError,
     EigenConvergenceError,
@@ -752,27 +753,52 @@ class TestPool:
         assert (c.count, c.values_only) == (7 + 7 + 5 + 1, 1)
         assert linalg._POOL is not None
 
-    def test_one_round_trip_per_chunk(self, monkeypatch, workers):
-        # a stacked log or exp hands each chunk to the pool once: the solve,
-        # the function of the spectrum and the recompose are one task
+    def test_one_round_trip_per_stack(self, monkeypatch, workers):
+        # a stacked log or exp hands the whole stack to the pool once, however
+        # many chunks it spans: the solve, the function of the spectrum and
+        # the recompose are one task per part. A matrix of more bytes than a
+        # part holds is a part of its own
         workers(2)
         monkeypatch.setattr(linalg, "_CHUNK_BYTES", 3 * 8 * 4 * 4)
-        calls = []
-        pinned = linalg._pinned
+        calls, parts = [], []
+        pinned, eigh = linalg._pinned, np.linalg.eigh
 
-        def spy(fn, *stacks):
-            calls.append(len(stacks[0]))
-            return pinned(fn, *stacks)
+        def spy(fn, total, row_bytes=0):
+            calls.append(total)
+            return pinned(fn, total, row_bytes)
+
+        def solve(a):
+            parts.append(len(a))
+            return eigh(a)
 
         monkeypatch.setattr(linalg, "_pinned", spy)
+        monkeypatch.setattr(np.linalg, "eigh", solve)
         stack = TestStacks.spd_stack(15, 7, 4)
         with count_eig_calls() as c:
             logs = matrix_log(stack)
-            assert calls == [3, 3, 1]
+            assert calls == [7] and parts == [1] * 7
             calls.clear()
+            parts.clear()
             matrix_exp(logs)
-            assert calls == [3, 3, 1]
+            assert calls == [7] and parts == [1] * 7
         assert c.count == 14
+
+    def test_parts_are_cut_by_bytes(self, monkeypatch, workers):
+        # below the per-part cap, a stack of one chunk or less keeps its
+        # _PARTS_PER_THREAD parts per thread; above it, a part is one matrix
+        workers(2)
+        cap = linalg._CHUNK_BYTES // (linalg._PARTS_PER_THREAD * 2)
+        for n in (8, 50, 120, 256):
+            per_chunk = linalg._CHUNK_BYTES // (8 * n * n)
+            for total in (2, 7, per_chunk // 2, per_chunk):
+                count = min(total, linalg._PARTS_PER_THREAD * 2)
+                assert linalg._ends(total, 8 * n * n) == [total * p // count for p in range(count + 1)]
+        assert 8 * 360 * 360 > cap
+        for total in (2, 4, 55):
+            assert linalg._ends(total, 8 * 360 * 360) == list(range(total + 1))
+        ends = linalg._ends(3 * 209, 8 * 50 * 50)
+        assert len(ends) - 1 == 24
+        assert max(b - a for a, b in zip(ends, ends[1:])) * 8 * 50 * 50 <= cap + 8 * 50 * 50
 
     def test_solves_run_pinned_and_restore_the_count(self, monkeypatch, workers):
         workers(2)
@@ -928,13 +954,19 @@ class TestPool:
         stack = TestStacks.spd_stack(31, 12, 4)
         want = self.results(stack)
 
-        def task(rows):
-            logs = matrix_log(stack[rows])
-            return np.stack([logs, matrix_exp(logs)], axis=1)
+        def run():
+            out = np.empty((len(stack), 2) + stack.shape[1:])
+
+            def task(part):
+                logs = matrix_log(stack[part])
+                out[part] = np.stack([logs, matrix_exp(logs)], axis=1)
+
+            linalg._pinned(task, len(stack))
+            return out
 
         def nested():
             with count_eig_calls() as c:
-                runs = [linalg._pinned(task, np.arange(len(stack))) for _ in range(50)]
+                runs = [run() for _ in range(50)]
             return runs, c.count
 
         interval = sys.getswitchinterval()
@@ -949,6 +981,113 @@ class TestPool:
             assert np.array_equal(run[:, 1], want[1])
         assert (linalg._POOL is None) == (count == 1)
         assert not linalg._PINNED.locked()
+
+    def session_case(self, monkeypatch, fn):
+        """``fn()`` under :meth:`bounded` with every solve lingering a little,
+        so that parts are still out when a stream is left; afterwards the
+        lock is free, the OpenBLAS count restored and no part running."""
+        running = []
+        eigh = np.linalg.eigh
+
+        def solve(a):
+            running.append(id(a))
+            try:
+                time.sleep(0.005)
+                return eigh(a)
+            finally:
+                running.remove(id(a))
+
+        monkeypatch.setattr(np.linalg, "eigh", solve)
+        previous = linalg._SET_THREADS(2)
+        try:
+            return self.bounded(fn)
+        finally:
+            assert not running and not linalg._PINNED.locked()
+            assert linalg._HOLDER is None
+            assert linalg._SET_THREADS(previous) == 2
+
+    @staticmethod
+    def mixing(monkeypatch):
+        """Nine rmixup outputs at n=3, in chunks of two."""
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 3 * 3)
+        ds = LabeledDataset(TestStacks.spd_stack(44, 6, 3), np.linspace(0.0, 1.0, 6), "regression")
+        config = MixConfig("rmixup", seed=4)
+        return ds, config, MixStream(ds, config, 9)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_stream_left_after_its_first_chunk(self, monkeypatch, workers, count):
+        # chunks of two: the consumer breaks while the second is out
+        workers(count)
+        ds, config, stream = self.mixing(monkeypatch)
+
+        def first_chunk():
+            for rows, part in stream:
+                return rows, part.copy()
+
+        rows, part = self.session_case(monkeypatch, first_chunk)
+        assert rows == slice(0, 2)
+        assert np.array_equal(part, mix_dataset(ds, config, 2)[0].matrices)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_writer_raises_mid_stream(self, monkeypatch, workers, count, tmp_path):
+        # the writer has room for three matrices: the second chunk of two
+        # does not fit, and its error leaves the stream mid-way
+        workers(count)
+        _, _, stream = self.mixing(monkeypatch)
+        path = tmp_path / "m.spdb"
+
+        def write():
+            with pytest.raises(ValueError, match="does not fit"):
+                with SpdbWriter(path, 3, 3, "regression") as out:
+                    for _, part in stream:
+                        out.write(part)
+
+        self.session_case(monkeypatch, write)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_matrix_functions_between_chunks(self, monkeypatch, workers, count):
+        # the consumer's own stacked log runs inline, pinned, while the next
+        # chunk is out, with the bits of a call made outside any stream
+        workers(count)
+        ds, config, stream = self.mixing(monkeypatch)
+        want = matrix_log(ds.matrices)
+
+        def consume():
+            parts, logs = [], []
+            for _, part in stream:
+                parts.append(part.copy())
+                logs.append(matrix_log(ds.matrices))
+            return np.concatenate(parts), logs
+
+        mixed, logs = self.session_case(monkeypatch, consume)
+        assert len(logs) == 5 and all(np.array_equal(got, want) for got in logs)
+        assert np.array_equal(mixed, mix_dataset(ds, config, 9)[0].matrices)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_overflow_in_the_chunk_after_a_yielded_one(self, monkeypatch, workers, count):
+        # as in the CLI's overflowing mix: output 5 is the first of ten
+        # mixes to overflow, in the third chunk of two; the two chunks before
+        # it were yielded whole and the error names output 5
+        workers(count)
+        logs = [[0.0, 0.5], [0.3, 0.1], [0.2, 0.4], [0.1, 0.0], [705.0, 0.0], [705.0, 0.0]]
+        ds = LabeledDataset(np.stack([np.diag(np.exp(d)) for d in logs]),
+                            np.linspace(0.0, 1.0, 6), "regression")
+        config = MixConfig("rmixup", seed=2)
+        stream = MixStream(ds, config, 10)
+        written = []
+
+        def consume():
+            with pytest.raises(linalg.EigenvalueOverflowError) as info:
+                for _, part in stream:
+                    written.append(part.copy())
+            return info.value
+
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
+        error = self.session_case(monkeypatch, consume)
+        assert error.index == 5
+        assert str(error).startswith("mix 5 of samples s000004 and s000005: matrix_exp eigenvalue")
+        assert np.array_equal(np.concatenate(written), mix_dataset(ds, config, 4)[0].matrices)
 
     def test_without_setter_no_pool_and_same_bits(self, monkeypatch, workers):
         workers(2)

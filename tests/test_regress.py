@@ -575,6 +575,25 @@ class TestBatchedHarness:
             "the line point at lam=0.5 between matrices 0 and 1 is not SPD (matrix_log requires"
         )
 
+    def test_line_points_of_nearly_symmetric_samples_are_symmetric(self):
+        # each sample's relative asymmetry is 0.9e-10, under the 1e-10 gate,
+        # but the raw midpoint's is 1.27e-10 of its smaller norm: line points
+        # are built from the symmetrized samples, so the gate cannot fire
+        mats = np.stack([np.diag([1.0, 1e-3]), np.diag([1e-3, 1.0])])
+        mats[:, 0, 1] += 0.9e-10 / np.sqrt(2.0) * fro_norm(mats)
+        drift = fro_norm(mats - mats.swapaxes(1, 2)) / fro_norm(mats)
+        assert np.all((drift > 0.89e-10) & (drift < 1e-10))
+        midpoint = (mats[0] + mats[1]) / 2.0
+        assert fro_norm(midpoint - midpoint.T) > 1.2e-10 * fro_norm(midpoint)
+        clean = (mats + mats.swapaxes(1, 2)) / 2.0
+        ds = LabeledDataset(matrices=mats, labels=[0.0, 1.0], task="regression")
+        got = theorem1_trials(ds, [0], [1], [0.5])
+        want = theorem1_trials(LabeledDataset(clean, [0.0, 1.0], "regression"), [0], [1], [0.5])
+        assert bits(got[0]) == bits(want[0])
+        config = KernelConfig(sigma=1.0)
+        got = theorem1_harness(mats[0], mats[1], 0.0, 1.0, [0.5], config)
+        assert bits(got) == bits(theorem1_harness(clean[0], clean[1], 0.0, 1.0, [0.5], config))
+
     @pytest.mark.parametrize("bad", [-1, 4, 7])
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_trials_reject_a_pair_index_outside_before_any_solve(self, bad, side):
