@@ -790,8 +790,9 @@ class MixStream:
     :class:`EigenCache` with the logs of the drawn sources (naming a non-SPD
     one before the first part); each part is then the exponentials of a
     chunk of mixes, the next of which the pool computes while the consumer
-    holds this one, so a consumer that stops early or raises ends the pool
-    work of the stream once the iterator is dropped. After the last part, ``ids`` holds the output ids
+    holds this one. Until the iterator ends or is dropped it keeps the
+    linear-algebra pin, so other threads' matrix functions wait for it, and
+    dropping it early drops the pool work still out. After the last part, ``ids`` holds the output ids
     ``m000000, ...``, ``labels`` every output's label (hard class ids mixed as
     one-hot rows) and ``provenance`` every output's :class:`MixProvenance`.
 

@@ -212,7 +212,8 @@ def _session():
         finally:
             for parts, _ in jobs.values():
                 parts.clear()
-            wait([task for _, tasks in jobs.values() for task in tasks])
+            for _, tasks in jobs.values():
+                wait(tasks)
             _HOLDER = None
             _SET_THREADS(previous)
 
