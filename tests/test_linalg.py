@@ -783,7 +783,7 @@ class TestPool:
             assert calls == [7] and parts == [1] * 7
         assert c.count == 14
 
-    def test_parts_are_cut_by_bytes(self, monkeypatch, workers):
+    def test_parts_are_cut_by_bytes(self, workers):
         # below the per-part cap, a stack of one chunk or less keeps its
         # _PARTS_PER_THREAD parts per thread; above it, a part is one matrix
         workers(2)
