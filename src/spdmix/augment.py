@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -36,8 +35,9 @@ from .data_io import TASK_CLASSIFICATION, TASK_REGRESSION, LabeledDataset
 from .linalg import (
     EigenvalueOverflowError,
     NonPositiveEigenvalueError,
+    _StackError,
+    _chunked,
     _chunks,
-    _session,
     matrix_exp,
     matrix_log,
 )
@@ -254,19 +254,18 @@ class EigenCache:
         return self._logs.view()
 
     def _fill(self, rows) -> None:
-        """Compute the logarithms of the samples in ``rows`` not yet held, in
-        one pinned call whose parts write them into the stack."""
+        """Log the samples in ``rows`` not yet held, in one pinned call whose
+        parts write into the stack; a rejected sample is named by its id."""
         rows = np.unique(np.asarray(rows, dtype=np.intp))
         todo = rows[~self._filled[rows]]
         self._logs.flags.writeable = True
         try:
             matrix_log(self._dataset.matrices, rows=todo, out=self._logs)
-        except NonPositiveEigenvalueError as exc:
+        except _StackError as exc:
             k = int(todo[exc.index])
-            err = NonPositiveEigenvalueError(
-                f"sample {self._dataset.ids[k]} is not SPD; clamp it before mixing "
-                f"({exc.detail})"
-            )
+            spd = isinstance(exc, NonPositiveEigenvalueError)
+            what = "is not SPD; clamp it before mixing" if spd else "is rejected"
+            err = type(exc)(f"sample {self._dataset.ids[k]} {what} ({exc.detail})")
             err.index = k
             raise err from exc
         finally:
@@ -281,23 +280,23 @@ class EigenCache:
         Yields ``(rows, stack)`` a chunk at a time, each matrix with the bits
         :func:`r_mixup_cached` gives the same pair and ratio. Pool tasks blend
         a part of a chunk and exponentiate it in place, in its rows of one of
-        two stacks that take turns: chunk k+1 is handed to the pool before
-        chunk k is yielded, so a yielded stack is valid until the next item.
+        two stacks that take turns; chunk k+1 is solving while chunk k is
+        yielded, so a yielded stack is valid until the next item.
         """
         self._fill(np.concatenate([first, second]))
         n = self._dataset.dim
         chunks = list(_chunks(len(lams), n))
         stacks = [np.empty((chunks[0].stop, n, n)) for _ in chunks[:2]]
 
-        def mix(c, part):
-            rows = np.arange(chunks[c].start + part.start, chunks[c].start + part.stop)
+        def mix(rows):
+            c, at = divmod(rows.start, len(stacks[0]))
             w = lams[rows, None, None]
             blend = np.add((1.0 - w) * self._logs[first[rows]], w * self._logs[second[rows]],
-                           out=stacks[c % 2][part])
+                           out=stacks[c % 2][at : at + rows.stop - rows.start])
             try:
                 matrix_exp(blend, out=blend)
             except EigenvalueOverflowError as exc:
-                k = int(rows[exc.index])
+                k = rows.start + exc.index
                 ids = self._dataset.ids
                 err = EigenvalueOverflowError(
                     f"mix {k} of samples {ids[first[k]]} and {ids[second[k]]}: {exc.detail}"
@@ -305,14 +304,8 @@ class EigenCache:
                 err.index = k
                 raise err from exc
 
-        with _session() as submit:
-            started = (submit(partial(mix, k), c.stop - c.start, 8 * n * n)
-                       for k, c in enumerate(chunks))
-            ahead = next(started, None)
-            for k, chunk in enumerate(chunks):
-                collect, ahead = ahead, next(started, None)
-                collect()
-                yield chunk, stacks[k % 2][: chunk.stop - chunk.start]
+        for c, chunk in enumerate(_chunked(mix, len(lams), n)):
+            yield chunk, stacks[c % 2][: chunk.stop - chunk.start]
 
 
 def r_mixup_cached(log_i, log_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
@@ -787,7 +780,7 @@ class MixStream:
     function of (dataset, config, k). A yielded stack is valid until the
     next item: a baseline's row kernel writes each output of a part into one
     reused buffer. rmixup first draws every pair and ratio, and fills an
-    :class:`EigenCache` with the logs of the drawn sources (naming a non-SPD
+    :class:`EigenCache` with the logs of the drawn sources (naming a rejected
     one before the first part); each part is then the exponentials of a
     chunk of mixes, the next of which the pool computes while the consumer
     holds this one. Until the iterator ends or is dropped it keeps the

@@ -19,8 +19,8 @@ thread per core in one call, cut by bytes into contiguous parts that the
 threads take in row order. Parallelism is across matrices, never inside one,
 so a matrix gets the same bits under any worker count and any
 ``OPENBLAS_NUM_THREADS``. The pin is process-wide, so it is held only while a
-pinned session runs, under a lock that serialises sessions; a session may
-keep parts out while its caller works, as the geodesic mixes do. A pool
+pinned session runs, under a lock that serialises sessions; a chunked
+session keeps the next chunk out while its caller works on this one. A pool
 task, or the caller holding the session, may call the matrix functions; they
 run inline on its thread, already pinned. Without the OpenBLAS thread setter
 pair, ``scipy_openblas_{set,get}_num_threads64_``, each call is plain numpy.
@@ -222,6 +222,22 @@ def _pinned(fn, total: int, row_bytes: int = 0):
     """One ``submit`` and ``collect`` of a :func:`_session` of its own."""
     with _session() as submit:
         return submit(fn, total, row_bytes)()
+
+
+def _chunked(fn, total: int, n: int) -> Iterator[slice]:
+    """The :func:`_chunks` of ``range(total)``, each yielded once ``fn(rows)``
+    has run on its parts (slices of ``range(total)``) or raised the first
+    failing part's error. One :func:`_session` submits chunk k+1 before chunk
+    k is yielded, and closes when the iterator ends or is dropped."""
+    chunks = list(_chunks(total, n))
+    with _session() as submit:
+        started = (submit(lambda part, c=c: fn(slice(c.start + part.start, c.start + part.stop)),
+                          c.stop - c.start, 8 * n * n) for c in chunks)
+        ahead = next(started, None)
+        for chunk in chunks:
+            collect, ahead = ahead, next(started, None)
+            collect()
+            yield chunk
 
 
 class EigenConvergenceError(RuntimeError):

@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .augment import EigenCache, _check_width
 from .data_io import TASK_REGRESSION, LabeledDataset
-from .linalg import NonPositiveEigenvalueError, _chunks, _pinned, fro_norm, matrix_log, symmetrize
+from .linalg import NonPositiveEigenvalueError, _chunked, _chunks, fro_norm, matrix_log, symmetrize
 
 __all__ = [
     "GeodesicRegressionModel",
@@ -341,15 +341,14 @@ def theorem1_trials(
     gives each pair :func:`default_harness_sigma`'s bandwidth, from the same
     logarithms. Every drawn sample is decomposed once, through an
     :class:`EigenCache`, and symmetrized once for the line points, as in
-    :func:`theorem1_harness`; every interior line point is decomposed once,
-    in chunks of rows of at most 4 MiB whose parts run as pool tasks; the
-    tables equal the per-pair calls bit for bit, under any worker count.
+    :func:`theorem1_harness`; every interior line point once, in pool tasks.
+    The tables equal the per-pair calls bit for bit, under any worker count.
     Errors come in this order: a negative label in ``dataset``, a bad ratio,
-    bandwidth or pair index (all before any solve), a drawn sample that is
-    not SPD, the first coincident pair, or pair whose kernel value underflows
-    to 0, in draw order, then, a chunk of rows at a time, the first line
-    point that is not SPD and then the first row whose kernel value
-    underflows.
+    bandwidth or pair index (all before any solve), a drawn sample the cache
+    rejects, by id, the first coincident pair, or pair whose kernel value
+    underflows to 0, in draw order, then, a chunk of rows at a time, the
+    first line point that is not SPD and then the first row whose kernel
+    value underflows.
     """
     labels = dataset.labels.astype(np.float64).tolist()
     _check_labels(labels)
@@ -391,13 +390,11 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
     every label, as Python floats. Pair checks come first, in pair order.
     Then, a chunk of (pair, ratio) rows at a time, pool tasks of a few rows
     each run :func:`_row_distances` (gathers, geodesic blend, the line
-    points' logarithms and the four distances); a chunk with a failing task
-    runs again as one call, which raises the serial code's error. The caller
-    rejects a kernel value that underflows to 0 before any prediction; the
+    points' logarithms and the four distances), and the caller rejects a
+    kernel value that underflows to 0 while the next chunk solves; the
     predictions stay scalar arithmetic per row.
     """
     n = mats.shape[-1]
-    per = len(lams)
     d_ij = np.empty(len(first))
     for part in _chunks(len(first), n):
         d_ij[part] = fro_norm(logs[first[part]] - logs[second[part]])
@@ -413,26 +410,20 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
         if k_ij[-1] == 0.0:
             raise _vanished(s, first[t], second[t], d)
 
-    ratio = np.asarray(lams)
-    kernel = np.empty((len(first) * per, 4))
-    for part in _chunks(len(kernel), n):
-        t, l = np.divmod(np.arange(part.start, part.stop), per)
-        rows = first[t], second[t], ratio[l]
-        dist = np.empty((len(t), 4))
+    pair = np.repeat(np.arange(len(first)), len(lams))
+    i, j, ratio = first[pair], second[pair], np.tile(lams, len(first))
+    dist, kernel = np.empty((2, len(pair), 4))
 
-        def distances(k):
-            dist[k] = _row_distances(mats, logs, *(r[k] for r in rows))
+    def distances(rows):
+        dist[rows] = _row_distances(mats, logs, i[rows], j[rows], ratio[rows])
 
-        try:
-            _pinned(distances, len(t))
-        except Exception:
-            dist = _row_distances(mats, logs, *rows)
+    for part in _chunked(distances, len(pair), n):
         with np.errstate(over="ignore"):
-            kernel[part] = np.exp(-dist / two_sig_sq[t][:, None])
+            kernel[part] = np.exp(-dist[part] / two_sig_sq[pair[part], None])
         if not kernel[part].all():
-            r, col = np.argwhere(kernel[part] == 0.0)[0]
-            point = f"the {('geodesic', 'line')[col // 2]} point at lam={float(ratio[l[r]])} of "
-            raise _vanished(widths[t[r]], first[t[r]], second[t[r]], dist[r, col], point)
+            r, col = np.argwhere(kernel[part] == 0.0)[0] + (part.start, 0)
+            point = f"the {('geodesic', 'line')[col // 2]} point at lam={float(ratio[r])} of "
+            raise _vanished(widths[pair[r]], i[r], j[r], dist[r, col], point)
 
     tables = []
     rows = iter(kernel.tolist())

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spdmix import linalg
+from spdmix import linalg, regress
 from spdmix.augment import MixConfig, MixStream, mix_dataset
 from spdmix.data_io import LabeledDataset, SpdbWriter, gen_random_spd
 from spdmix.linalg import (
@@ -33,6 +33,7 @@ from spdmix.linalg import (
     count_eig_calls,
     eig_sym,
     eigvals_sym,
+    fro_norm,
     log_det,
     matrix_exp,
     matrix_log,
@@ -1088,6 +1089,31 @@ class TestPool:
         assert error.index == 5
         assert str(error).startswith("mix 5 of samples s000004 and s000005: matrix_exp eigenvalue")
         assert np.array_equal(np.concatenate(written), mix_dataset(ds, config, 4)[0].matrices)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_regress_kernel_error_while_the_next_chunk_is_out(self, monkeypatch, workers, count):
+        # six pairs of three rows in chunks of nine: the first chunk's kernel
+        # check raises while the second chunk's line points are out
+        workers(count)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 9 * 8 * 3 * 3)
+        ds = LabeledDataset(TestStacks.spd_stack(45, 7, 3), np.linspace(0.0, 1.0, 7), "regression")
+        first, second = np.arange(6), np.arange(1, 7)
+        logs = matrix_log(ds.matrices)
+        sigma = float(np.sqrt(np.max(fro_norm(logs[first] - logs[second])) / 200.0))
+        near = regress._row_distances
+
+        def far(mats, logs, i, j, lam):
+            dist = near(mats, logs, i, j, lam)
+            dist[(i == 0) & (lam == 0.5), 2:] *= 1e6
+            return dist
+
+        monkeypatch.setattr(regress, "_row_distances", far)
+
+        def run():
+            with pytest.raises(ValueError, match="the line point at lam=0.5 of the pair of matrices 0 and 1"):
+                regress.theorem1_trials(ds, first, second, [0.25, 0.5, 0.75], sigma)
+
+        self.session_case(monkeypatch, run)
 
     def test_without_setter_no_pool_and_same_bits(self, monkeypatch, workers):
         workers(2)

@@ -1,16 +1,27 @@
 """Kernel, kernel ridge, geodesic regression, and comparison harness tests."""
 
+import re
 import threading
 import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdmix import linalg, regress
+from spdmix.augment import MixConfig, incorrect_label_probe, mix_dataset
 from spdmix.cli import main
 from spdmix.data_io import LabeledDataset, gen_random_spd, write_matrices
-from spdmix.linalg import NonPositiveEigenvalueError, count_eig_calls, fro_norm, matrix_log
+from spdmix.linalg import (
+    SYMMETRY_RTOL,
+    NonPositiveEigenvalueError,
+    count_eig_calls,
+    fro_norm,
+    matrix_log,
+    symmetrize,
+)
 from spdmix.metrics import geodesic, log_euclidean_distance
 from spdmix.regress import (
     LOSS_SLACK,
@@ -558,14 +569,17 @@ class TestBatchedHarness:
         assert c.count == 0
 
     def test_non_spd_line_point_named(self, monkeypatch):
-        # the stack of interior line points (lam 0.3 and 0.5) has its last
-        # one broken; the error names the point once, not its stack position
+        # of the interior line points (lam 0.3 and 0.5), the one at lam 0.5
+        # is broken, whichever stack it is solved in; the error names the
+        # point once, not its stack position
         a, b = spd_set(413, 2, n=3)
+        bad = symmetrize(a) * 0.5 + symmetrize(b) * 0.5
 
         def breaking_log(stack):
-            if stack.ndim == 3:
+            hit = (stack == bad).all(axis=(-2, -1))
+            if stack.ndim == 3 and hit.any():
                 stack = stack.copy()
-                stack[-1] = -np.eye(3)
+                stack[hit] = -np.eye(3)
             return matrix_log(stack)
 
         monkeypatch.setattr(regress, "matrix_log", breaking_log)
@@ -814,3 +828,77 @@ class TestRegressCli:
         assert code == 3 and out == ""
         assert "mix ratio must lie in [0, 1], got 1.5" in err
         assert c.count == 0
+
+
+class TestFaultsNameTheInput:
+    """A fault in a drawn sample reaches the caller naming that sample, a
+    pair or an output, never a position in an internal stack, at any scale
+    and through every entry point that takes its logarithm."""
+
+    NAMED = re.compile(r"sample s\d{6} |matrices \d+ and \d+|mix \d+ of samples")
+
+    @staticmethod
+    def dataset(scale=1.0, asymmetry=(), seed=430, count=8, n=4):
+        """``count`` SPD matrices times ``scale``, sample ``k`` given the
+        relative asymmetry ``asymmetry[k]`` in its entry (0, 1)."""
+        mats = spd_set(seed, count, n) * scale
+        for k, r in enumerate(asymmetry):
+            mats[k, 0, 1] += r / np.sqrt(2.0) * fro_norm(mats[k])
+        return LabeledDataset(mats, np.linspace(0.0, 1.0, count), "regression")
+
+    @pytest.mark.parametrize(
+        "fault, detail",
+        [("asymmetric", "matrix is not symmetric"), ("nan", "matrix contains non-finite")],
+    )
+    def test_drawn_sample_named_by_id(self, fault, detail):
+        # sample 5 is the fourth of the rows the cache fills, at position 3
+        # of its stack; the error names the sample by id and index
+        ds = self.dataset(asymmetry=[0.0] * 5 + [1e-7])
+        if fault == "nan":
+            ds.matrices[5, 2, 2] = np.nan
+        with pytest.raises(ValueError) as info:
+            theorem1_trials(ds, [5, 1], [2, 3], [0.0, 0.5, 1.0])
+        assert type(info.value) is linalg._StackError
+        assert info.value.index == 5
+        assert str(info.value).startswith(f"sample s000005 is rejected ({detail}")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["regress", "--trials", "20"], ["probe", "--trials", "20"],
+         ["mix", "--strategy", "rmixup", "--count", "20"]],
+        ids=["regress", "probe", "mix"],
+    )
+    def test_cli_names_an_asymmetric_sample(self, capsys, tmp_path, command):
+        path, mixed = tmp_path / "ds.spdb", tmp_path / "mixed.spdb"
+        write_matrices(path, self.dataset(asymmetry=[0.0] * 5 + [1e-7]))
+        output = ["-o", str(mixed)] if command[0] == "mix" else []
+        code = main([*command, "--input", str(path), *output])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not mixed.exists()
+        assert "sample s000005 is rejected (matrix is not symmetric" in captured.err
+        assert "of the stack" not in captured.err
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(-150, 150),
+        asymmetry=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 2.0 * SYMMETRY_RTOL)), min_size=6, max_size=6
+        ),
+        n=st.integers(2, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @example(k=150, asymmetry=[0.0] * 5 + [2.0 * SYMMETRY_RTOL], n=4, seed=0)
+    @example(k=-150, asymmetry=[2.0 * SYMMETRY_RTOL] + [0.0] * 5, n=3, seed=1)
+    def test_any_scale_and_asymmetry_returns_or_names_the_input(self, k, asymmetry, n, seed):
+        ds = self.dataset(10.0**k, asymmetry, seed=seed, count=6, n=n)
+        runs = [
+            lambda: theorem1_trials(ds, [0, 2, 4, 1], [1, 3, 5, 5], DEFAULT_GRID),
+            lambda: incorrect_label_probe(ds, 8, np.random.default_rng(seed)),
+            lambda: mix_dataset(ds, MixConfig("rmixup", seed=seed), 8),
+        ]
+        for run in runs:
+            try:
+                run()
+            except ValueError as exc:
+                assert "of the stack" not in str(exc)
+                assert self.NAMED.search(str(exc)), str(exc)

@@ -5,7 +5,8 @@ two entry points then accept different inputs. This test parses every module
 and finds each ``raise`` whose message states one of the input rules below;
 every rule must be raised from exactly its one home. Two more rules have one
 home each: the per-sample mix result is built only by ``augment._sample``,
-and a matrix's stack position is written only by ``linalg._StackError``.
+and a matrix's stack position is written only by ``linalg._StackError``. The
+pool is driven from ``linalg`` alone: only its functions open a session.
 """
 
 import ast
@@ -138,6 +139,14 @@ def test_mixed_sample_built_in_one_place():
 def test_stack_position_written_in_one_place():
     found = {".".join(where.split(".")[:2]) for where in all_writers(text="of the stack")}
     assert found == {"linalg._StackError"}
+
+
+@pytest.mark.parametrize("call", ["_session", "_pinned"])
+def test_pool_protocol_driven_only_in_linalg(call):
+    # a module that opens sessions itself keeps a second copy of the
+    # chunk-ahead loop and its error order; it iterates linalg._chunked
+    found = all_writers(calls=call)
+    assert found and {where.split(".")[0] for where in found} == {"linalg"}
 
 
 def test_writer_guard_sees_a_second_copy():
