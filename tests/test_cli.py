@@ -140,6 +140,25 @@ class TestMix:
             ])
         assert written[0] == written[1] == written[2]
 
+    # an earlier output is rewritten in place: longer, shorter and the same
+    # size as the new one
+    @pytest.mark.parametrize("earlier", [40, 3, 23])
+    @pytest.mark.parametrize("strategy", ["rmixup", "vmixup"])
+    def test_rewrite_gives_the_bytes_of_a_new_output(
+        self, capsys, tmp_path, mix_inputs, strategy, earlier
+    ):
+        src = mix_inputs["regression"]
+        written = []
+        for name, runs in (("new", [(23, 13)]), ("old", [(earlier, 1), (23, 13)])):
+            for count, seed in runs:
+                code, _, err = run(
+                    capsys, "mix", "--input", str(src), "--strategy", strategy, "--count",
+                    str(count), "--seed", str(seed), "-o", str(tmp_path / f"{name}.spdb"),
+                )
+                assert code == 0, err
+            written.append(mix_files(tmp_path / f"{name}.spdb"))
+        assert written[0] == written[1]
+
     def test_vmixup_outputs_psd(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path)
         out = tmp_path / "v.spdb"
@@ -410,7 +429,12 @@ class TestMixOracle:
 
 
 def traced_peak(capsys, *argv):
-    """``main(argv)``'s exit code, stderr and traced peak above its start."""
+    """``main(argv)``'s exit code, stderr and traced peak above its start.
+
+    The command runs once untraced first, so that what the interpreter
+    allocates on first use (imports, caches, the pool) is not charged to it
+    and the peak does not depend on which tests ran before."""
+    run(capsys, *argv)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -503,7 +527,7 @@ class TestMixFailures:
     def outputs(tmp_path):
         return sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("m."))
 
-    def overflowing_mix(self, capsys, tmp_path):
+    def overflowing_mix(self, capsys, tmp_path, left=()):
         # four tame samples and two whose log has eigenvalue 705: a mix of
         # the two overflows exp's limit of 700 whatever its ratio. At seed 2
         # output 5 is the first such mix of ten
@@ -518,13 +542,28 @@ class TestMixFailures:
         )
         assert (code, stdout) == (3, "")
         assert "error: mix 5 of samples s000004 and s000005: matrix_exp eigenvalue" in err
-        assert self.outputs(tmp_path) == []
+        assert self.outputs(tmp_path) == sorted(left)
 
     def test_overflow_in_a_later_chunk_unlinks_the_outputs(self, capsys, tmp_path, monkeypatch):
         # output 5 is in the third chunk of two, so two chunks are on disk
         # when it fails
         monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
         self.overflowing_mix(capsys, tmp_path)
+
+    def test_failure_after_the_first_chunk_unlinks_an_earlier_output(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # an earlier output of the same size is rewritten in place from the
+        # first chunk on, so it goes; its sidecars were never opened and stay
+        write_matrices(tmp_path / "m.spdb", LabeledDataset(
+            np.stack([np.eye(2)] * 10), np.zeros(10), "regression"
+        ))
+        (tmp_path / "m.provenance.csv").write_text("earlier\n")
+        sidecars = ["m.labels.csv", "m.provenance.csv"]
+        before = [(tmp_path / name).read_bytes() for name in sidecars]
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 8 * 2 * 2)
+        self.overflowing_mix(capsys, tmp_path, left=sidecars)
+        assert [(tmp_path / name).read_bytes() for name in sidecars] == before
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_overflow_in_a_later_part_is_named_by_output_index(
@@ -551,6 +590,26 @@ class TestMixFailures:
         assert "error: sample s000002 is not SPD" in err
         assert self.outputs(tmp_path) == ["m.spdb"]
         assert (tmp_path / "m.spdb").read_bytes() == b"earlier"
+
+    def test_failure_before_the_first_chunk_keeps_an_earlier_output(self, capsys, tmp_path):
+        src, _ = gen_dataset(capsys, tmp_path, kind="spd", n=3, count=4)
+        out = tmp_path / "m.spdb"
+        code, _, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", "rmixup", "--count", "16",
+            "-o", str(out),
+        )
+        assert code == 0, err
+        before = mix_files(out)
+        broken = read_matrices(src)
+        broken.matrices[2, 0, 0] = -1.0
+        write_matrices(src, broken)
+        code, stdout, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", "rmixup", "--count", "16",
+            "-o", str(out),
+        )
+        assert (code, stdout) == (3, "")
+        assert "error: sample s000002 is not SPD" in err
+        assert mix_files(out) == before
 
     def test_unwritable_provenance_unlinks_the_dataset(self, capsys, tmp_path):
         src, _ = gen_dataset(capsys, tmp_path, n=3, count=4)

@@ -1,6 +1,10 @@
 """SPDB format roundtrips and synthetic generator properties."""
 
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -26,6 +30,8 @@ from spdmix.data_io import (
 from spdmix import data_io, linalg
 from spdmix.linalg import SpdMatrix, matrix_exp, matrix_log
 from spdmix.metrics import log_euclidean_distance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_regression_dataset(seed=0, count=5, n=4):
@@ -337,6 +343,58 @@ class TestSpdbWriter:
                     fh.write("partial")
                     raise RuntimeError("interrupted")
         assert list(tmp_path.iterdir()) == []
+
+    # an existing SPDB is rewritten in place: longer, shorter, same size,
+    # and a file that is not an SPDB at all
+    @pytest.mark.parametrize("earlier", [(4, 12), (4, 2), (4, 7), (6, 7), None])
+    def test_rewrite_gives_the_bytes_of_a_new_file(self, tmp_path, earlier):
+        ds = small_regression_dataset(count=7)
+        write_matrices(tmp_path / "new.spdb", ds)
+        if earlier is None:
+            (tmp_path / "old.spdb").write_bytes(b"\xff" * 3)
+        else:
+            n, count = earlier
+            write_matrices(tmp_path / "old.spdb", small_regression_dataset(1, count, n))
+        write_matrices(tmp_path / "old.spdb", ds)
+        for name in ("{}.spdb", "{}.labels.csv"):
+            assert (tmp_path / name.format("old")).read_bytes() == \
+                (tmp_path / name.format("new")).read_bytes()
+
+    def test_killed_rewrite_reads_as_bad_magic(self, tmp_path):
+        # the earlier file has the new one's size, so only the header tells
+        # a half-written file from a whole one
+        path = tmp_path / "k.spdb"
+        write_matrices(path, small_regression_dataset(1, count=8))
+        size = path.stat().st_size
+        script = (
+            "import os, sys; import numpy as np; from spdmix.data_io import SpdbWriter\n"
+            "out = SpdbWriter(sys.argv[1], 4, 8, 'regression')\n"
+            "out.write(np.eye(4) * np.ones((3, 1, 1)))\n"
+            "os._exit(0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        ))
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+        assert path.stat().st_size == size
+        with pytest.raises(SpdbFormatError, match="bad magic"):
+            read_matrices(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_gets_the_bytes_of_a_file(self, tmp_path):
+        ds = small_regression_dataset(count=7)
+        write_matrices(tmp_path / "file.spdb", ds)
+        fifo = tmp_path / "pipe.spdb"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with SpdbWriter(fifo, 4, 7, "regression") as out:
+            out.write(ds.matrices[:3])
+            out.write(ds.matrices[3:])
+            out.finish(ds.ids, ds.labels)
+        reader.join(timeout=30)
+        assert received == [(tmp_path / "file.spdb").read_bytes()]
 
 
 class TestSeriesCsv:

@@ -6,7 +6,9 @@ and finds each ``raise`` whose message states one of the input rules below;
 every rule must be raised from exactly its one home. Two more rules have one
 home each: the per-sample mix result is built only by ``augment._sample``,
 and a matrix's stack position is written only by ``linalg._StackError``. The
-pool is driven from ``linalg`` alone: only its functions open a session.
+pool is driven from ``linalg`` alone: only its functions open a session. A
+binary file is written by ``data_io.SpdbWriter`` alone: only it calls
+``os.open`` or opens a file in mode ``"wb"``.
 """
 
 import ast
@@ -77,12 +79,13 @@ def raisers(source: str, module: str) -> dict[str, set[str]]:
 
 def writers(source: str, module: str, calls: str | None = None, text: str | None = None):
     """The qualified names of the functions or classes in ``source`` that
-    call ``calls`` (bare or as an attribute), or that hold a string literal
-    containing ``text``."""
+    call ``calls`` (bare, as an attribute, or by its dotted name such as
+    ``os.open``), or that hold a string literal containing ``text``."""
     found = set()
     for node, where in _scoped(ast.parse(source), module):
         if calls and isinstance(node, ast.Call):
-            if calls in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            names = (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            if calls in (*names, ast.unparse(node.func)):
                 found.add(where)
         if text and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if text in node.value:
@@ -149,6 +152,14 @@ def test_pool_protocol_driven_only_in_linalg(call):
     assert found and {where.split(".")[0] for where in found} == {"linalg"}
 
 
+@pytest.mark.parametrize("what", [{"calls": "os.open"}, {"text": "wb"}], ids=["os.open", "wb"])
+def test_spdb_written_only_by_its_writer(what):
+    # a second binary writer would bring back a truncate-then-write path,
+    # whose killed runs leave files that read as valid
+    found = {".".join(where.split(".")[:2]) for where in all_writers(**what)}
+    assert found == {"data_io.SpdbWriter"}
+
+
 def test_writer_guard_sees_a_second_copy():
     copy = (
         'def _log(arr):\n'
@@ -158,9 +169,16 @@ def test_writer_guard_sees_a_second_copy():
         'class Cache:\n'
         '    def mix(self):\n'
         '        return augment.MixedSample(a, 0.0, None, True)\n'
+        'def save(path, out):\n'
+        '    out.open(path)\n'
+        '    with open(path, "wb") as fh:\n'
+        '        os.write(os.open(path, os.O_WRONLY), b"")\n'
     )
     assert writers(copy, "extra", text="of the stack") == {"extra._log"}
     assert writers(copy, "extra", calls="MixedSample") == {"extra.v_mixup", "extra.Cache.mix"}
+    assert writers(copy, "extra", calls="os.open") == {"extra.save"}
+    assert writers(copy, "extra", text="wb") == {"extra.save"}
+    assert writers(copy.replace("os.open", "open"), "extra", calls="os.open") == set()
 
 
 def test_config_values_take_the_flags_path():
