@@ -182,8 +182,8 @@ class SpdbWriter:
     time of truncating it and writing fresh pages (11-12 against 52-57 ms,
     median of 15, 2-vCPU ext4 VM). A FIFO or device target cannot seek: it
     gets the header first. :meth:`finish` checks that ``count`` matrices came
-    and writes the sidecar. Leaving the block on an exception closes and
-    unlinks every file the writer opened, those of :meth:`open` included.
+    and writes the sidecar. Leaving the block on an exception closes every
+    file the writer opened, :meth:`open`'s too, and unlinks the regular ones.
     """
 
     def __init__(self, path, dim: int, count: int, task: str, is_correlation: bool = False):
@@ -204,7 +204,7 @@ class SpdbWriter:
         if self._fh is not None:
             self._fh.close()
         if kind is not None:
-            for path in self._opened:
+            for path in filter(Path.is_file, self._opened):  # a FIFO or device stays
                 path.unlink(missing_ok=True)
 
     def open(self, path):

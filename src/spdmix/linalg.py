@@ -38,7 +38,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -439,16 +439,17 @@ def eigvals_sym(a: np.ndarray) -> np.ndarray:
 class SpdMatrix:
     """A validated symmetric positive definite matrix.
 
-    ``min_eigenvalue`` and ``max_eigenvalue`` are cached at validation time;
-    the wrapped array is read-only. ``np.asarray`` unwraps an instance to
-    that array itself (no copy for ``dtype=np.float64`` either), so instances
-    can be passed anywhere a plain array is accepted; ``np.array`` and any
-    other dtype give a copy.
+    ``min_eigenvalue``, ``max_eigenvalue`` and the spectrum, which :func:`log_det`
+    reuses, are kept from :meth:`from_array`; the array is read-only. ``np.asarray``
+    unwraps an instance to that array itself (no copy for ``dtype=np.float64``
+    either), so instances can be passed anywhere a plain array is accepted;
+    ``np.array`` and any other dtype give a copy.
     """
 
     array: np.ndarray
     min_eigenvalue: float
     max_eigenvalue: float
+    _spectrum: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "SpdMatrix":
@@ -459,7 +460,7 @@ class SpdMatrix:
         w = eigvals_sym(arr)
         _require_positive(w, "SpdMatrix")
         arr.setflags(write=False)
-        return cls(arr, float(w[0]), float(w[-1]))
+        return cls(arr, float(w[0]), float(w[-1]), w)
 
     @classmethod
     def _trusted(cls, arr: np.ndarray, wmin: float, wmax: float) -> "SpdMatrix":
@@ -611,6 +612,8 @@ def log_det(s) -> float:
     Determinants are handled in log-space only; the raw determinant of a
     large matrix overflows float64 long before the log does.
     """
+    if isinstance(s, SpdMatrix) and s._spectrum is not None:
+        return float(np.sum(np.log(s._spectrum)))
     w = eigvals_sym(s.array if isinstance(s, SpdMatrix) else symmetrize(_square(s, stack=False)))
     _require_positive(w, "log_det")
     return float(np.sum(np.log(w)))

@@ -119,29 +119,42 @@ def geodesic(s_i, s_j, lam: float, metric: MetricKind = MetricKind.LOG_EUCLIDEAN
     relative) for every metric; the result is SPD for SPD inputs.
     Extrapolation (``lam`` outside [0, 1]) is rejected.
     """
+    return _geodesic(s_i, s_j, lam, metric)[0]
+
+
+def _geodesic(s_i, s_j, lam, metric) -> tuple[SpdMatrix, float | None, float | None]:
+    """:func:`geodesic`'s point, and the endpoints' log-determinants that its
+    own decompositions give (``None`` where it made none)."""
     a, b = _check_pair(s_i, s_j)
     lam = _check_ratio(lam)
     metric = MetricKind(metric)
     try:
         if metric is MetricKind.LOG_EUCLIDEAN:
-            return matrix_exp((1.0 - lam) * matrix_log(a) + lam * matrix_log(b))
+            log_a, log_b = matrix_log(a), matrix_log(b)
+            mixed = matrix_exp((1.0 - lam) * log_a + lam * log_b)
+            return mixed, float(np.trace(log_a)), float(np.trace(log_b))
         if metric is MetricKind.EUCLIDEAN:
-            return SpdMatrix.from_array((1.0 - lam) * a + lam * b)
+            return SpdMatrix.from_array((1.0 - lam) * a + lam * b), None, None
         if metric is MetricKind.CHOLESKY:
             blend = (1.0 - lam) * cholesky(a) + lam * cholesky(b)
-            return SpdMatrix.from_array(blend @ blend.T)
+            return SpdMatrix.from_array(blend @ blend.T), None, None
         if metric is MetricKind.AFFINE_INVARIANT:
-            return _geodesic_affine_invariant(a, b, lam)
-        return _geodesic_bures_wasserstein(a, b, lam)
+            whitened, ld_a = _congruence(metric, a, b, 0.5, lam)
+            return SpdMatrix.from_array(whitened), ld_a, None
+        # (S_j S_i)^{1/2} = ((S_i S_j)^{1/2})^T for symmetric factors, so the
+        # unstable cross square root is computed once and transposed.
+        cross, ld_a = _congruence(metric, a, b, -0.5, 0.5)
+        out = (1.0 - lam) ** 2 * a + lam**2 * b + lam * (1.0 - lam) * (cross + cross.T)
+        return SpdMatrix.from_array(out), ld_a, None
     except ValueError as exc:
         # prefix the message in place: the error keeps its type and attributes
         exc.args = (f"{metric.value} geodesic: {exc}", *exc.args[1:])
         raise
 
 
-def _congruence(metric: MetricKind, a, b, side: float, p: float) -> np.ndarray:
-    """``A^{1/2} (X B X)^p A^side`` with ``X = A^-side``, ``side`` +-1/2; warns for
-    ``metric`` when ``A`` or ``X B X`` has an eigenvalue below the floor."""
+def _congruence(metric: MetricKind, a, b, side: float, p: float) -> tuple[np.ndarray, float]:
+    """``A^{1/2} (X B X)^p A^side`` with ``X = A^-side``, ``side`` +-1/2, and ``log det A``;
+    warns for ``metric`` when ``A`` or ``X B X`` has an eigenvalue below the floor."""
     dec = eig_sym(a)
     half = matrix_power(dec, 0.5).array
     inv_half = matrix_power(dec, -0.5)
@@ -150,11 +163,7 @@ def _congruence(metric: MetricKind, a, b, side: float, p: float) -> np.ndarray:
     core = eig_sym(inner @ b @ inner)
     powered = matrix_power(core, p)
     _warn_unstable(metric, float(core.eigenvalues[0]))
-    return half @ powered.array @ outer
-
-
-def _geodesic_affine_invariant(a: np.ndarray, b: np.ndarray, lam: float) -> SpdMatrix:
-    return SpdMatrix.from_array(_congruence(MetricKind.AFFINE_INVARIANT, a, b, 0.5, lam))
+    return half @ powered.array @ outer, float(np.sum(np.log(dec.eigenvalues)))
 
 
 def bures_cross_sqrt(s_i, s_j) -> np.ndarray:
@@ -166,19 +175,7 @@ def bures_cross_sqrt(s_i, s_j) -> np.ndarray:
     The result squared reproduces ``S_i @ S_j`` to 1e-7 relative.
     """
     a, b = _check_pair(s_i, s_j)
-    return _congruence(MetricKind.BURES_WASSERSTEIN, a, b, -0.5, 0.5)
-
-
-def _geodesic_bures_wasserstein(a: np.ndarray, b: np.ndarray, lam: float) -> SpdMatrix:
-    # (S_j S_i)^{1/2} = ((S_i S_j)^{1/2})^T for symmetric factors, so the
-    # unstable cross square root is computed once and transposed.
-    cross = bures_cross_sqrt(a, b)
-    out = (
-        (1.0 - lam) ** 2 * a
-        + lam**2 * b
-        + lam * (1.0 - lam) * (cross + cross.T)
-    )
-    return SpdMatrix.from_array(out)
+    return _congruence(MetricKind.BURES_WASSERSTEIN, a, b, -0.5, 0.5)[0]
 
 
 def log_euclidean_distance(s_i, s_j) -> float:
@@ -195,19 +192,19 @@ def swelling_check(s_i, s_j, lam: float, metric: MetricKind) -> SwellingReport:
     always stay within bounds; Euclidean, Cholesky and Bures-Wasserstein
     interpolation can inflate the determinant past both endpoints, which this
     report records faithfully rather than asserting.
+
+    Solves per call (values-only), reusing the geodesic's spectra: log-Euclidean
+    4 (1), Euclidean and Cholesky 3 (3), affine-invariant and Bures-Wasserstein 4 (2).
     """
-    a, b = _check_pair(s_i, s_j)
-    ld_i = log_det(a)
-    ld_j = log_det(b)
-    mixed = geodesic(a, b, lam, metric)
+    mixed, ld_i, ld_j = _geodesic(s_i, s_j, lam, metric)
+    ld_i = log_det(s_i) if ld_i is None else ld_i
+    ld_j = log_det(s_j) if ld_j is None else ld_j
     ld_mix = log_det(mixed)
     lo, hi = min(ld_i, ld_j), max(ld_i, ld_j)
-    exceeds = ld_mix > hi + SWELLING_LOG_TOL
-    within = (lo - SWELLING_LOG_TOL) <= ld_mix <= (hi + SWELLING_LOG_TOL)
     return SwellingReport(
         det_i=ld_i,
         det_j=ld_j,
         det_mix=ld_mix,
-        exceeds_max=bool(exceeds),
-        within_bounds=bool(within),
+        exceeds_max=ld_mix > hi + SWELLING_LOG_TOL,
+        within_bounds=lo - SWELLING_LOG_TOL <= ld_mix <= hi + SWELLING_LOG_TOL,
     )

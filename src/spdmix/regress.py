@@ -165,11 +165,11 @@ def fit_kernel_ridge(train: LabeledDataset, config: KernelConfig) -> KernelRidge
     emb, d2, norm, gram = _gram(train.matrices, config)
     if config.ridge == 0.0 and len(train) > 1:
         off = d2[np.triu_indices(len(train), k=1)]
-        if np.min(off) <= 1e-20:  # squared distance; pairs within 1e-10
+        if np.min(off) <= 1e-20 * config.sigma**2:  # squared distance; pairs within 1e-10 sigma
             raise ValueError(
                 "training matrices are numerically coincident (pairwise "
-                "distance <= 1e-10), so the ridge-free Gram matrix is "
-                "singular - refit with ridge > 0"
+                "distance <= 1e-10 * sigma), so the ridge-free Gram matrix "
+                "is singular - refit with ridge > 0"
             )
     y = train.labels.astype(np.float64)
     for jitter in _JITTER_LADDER:

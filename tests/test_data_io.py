@@ -1,6 +1,7 @@
 """SPDB format roundtrips and synthetic generator properties."""
 
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -395,6 +396,22 @@ class TestSpdbWriter:
             out.finish(ds.ids, ds.labels)
         reader.join(timeout=30)
         assert received == [(tmp_path / "file.spdb").read_bytes()]
+
+    def test_failure_keeps_a_fifo_target(self, tmp_path):
+        # only regular files are partial outputs: the FIFO is not the writer's
+        ds = small_regression_dataset(count=7)
+        fifo = tmp_path / "pipe.spdb"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with pytest.raises(RuntimeError, match="after one chunk"):
+            with SpdbWriter(fifo, 4, 7, "regression") as out:
+                out.write(ds.matrices[:3])
+                raise RuntimeError("after one chunk")
+        reader.join(timeout=30)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert len(received[0]) == data_io._HEADER.size + 3 * 4 * 4 * 8
 
 
 class TestSeriesCsv:

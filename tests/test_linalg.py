@@ -424,15 +424,18 @@ class TestEigCallCounting:
 
     def test_values_only_solves_counted(self):
         s = SpdMatrix.from_array(np.diag([1.0, 2.0, 3.0]))
-        for solve in (
-            lambda: SpdMatrix.from_array(np.eye(3)),
-            lambda: log_det(np.eye(3)),
-            lambda: log_det(s),
-            lambda: eigvals_sym(np.eye(3)),
+        trusted = matrix_exp(np.diag([0.0, 1.0, 2.0]))
+        for solve, solves in (
+            (lambda: SpdMatrix.from_array(np.eye(3)), 1),
+            (lambda: log_det(np.eye(3)), 1),
+            # from_array keeps the spectrum it validated; a trusted instance has none
+            (lambda: log_det(s), 0),
+            (lambda: log_det(trusted), 1),
+            (lambda: eigvals_sym(np.eye(3)), 1),
         ):
             with count_eig_calls() as c:
                 solve()
-            assert (c.count, c.values_only) == (1, 1)
+            assert (c.count, c.values_only) == (solves, solves)
         with count_eig_calls() as c:
             eig_sym(np.eye(3))
             matrix_log(np.stack([np.eye(3)] * 5))

@@ -124,6 +124,19 @@ class TestGeodesicValidation:
         with pytest.raises(ValueError, match="log_euclidean geodesic"):
             geodesic(bad, np.eye(2), 0.5, MetricKind.LOG_EUCLIDEAN)
 
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_swelling_check_rejects_a_bad_endpoint(self, metric):
+        # the geodesic meets a bad S_i first and names the metric; a Cholesky
+        # factor breaks down on a non-SPD endpoint before any solve
+        asymmetric = np.array([[2.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+        indefinite = np.diag([1.0, -1.0, 2.0])
+        not_spd = CholeskyPivotError if metric is MetricKind.CHOLESKY else NonPositiveEigenvalueError
+        for bad, error in ((asymmetric, ValueError), (indefinite, not_spd)):
+            with pytest.raises(error, match=f"^{metric.value} geodesic: "):
+                swelling_check(bad, np.eye(3), 0.3, metric)
+            with pytest.raises(error):
+                swelling_check(np.eye(3), bad, 0.3, metric)
+
     def test_tagged_error_keeps_its_type_and_attributes(self, monkeypatch):
         bad = np.diag([1.0, 2.0, -1.0, 3.0])
         with pytest.raises(CholeskyPivotError, match="cholesky geodesic: .*pivot index 2") as exc:
@@ -195,16 +208,19 @@ class TestDecompositionCounts:
     @pytest.mark.parametrize(
         "metric, total, values_only",
         [
-            (MetricKind.LOG_EUCLIDEAN, 6, 3),
-            (MetricKind.EUCLIDEAN, 4, 4),
-            (MetricKind.CHOLESKY, 4, 4),
-            (MetricKind.AFFINE_INVARIANT, 6, 4),
-            (MetricKind.BURES_WASSERSTEIN, 6, 4),
+            (MetricKind.LOG_EUCLIDEAN, 4, 1),
+            (MetricKind.EUCLIDEAN, 3, 3),
+            (MetricKind.CHOLESKY, 3, 3),
+            (MetricKind.AFFINE_INVARIANT, 4, 2),
+            (MetricKind.BURES_WASSERSTEIN, 4, 2),
         ],
     )
     def test_swelling_check_counts(self, metric, total, values_only):
-        # the geodesic's solves plus one values-only log_det per endpoint and
-        # one for the mix; the spectra the geodesic already has are not reused
+        # the geodesic's solves plus a values-only log_det for each matrix
+        # whose spectrum it did not solve for: log-Euclidean takes the
+        # endpoints' from their logarithms and re-solves its exponential,
+        # the whitening metrics take S_i's from its decomposition, and every
+        # mix that SpdMatrix.from_array validated keeps its spectrum
         s_i, s_j = random_pair(30)
         with count_eig_calls() as c:
             swelling_check(s_i, s_j, 0.3, metric)
@@ -374,6 +390,38 @@ class TestOrderProperties:
                 lo = min(rep.det_i, rep.det_j)
                 hi = max(rep.det_i, rep.det_j)
                 assert lo - 1e-9 <= rep.det_mix <= hi + 1e-9
+
+
+class TestSwellingAccuracy:
+    """Every log-determinant of a report is within 2.5e-10 * max(1, |x|) of a
+    fresh values-only solve of the same matrix, and the flags are those the
+    fresh solves give, whichever spectrum the report reused."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(25)
+        for n in [*range(1, 9), 50, 50]:
+            for cond in (1.0, 1e3, 1e6):
+                s_i, s_j = gen_random_spd(n, cond, rng), gen_random_spd(n, cond, rng)
+                for lam in (0.0, float(rng.uniform()), 1.0):
+                    yield s_i, s_j, lam
+        s = gen_random_spd(8, 1e6, rng)
+        yield s, s, 0.5
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_log_dets_match_fresh_solves(self, metric):
+        for s_i, s_j, lam in self.cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StabilityWarning)
+                rep = swelling_check(s_i, s_j, lam, metric)
+                mixed = geodesic(s_i, s_j, lam, metric)
+            fresh = [log_det(np.array(m)) for m in (s_i, s_j, mixed)]
+            for got, want in zip((rep.det_i, rep.det_j, rep.det_mix), fresh):
+                assert abs(got - want) <= 2.5e-10 * max(1.0, abs(want)), (len(s_i), lam)
+            lo, hi = min(fresh[:2]), max(fresh[:2])
+            tol = metrics.SWELLING_LOG_TOL
+            assert rep.exceeds_max == (fresh[2] > hi + tol)
+            assert rep.within_bounds == (lo - tol <= fresh[2] <= hi + tol)
 
 
 class TestSwellingReportShape:

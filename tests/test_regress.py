@@ -193,6 +193,25 @@ class TestKernelRidge:
         for mat, label in zip(ds.matrices, ds.labels):
             assert predictor.predict(mat) == pytest.approx(label, abs=1e-7)
 
+    @pytest.mark.parametrize("space", ["riemannian", "euclidean"])
+    def test_coincidence_rule_is_scale_free(self, space):
+        # distinct samples at any scale fit: in the euclidean space sigma
+        # scales with them, and log distances do not move with a scale
+        mats = spd_set(13, 5, n=3)
+        labels = np.linspace(0.1, 0.9, 5)
+        euclidean = space == "euclidean"
+        width = (
+            float(np.median([fro_norm(a - b) for i, a in enumerate(mats) for b in mats[i + 1:]]))
+            if euclidean else _median_sigma(mats)
+        )
+        for power in (-60, -40, -20, -11, -6, 0, 6, 20, 40, 60):
+            scale = 10.0**power
+            sigma = width * scale if euclidean else width
+            ds = LabeledDataset(matrices=mats * scale, labels=labels, task="regression")
+            predictor = fit_kernel_ridge(ds, KernelConfig(sigma=sigma, space=space))
+            for mat, label in zip(ds.matrices, labels):
+                assert predictor.predict(mat) == pytest.approx(label, abs=1e-7), power
+
     def test_coincident_samples_need_ridge(self):
         mat = np.eye(3)
         ds = LabeledDataset(
