@@ -205,26 +205,43 @@ class TestDecompositionCounts:
             geodesic(s_i, s_j, 0.3, metric)
         assert (c.count, c.values_only) == (total, values_only)
 
+    # values-only solves swelling_check saves by reusing a spectrum the
+    # geodesic already has: log-Euclidean takes both endpoints' from their
+    # logarithms (and re-solves its exponential mix), the whitening metrics
+    # take S_i's from its decomposition, and every mix that
+    # SpdMatrix.from_array validated keeps its spectrum
+    REUSED_SPECTRA = {
+        MetricKind.LOG_EUCLIDEAN: 2,
+        MetricKind.EUCLIDEAN: 1,
+        MetricKind.CHOLESKY: 1,
+        MetricKind.AFFINE_INVARIANT: 2,
+        MetricKind.BURES_WASSERSTEIN: 2,
+    }
+
     @pytest.mark.parametrize(
         "metric, total, values_only",
         [
-            (MetricKind.LOG_EUCLIDEAN, 4, 1),
-            (MetricKind.EUCLIDEAN, 3, 3),
-            (MetricKind.CHOLESKY, 3, 3),
-            (MetricKind.AFFINE_INVARIANT, 4, 2),
-            (MetricKind.BURES_WASSERSTEIN, 4, 2),
+            (MetricKind.LOG_EUCLIDEAN, 6, 3),
+            (MetricKind.EUCLIDEAN, 4, 4),
+            (MetricKind.CHOLESKY, 4, 4),
+            (MetricKind.AFFINE_INVARIANT, 6, 4),
+            (MetricKind.BURES_WASSERSTEIN, 6, 4),
         ],
     )
     def test_swelling_check_counts(self, metric, total, values_only):
-        # the geodesic's solves plus a values-only log_det for each matrix
-        # whose spectrum it did not solve for: log-Euclidean takes the
-        # endpoints' from their logarithms and re-solves its exponential,
-        # the whitening metrics take S_i's from its decomposition, and every
-        # mix that SpdMatrix.from_array validated keeps its spectrum
+        # total and values_only are the unshared cost: the geodesic's solves
+        # plus a fresh values-only log_det per endpoint and one for the mix;
+        # swelling_check costs exactly that less the spectra it reuses
         s_i, s_j = random_pair(30)
         with count_eig_calls() as c:
-            swelling_check(s_i, s_j, 0.3, metric)
+            mixed = geodesic(s_i, s_j, 0.3, metric)
+            for m in (s_i, s_j, mixed):
+                log_det(np.array(m))
         assert (c.count, c.values_only) == (total, values_only)
+        saved = self.REUSED_SPECTRA[metric]
+        with count_eig_calls() as c:
+            swelling_check(s_i, s_j, 0.3, metric)
+        assert (c.count, c.values_only) == (total - saved, values_only - saved)
 
 
 def reference_affine_invariant(a, b, lam):
