@@ -6,10 +6,13 @@ scaling-and-squaring, which keeps ``matrix_exp`` and ``matrix_log`` exact
 mutual inverses up to the accuracy of the decomposition itself.
 
 :func:`eig_sym` (``numpy.linalg.eigh``, LAPACK ``syevd``) and its values-only
-twin :func:`eigvals_sym` (``eigvalsh``) solve one matrix; :func:`count_eig_calls`
-counts every solve. :func:`symmetrize`, :func:`matrix_log` and
-:func:`matrix_exp` also take a stack ``(k, n, n)`` and check each matrix on its
-own; a stacked call gives each matrix the bits it gets alone.
+twin :func:`eigvals_sym` (``eigvalsh``) solve one matrix, each validated by
+:func:`symmetrize`; :func:`count_eig_calls` counts every solve. An exactly
+symmetric matrix passes :func:`symmetrize` after one subtraction, so only the
+first check of a drifted matrix measures its asymmetry. :func:`symmetrize`,
+:func:`matrix_log` and :func:`matrix_exp` also take a stack ``(k, n, n)`` and
+check each matrix on its own; a stacked call gives each matrix the bits it
+gets alone.
 
 :func:`matrix_log` and :func:`matrix_exp` are one stacked kernel: per part,
 one pool task symmetrizes, solves, applies the function to the spectrum and
@@ -300,19 +303,38 @@ def _square(a, stack: bool = True) -> np.ndarray:
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return the exactly symmetric part of ``a``, rejecting real asymmetry.
 
-    Floating-point drift from repeated mixing is folded back by ``(A + A^T)/2``
-    as long as the asymmetry is below ``SYMMETRY_RTOL`` times the Frobenius norm;
-    anything larger is treated as a caller bug and raises ``ValueError``.
+    A matrix whose skew part ``A - A^T`` is all zero, which also proves it
+    finite, comes back whole (a ``±0`` pair signed as ``(A + A^T)/2`` signs
+    it): that one subtraction is its whole check. Any other matrix has its
+    floating-point drift folded back by ``(A + A^T)/2`` as long as the
+    asymmetry is below ``SYMMETRY_RTOL`` times the Frobenius norm; a larger
+    one, or a non-finite entry, is a caller bug and raises ``ValueError``.
     ``a`` may be a stack ``(k, n, n)``; each matrix is checked against its
-    own norm.
+    own norm and gets the bits it gets alone.
 
-    A matrix whose largest entry lies beyond ``2**±400``, where squares over-
-    or underflow, is checked scaled by the power of two that brings that
-    entry into [0.5, 1); the scaling is exact, so the check holds at any
-    magnitude. The symmetric part is built from halves when ``A + A^T`` could
-    overflow.
+    A drifted matrix whose largest entry lies beyond ``2**±400``, where
+    squares over- or underflow, is checked scaled by the power of two that
+    brings that entry into [0.5, 1); the scaling is exact, so the check holds
+    at any magnitude. Its symmetric part is built from halves when
+    ``A + A^T`` could overflow.
     """
     arr = _square(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        skew = arr - arr.swapaxes(-1, -2)
+        out = arr - skew / 2.0  # A, where the skew part is zero
+    if np.count_nonzero(skew):
+        drifted = skew.any(axis=(-2, -1))  # a stack's mask, or one matrix's flag
+        try:
+            out[drifted] = _fold(arr[drifted])
+        except _StackError as exc:
+            at = None if arr.ndim == 2 else int(np.flatnonzero(drifted)[exc.index])
+            raise _StackError(exc.detail, at) from None
+    return out
+
+
+def _fold(arr: np.ndarray) -> np.ndarray:
+    """The symmetric part of each matrix of a stack ``(k, n, n)`` that is not
+    exactly symmetric, checked as :func:`symmetrize` describes."""
     # NaN and inf reach the largest magnitude; zero sizes reduce to 0
     peak = np.maximum(arr.max(axis=(-2, -1), initial=0.0), -arr.min(axis=(-2, -1), initial=0.0))
     _reject(~np.isfinite(peak), _StackError, lambda at: "matrix contains non-finite entries")
@@ -333,9 +355,9 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
         )
 
     _reject(bad, _StackError, asymmetry)
-    if peak.max(initial=0.0) > _HALF_MAX:
-        return arr / 2.0 + arr_t / 2.0
-    return (arr + arr_t) / 2.0
+    halves = (peak > _HALF_MAX)[:, None, None]  # where A + A^T could overflow
+    with np.errstate(over="ignore"):
+        return np.where(halves, arr / 2.0 + arr_t / 2.0, (arr + arr_t) / 2.0)
 
 
 class EigenDecomposition(NamedTuple):
@@ -427,11 +449,11 @@ def eigvals_sym(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of one symmetric matrix, without eigenvectors
     (``numpy.linalg.eigvalsh``).
 
-    ``a`` must be exactly symmetric, as :func:`symmetrize` returns it or an
-    :class:`SpdMatrix` holds it: the solver reads only the lower triangle.
-    Counted and checked for convergence like :func:`eig_sym`.
+    Validated through :func:`symmetrize`, counted and checked for convergence
+    like :func:`eig_sym`; an exactly symmetric input, such as an
+    :class:`SpdMatrix` holds, costs that check one subtraction.
     """
-    sym = _square(a, stack=False)
+    sym = symmetrize(_square(a, stack=False))
     return _solve(lambda _: np.linalg.eigvalsh(sym), sym, values_only=True)
 
 
@@ -612,9 +634,7 @@ def log_det(s) -> float:
     Determinants are handled in log-space only; the raw determinant of a
     large matrix overflows float64 long before the log does.
     """
-    if isinstance(s, SpdMatrix) and s._spectrum is not None:
-        return float(np.sum(np.log(s._spectrum)))
-    w = eigvals_sym(s.array if isinstance(s, SpdMatrix) else symmetrize(_square(s, stack=False)))
+    w = s._spectrum if isinstance(s, SpdMatrix) and s._spectrum is not None else eigvals_sym(s)
     _require_positive(w, "log_det")
     return float(np.sum(np.log(w)))
 

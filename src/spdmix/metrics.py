@@ -18,6 +18,7 @@ whether a given metric inflated it.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +33,7 @@ from .linalg import (
     matrix_exp,
     matrix_log,
     matrix_power,
+    symmetrize,
 )
 
 __all__ = [
@@ -122,32 +124,43 @@ def geodesic(s_i, s_j, lam: float, metric: MetricKind = MetricKind.LOG_EUCLIDEAN
     return _geodesic(s_i, s_j, lam, metric)[0]
 
 
-def _geodesic(s_i, s_j, lam, metric) -> tuple[SpdMatrix, float | None, float | None]:
-    """:func:`geodesic`'s point, and the endpoints' log-determinants that its
-    own decompositions give (``None`` where it made none)."""
+def _geodesic(
+    s_i, s_j, lam, metric
+) -> tuple[SpdMatrix, np.ndarray, np.ndarray, float | None, float | None]:
+    """:func:`geodesic`'s point, the endpoints symmetrized once for every later
+    step, and their log-determinants that its own decompositions give
+    (``None`` where it made none)."""
     a, b = _check_pair(s_i, s_j)
     lam = _check_ratio(lam)
     metric = MetricKind(metric)
-    try:
+    with _named(metric):
+        a, b = symmetrize(a), symmetrize(b)
         if metric is MetricKind.LOG_EUCLIDEAN:
             log_a, log_b = matrix_log(a), matrix_log(b)
             mixed = matrix_exp((1.0 - lam) * log_a + lam * log_b)
-            return mixed, float(np.trace(log_a)), float(np.trace(log_b))
+            return mixed, a, b, float(np.trace(log_a)), float(np.trace(log_b))
         if metric is MetricKind.EUCLIDEAN:
-            return SpdMatrix.from_array((1.0 - lam) * a + lam * b), None, None
+            return SpdMatrix.from_array((1.0 - lam) * a + lam * b), a, b, None, None
         if metric is MetricKind.CHOLESKY:
             blend = (1.0 - lam) * cholesky(a) + lam * cholesky(b)
-            return SpdMatrix.from_array(blend @ blend.T), None, None
+            return SpdMatrix.from_array(blend @ blend.T), a, b, None, None
         if metric is MetricKind.AFFINE_INVARIANT:
             whitened, ld_a = _congruence(metric, a, b, 0.5, lam)
-            return SpdMatrix.from_array(whitened), ld_a, None
+            return SpdMatrix.from_array(whitened), a, b, ld_a, None
         # (S_j S_i)^{1/2} = ((S_i S_j)^{1/2})^T for symmetric factors, so the
         # unstable cross square root is computed once and transposed.
         cross, ld_a = _congruence(metric, a, b, -0.5, 0.5)
         out = (1.0 - lam) ** 2 * a + lam**2 * b + lam * (1.0 - lam) * (cross + cross.T)
-        return SpdMatrix.from_array(out), ld_a, None
+        return SpdMatrix.from_array(out), a, b, ld_a, None
+
+
+@contextmanager
+def _named(metric: MetricKind):
+    """Prefix a ``ValueError`` raised inside with ``"<metric> geodesic: "``,
+    in place: the error keeps its type and attributes."""
+    try:
+        yield
     except ValueError as exc:
-        # prefix the message in place: the error keeps its type and attributes
         exc.args = (f"{metric.value} geodesic: {exc}", *exc.args[1:])
         raise
 
@@ -196,9 +209,10 @@ def swelling_check(s_i, s_j, lam: float, metric: MetricKind) -> SwellingReport:
     Solves per call (values-only), reusing the geodesic's spectra: log-Euclidean
     4 (1), Euclidean and Cholesky 3 (3), affine-invariant and Bures-Wasserstein 4 (2).
     """
-    mixed, ld_i, ld_j = _geodesic(s_i, s_j, lam, metric)
-    ld_i = log_det(s_i) if ld_i is None else ld_i
-    ld_j = log_det(s_j) if ld_j is None else ld_j
+    mixed, a, b, ld_i, ld_j = _geodesic(s_i, s_j, lam, metric)
+    with _named(MetricKind(metric)):
+        ld_i = log_det(a) if ld_i is None else ld_i
+        ld_j = log_det(b) if ld_j is None else ld_j
     ld_mix = log_det(mixed)
     lo, hi = min(ld_i, ld_j), max(ld_i, ld_j)
     return SwellingReport(

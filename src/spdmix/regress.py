@@ -323,13 +323,11 @@ def theorem1_harness(
     _check_labels([y_i, y_j])
     a, b = metrics._check_pair(s_i, s_j)
     lams = [metrics._check_ratio(lam) for lam in lambdas]
-    a, b = symmetrize(a), symmetrize(b)
-    logs = np.stack([matrix_log(a), matrix_log(b)])
-    tables = _tables(
-        np.stack([a, b]), logs, np.array([0]), np.array([1]), [y_i, y_j], lams,
+    pair = symmetrize(np.stack([a, b]))
+    return _tables(
+        pair, matrix_log(pair), np.array([0]), np.array([1]), [y_i, y_j], lams,
         config.sigma, strict=strict,
-    )
-    return tables[0]
+    )[0]
 
 
 def theorem1_trials(

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spdmix import linalg, regress
@@ -102,6 +102,145 @@ class TestSymmetrize:
             drifted = a + 1e-12 * np.abs(a).max() * rng.standard_normal((n, n))
             assert np.array_equal(symmetrize(drifted), (drifted + drifted.T) / 2.0)
             assert np.array_equal(symmetrize(a), a)
+
+
+def same_bits(x, y) -> bool:
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def reference_symmetrize(a):
+    """:func:`symmetrize` as it was before an exactly symmetric matrix skipped
+    the scaled check: every matrix checked, and the halves branch taken for
+    the whole stack when any matrix's peak passes ``_HALF_MAX``."""
+    arr = linalg._square(a)
+    peak = np.maximum(arr.max(axis=(-2, -1), initial=0.0), -arr.min(axis=(-2, -1), initial=0.0))
+    linalg._reject(
+        ~np.isfinite(peak), linalg._StackError, lambda at: "matrix contains non-finite entries"
+    )
+    arr_t = arr.swapaxes(-1, -2)
+    exponent = np.frexp(peak)[1]
+    exponent = np.where(np.abs(exponent) > 400, np.clip(exponent, -1021, 1021), 0)
+    unit = arr * np.ldexp(1.0, -exponent)[..., None, None] if exponent.any() else arr
+    norm = fro_norm(unit)
+    drift = fro_norm(unit - unit.swapaxes(-1, -2))
+    bad = drift > linalg.SYMMETRY_RTOL * np.maximum(norm, np.finfo(np.float64).tiny)
+
+    def asymmetry(at):
+        with np.errstate(over="ignore"):
+            found, bound = np.ldexp([drift[at], linalg.SYMMETRY_RTOL * norm[at]], exponent[at])
+        return (
+            f"matrix is not symmetric: asymmetry {found:.3e} "
+            f"exceeds {linalg.SYMMETRY_RTOL:.1e} * ||A||_F = {bound:.3e}"
+        )
+
+    linalg._reject(bad, linalg._StackError, asymmetry)
+    if peak.max(initial=0.0) > linalg._HALF_MAX:
+        return arr / 2.0 + arr_t / 2.0
+    return (arr + arr_t) / 2.0
+
+
+SPECIAL_ENTRIES = [
+    0.0, -0.0, 5e-324, -5e-324, 1.5e-323, 2.2250738585072014e-308, 1.7e308, -1e308,
+    np.nan, np.inf, -np.inf,
+]
+
+
+@st.composite
+def symmetrize_inputs(draw):
+    """One matrix or a mixed stack: entries in [-4, 4] or special values
+    (signed zeros, subnormals, entries past ``_HALF_MAX``, NaN and inf),
+    each matrix exactly symmetric, drifted by up to twice the gate, or drawn
+    entry by entry, then scaled by a power of two up to 2^+-1100."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(SPECIAL_ENTRIES))
+    mats = []
+    for _ in range(k):
+        a = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+        shape = draw(st.sampled_from(["symmetric", "drifted", "drawn"]))
+        if shape != "drawn":
+            upper = np.triu_indices(n, 1)
+            a[upper] = a.T[upper]
+        peak = np.abs(a).max()
+        if shape == "drifted" and n > 1 and 0.0 < peak < np.inf:
+            ratio = draw(st.floats(0.0, 2.0 * linalg.SYMMETRY_RTOL))
+            a[0, 1] += ratio * fro_norm(a / peak) * peak / np.sqrt(2.0)
+        scales = st.sampled_from([-1000, 1000, 1022]), st.integers(-1100, 1100)
+        scale = draw(st.one_of(st.just(0), *scales))
+        with np.errstate(all="ignore"):
+            mats.append(np.ldexp(a, scale))
+    return np.stack(mats) if k > 1 or draw(st.booleans()) else mats[0]
+
+
+class TestSymmetrizeReference:
+    """:func:`symmetrize` against :func:`reference_symmetrize`: the same
+    errors, and the same bits except in two cases. The halves branch is
+    chosen per matrix, so a matrix beside a huge one keeps the bits it gets
+    alone; and an exactly symmetric matrix past ``_HALF_MAX`` comes back
+    whole, where the halves rounded its odd subnormals."""
+
+    @staticmethod
+    def alone(m):
+        want = reference_symmetrize(m)
+        with np.errstate(invalid="ignore", over="ignore"):
+            exact = not (m - m.T).any()
+        moved = want != m if exact else np.zeros(m.shape, bool)
+        if moved.any():
+            assert np.abs(m).max() > linalg._HALF_MAX
+            assert (np.abs(m[moved]) < np.finfo(np.float64).tiny).all()
+        return np.where(moved, m, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(symmetrize_inputs())
+    @example(np.stack([np.diag([1.7e308, 1.0]), np.diag([5e-324, 1.0])]))
+    @example(np.array([[1.7e308, 1.5e-323], [1.5e-323, 1.0]]))
+    def test_matches_the_reference(self, a):
+        try:
+            want = reference_symmetrize(a)
+        except ValueError as exc:
+            want = exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = symmetrize(a)
+            except ValueError as exc:
+                got = exc
+        if isinstance(want, ValueError):
+            assert type(got) is type(want) and str(got) == str(want)
+            assert got.index == want.index
+            return
+        n = a.shape[-1]
+        expected = np.stack([self.alone(m) for m in a.reshape(-1, n, n)]).reshape(a.shape)
+        assert same_bits(got, expected)
+        if not (np.abs(a) > linalg._HALF_MAX).any():
+            assert same_bits(got, want)
+
+    def test_stacked_matrix_keeps_the_bits_it_gets_alone(self):
+        # the halves branch used to be taken for the whole stack, rounding
+        # the odd subnormal sum of a matrix beside a huge one
+        tiny = 5e-324
+        a = np.array([[1.0, 3 * tiny], [2 * tiny, 1.0]])
+        stacked = symmetrize(np.stack([a, np.diag([1.7e308, 1.0])]))
+        assert same_bits(stacked[0], symmetrize(a))
+        assert stacked[0, 0, 1] == stacked[0, 1, 0] == 2 * tiny
+
+    def test_exactly_symmetric_input_keeps_its_bits(self):
+        # the halves branch used to round 1.5e-323 to 2e-323
+        a = np.array([[1.7e308, 1.5e-323], [1.5e-323, 1.0]])
+        assert same_bits(symmetrize(a), a)
+        assert same_bits(symmetrize(np.stack([a, a])), np.stack([a, a]))
+
+    def test_signed_zeros_as_the_symmetric_part_gives_them(self):
+        a = np.array([[-0.0, -0.0, 0.0], [-0.0, 1.0, -0.0], [0.0, 0.0, -0.0]])
+        assert same_bits(symmetrize(a), (a + a.T) / 2.0)
+
+    def test_non_finite_input_raises_without_a_warning(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.eye(3)
+            a[0, 2] = a[2, 0] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    symmetrize(a)
 
 
 class TestEigSym:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdmix import metrics
+from spdmix import linalg, metrics
 from spdmix.data_io import gen_random_spd
 from spdmix.linalg import (
     CholeskyPivotError,
@@ -32,6 +32,7 @@ from spdmix.metrics import (
     log_euclidean_distance,
     swelling_check,
 )
+from spdmix.regress import KernelConfig, default_harness_sigma, theorem1_harness
 
 ALL_METRICS = list(MetricKind)
 
@@ -126,16 +127,19 @@ class TestGeodesicValidation:
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_swelling_check_rejects_a_bad_endpoint(self, metric):
-        # the geodesic meets a bad S_i first and names the metric; a Cholesky
-        # factor breaks down on a non-SPD endpoint before any solve
+        # either endpoint's fault names the metric; an asymmetric endpoint is
+        # reported with its own asymmetry, not the mix's. A Cholesky factor
+        # breaks down on a non-SPD endpoint before any solve
         asymmetric = np.array([[2.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
         indefinite = np.diag([1.0, -1.0, 2.0])
         not_spd = CholeskyPivotError if metric is MetricKind.CHOLESKY else NonPositiveEigenvalueError
-        for bad, error in ((asymmetric, ValueError), (indefinite, not_spd)):
-            with pytest.raises(error, match=f"^{metric.value} geodesic: "):
-                swelling_check(bad, np.eye(3), 0.3, metric)
-            with pytest.raises(error):
-                swelling_check(np.eye(3), bad, 0.3, metric)
+        for bad, error, detail in (
+            (asymmetric, ValueError, "matrix is not symmetric: asymmetry 7.071e-01 "),
+            (indefinite, not_spd, ""),
+        ):
+            for pair in ((bad, np.eye(3)), (np.eye(3), bad)):
+                with pytest.raises(error, match=f"^{metric.value} geodesic: {detail}"):
+                    swelling_check(*pair, 0.3, metric)
 
     def test_tagged_error_keeps_its_type_and_attributes(self, monkeypatch):
         bad = np.diag([1.0, 2.0, -1.0, 3.0])
@@ -242,6 +246,61 @@ class TestDecompositionCounts:
         with count_eig_calls() as c:
             swelling_check(s_i, s_j, 0.3, metric)
         assert (c.count, c.values_only) == (total - saved, values_only - saved)
+
+
+class TestSymmetryChecks:
+    """Each input matrix pays the full drift/norm check (``linalg._fold``)
+    at most once per call, and an exactly symmetric one never: every later
+    check of an endpoint, a log-Euclidean blend, a Cholesky ``L L^T`` or a
+    Euclidean mix is one subtraction. The whitening metrics also check the
+    products they build, ``X S_j X`` and, for affine-invariant,
+    ``S_i^{1/2} P S_i^{1/2}``: those round asymmetrically, and that check is
+    their only validation."""
+
+    BUILT = {MetricKind.AFFINE_INVARIANT: 2, MetricKind.BURES_WASSERSTEIN: 1}
+
+    @pytest.fixture
+    def folded(self, monkeypatch):
+        # matrices handed to the full check
+        seen = []
+        fold = linalg._fold
+
+        def counting(arr):
+            seen.append(len(arr))
+            return fold(arr)
+
+        monkeypatch.setattr(linalg, "_fold", counting)
+        return seen
+
+    @staticmethod
+    def pair(drifted):
+        s_i, s_j = (np.array(m) for m in random_pair(30))
+        if drifted:
+            rng = np.random.default_rng(31)
+            s_i, s_j = (m + 1e-13 * rng.standard_normal(m.shape) for m in (s_i, s_j))
+            assert (s_i - s_i.T).any() and (s_j - s_j.T).any()
+        return s_i, s_j
+
+    @pytest.mark.parametrize("drifted", [False, True], ids=["exact", "drifted"])
+    @pytest.mark.parametrize("call", [geodesic, swelling_check])
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_pair_calls(self, folded, metric, call, drifted):
+        call(*self.pair(drifted), 0.3, metric)
+        assert sum(folded) == 2 * drifted + self.BUILT.get(metric, 0)
+
+    @pytest.mark.parametrize("drifted", [False, True], ids=["exact", "drifted"])
+    def test_one_matrix_calls_and_the_harness(self, folded, drifted):
+        s_i, s_j = self.pair(drifted)
+        sigma = default_harness_sigma(s_i, s_j)
+        for call, inputs in (
+            (lambda: SpdMatrix.from_array(s_i), 1),
+            (lambda: log_det(s_i), 1),
+            (lambda: log_euclidean_distance(s_i, s_j), 2),
+            (lambda: theorem1_harness(s_i, s_j, 0.2, 0.7, [0.5], KernelConfig(sigma=sigma)), 2),
+        ):
+            folded.clear()
+            call()
+            assert sum(folded) == inputs * drifted
 
 
 def reference_affine_invariant(a, b, lam):
