@@ -25,6 +25,7 @@ consumer.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -215,6 +216,22 @@ def r_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
     return _sample("rmixup", mixed.array, _mix_labels(y_i, y_j, lam), *sources, lam)
 
 
+@contextmanager
+def _name_samples(ids, rows=None):
+    """Rename a :class:`_StackError` about matrix ``index`` of a stack of the
+    samples ``rows`` (every sample by default) after that sample's id; the
+    error keeps its type and its ``index`` becomes the sample's row."""
+    try:
+        yield
+    except _StackError as exc:
+        k = int(exc.index if rows is None else rows[exc.index])
+        spd = isinstance(exc, NonPositiveEigenvalueError)
+        what = "is not SPD; clamp it before mixing (" if spd else "is rejected ("
+        err = type(exc)(f"sample {ids[k]} {what}{exc.detail})")
+        err.index = k
+        raise err from exc
+
+
 class EigenCache:
     """Each sample's matrix logarithm, computed on its first use.
 
@@ -246,13 +263,6 @@ class EigenCache:
         self._fill([k])
         return self._logs[k]
 
-    def log_stack(self, rows) -> np.ndarray:
-        """Read-only stack of the log-matrices, indexed like the dataset,
-        after computing those of the samples in ``rows``; a row that was
-        never requested holds no defined value."""
-        self._fill(rows)
-        return self._logs.view()
-
     def _fill(self, rows) -> None:
         """Log the samples in ``rows`` not yet held, in one pinned call whose
         parts write into the stack; a rejected sample is named by its id."""
@@ -260,14 +270,8 @@ class EigenCache:
         todo = rows[~self._filled[rows]]
         self._logs.flags.writeable = True
         try:
-            matrix_log(self._dataset.matrices, rows=todo, out=self._logs)
-        except _StackError as exc:
-            k = int(todo[exc.index])
-            spd = isinstance(exc, NonPositiveEigenvalueError)
-            what = "is not SPD; clamp it before mixing" if spd else "is rejected"
-            err = type(exc)(f"sample {self._dataset.ids[k]} {what} ({exc.detail})")
-            err.index = k
-            raise err from exc
+            with _name_samples(self._dataset.ids, todo):
+                matrix_log(self._dataset.matrices, rows=todo, out=self._logs)
         finally:
             self._logs.flags.writeable = False
         self._filled[todo] = True

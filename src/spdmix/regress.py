@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .augment import EigenCache, _check_width
+from .augment import _check_width, _name_samples
 from .data_io import TASK_REGRESSION, LabeledDataset
 from .linalg import NonPositiveEigenvalueError, _chunked, _chunks, fro_norm, matrix_log, symmetrize
 
@@ -99,10 +99,11 @@ def euclidean_kernel(s_i, s_hat, sigma: float) -> float:
 
 def _kernel(s_i, s_hat, config: KernelConfig) -> float:
     """The normalized kernel value of one pair, in ``config``'s geometry."""
-    a, b = metrics._check_pair(s_i, s_hat)
     if config.space == SPACE_RIEMANNIAN:
-        a, b = matrix_log(a), matrix_log(b)
-    return float(_gaussian(fro_norm(a - b) ** 2, len(a), config.sigma, config.space)[1])
+        d = metrics.log_euclidean_distance(s_i, s_hat)
+    else:
+        d = fro_norm(np.subtract(*metrics._check_pair(s_i, s_hat)))
+    return float(_gaussian(d**2, np.shape(s_i)[-1], config.sigma, config.space)[1])
 
 
 def _gram(matrices: np.ndarray, config: KernelConfig):
@@ -156,13 +157,15 @@ def fit_kernel_ridge(train: LabeledDataset, config: KernelConfig) -> KernelRidge
     The Gram matrix is factored by ``np.linalg.cholesky``, escalating through
     tiny jitters (0, 1e-10, 1e-8) on top of the configured ridge; the weights
     solve ``L z = y`` and ``L^T w = z`` with the first factor ``L`` found.
-    Numerically coincident samples need an explicit ridge.
+    Numerically coincident samples need an explicit ridge. A training sample
+    whose logarithm is rejected is named by its id.
     """
     if train.task != TASK_REGRESSION:
         raise ValueError("kernel ridge regression requires a regression dataset")
     if len(train) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    emb, d2, norm, gram = _gram(train.matrices, config)
+    with _name_samples(train.ids):
+        emb, d2, norm, gram = _gram(train.matrices, config)
     if config.ridge == 0.0 and len(train) > 1:
         off = d2[np.triu_indices(len(train), k=1)]
         if np.min(off) <= 1e-20 * config.sigma**2:  # squared distance; pairs within 1e-10 sigma
@@ -239,13 +242,15 @@ def geodesic_regression_fit(train: LabeledDataset) -> GeodesicRegressionModel:
 
     With fewer samples than the ``n(n+1)/2`` feature dimension the training
     residuals vanish: the hyperplane passes through every sample, and through
-    every geodesic mix of samples with linearly mixed labels.
+    every geodesic mix of samples with linearly mixed labels. A training
+    sample whose logarithm is rejected is named by its id.
     """
     if train.task != TASK_REGRESSION:
         raise ValueError("geodesic regression requires regression labels")
     if len(train) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    feats = _vec_upper(matrix_log(train.matrices))
+    with _name_samples(train.ids):
+        feats = _vec_upper(matrix_log(train.matrices))
     y = train.labels.astype(np.float64)
     x_mean = feats.mean(axis=0)
     y_mean = float(y.mean())
@@ -268,20 +273,18 @@ class HarnessRow:
     loss_violation: bool
     ordering_violation: bool
 
+    def __post_init__(self) -> None:
+        # plain floats, whatever scalar type the labels came in
+        for name in ("y_mix", "err_geodesic_sq", "err_line_sq"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
 
 LOSS_SLACK = 1e-12
 ORDERING_SLACK = 1e-9
 
 
 def theorem1_harness(
-    s_i,
-    s_j,
-    y_i: float,
-    y_j: float,
-    lambdas,
-    config: KernelConfig,
-    *,
-    strict: bool = False,
+    s_i, s_j, y_i: float, y_j: float, lambdas, config: KernelConfig
 ) -> list[HarnessRow]:
     """Compare two-sample predictions at geodesic versus straight-line mixes.
 
@@ -297,20 +300,14 @@ def theorem1_harness(
     extrapolated.
 
     Each row records both the squared-loss comparison
-    ``err_geodesic <= err_line + 1e-12`` and the ordering claim
-    ``0 <= pred_line <= pred_geodesic <= y_mix``. With ``strict=True`` a
-    loss violation raises ``ValueError`` carrying the offending row; by
-    default the full table is returned for the caller to inspect, never a
-    silent pass.
+    ``err_geodesic <= err_line + 1e-12`` (``loss_violation``) and the
+    ordering claim ``0 <= pred_line <= pred_geodesic <= y_mix``
+    (``ordering_violation``); the full table is returned for the caller to
+    inspect, never a silent pass.
 
-    Geodesic mixes are linear in log coordinates, so the harness
-    decomposes each distinct endpoint once and each interior line point once
-    more, the line points in stacked chunks of at most 4 MiB; a line point
-    whose bytes equal an endpoint's (``lam`` 0 and 1) reuses that endpoint's
-    logarithm. Line points mix the symmetrized endpoints, so each is exactly
-    symmetric and the asymmetry check its endpoints passed cannot reject it.
-    One pair on the default 11-value grid costs 2 + 9 = 11 eigensolves. This
-    is the one-pair case of :func:`theorem1_trials`.
+    This is :func:`theorem1_trials` on the two-sample dataset of ids
+    ``s000000`` and ``s000001``, whose names a rejected endpoint carries. One
+    pair on the default 11-value grid costs 2 + 9 = 11 eigensolves.
     Only ``config.sigma`` enters the comparison: a non-Riemannian ``space``
     or a non-zero ``ridge`` is rejected rather than ignored.
     """
@@ -321,13 +318,8 @@ def theorem1_harness(
     if config.ridge != 0.0:
         raise ValueError(f"theorem1_harness fits no ridge, got ridge={config.ridge}")
     _check_labels([y_i, y_j])
-    a, b = metrics._check_pair(s_i, s_j)
-    lams = [metrics._check_ratio(lam) for lam in lambdas]
-    pair = symmetrize(np.stack([a, b]))
-    return _tables(
-        pair, matrix_log(pair), np.array([0]), np.array([1]), [y_i, y_j], lams,
-        config.sigma, strict=strict,
-    )[0]
+    pair = LabeledDataset(np.stack(metrics._check_pair(s_i, s_j)), [y_i, y_j], TASK_REGRESSION)
+    return theorem1_trials(pair, [0], [1], lambdas, config.sigma)[0]
 
 
 def theorem1_trials(
@@ -335,15 +327,22 @@ def theorem1_trials(
 ) -> list[list[HarnessRow]]:
     """:func:`theorem1_harness` tables of the pairs ``(first[t], second[t])``.
 
-    ``first`` and ``second`` index samples of ``dataset``. ``sigma=None``
-    gives each pair :func:`default_harness_sigma`'s bandwidth, from the same
-    logarithms. Every drawn sample is decomposed once, through an
-    :class:`EigenCache`, and symmetrized once for the line points, as in
-    :func:`theorem1_harness`; every interior line point once, in pool tasks.
-    The tables equal the per-pair calls bit for bit, under any worker count.
+    ``first`` and ``second`` are 1-D lists of equal length that index
+    samples of ``dataset``. ``sigma=None`` gives each pair
+    :func:`default_harness_sigma`'s bandwidth, from the same logarithms.
+    The distinct drawn samples are symmetrized once, in one stack, and that
+    checked stack is logged in one stacked call, so each drawn sample pays
+    the asymmetry check and the decomposition once. Geodesic mixes are
+    linear in log coordinates; each interior line point is decomposed once
+    more, in pool tasks, the line points in stacked chunks of at most 4 MiB,
+    and a line point whose bytes equal an endpoint's (``lam`` 0 and 1) reuses
+    that endpoint's logarithm. Line points mix the symmetrized samples, so
+    each is exactly symmetric and the check its endpoints passed cannot
+    reject it. The tables equal the per-pair calls bit for bit, under any
+    worker count.
     Errors come in this order: a negative label in ``dataset``, a bad ratio,
-    bandwidth or pair index (all before any solve), a drawn sample the cache
-    rejects, by id, the first coincident pair, or pair whose kernel value
+    bandwidth or pair list (all before any solve), a drawn sample that is
+    rejected, by id, the first coincident pair, or pair whose kernel value
     underflows to 0, in draw order, then, a chunk of rows at a time, the
     first line point that is not SPD and then the first row whose kernel
     value underflows.
@@ -355,14 +354,21 @@ def theorem1_trials(
         KernelConfig(sigma=sigma)  # rejects a non-positive bandwidth
     first = np.asarray(first, dtype=np.intp)
     second = np.asarray(second, dtype=np.intp)
+    if first.ndim != 1 or first.shape != second.shape:
+        raise ValueError(
+            f"first and second must be 1-D index lists of equal length, got shapes "
+            f"{first.shape} and {second.shape}"
+        )
     drawn = np.concatenate([first, second])
     outside = drawn[(drawn < 0) | (drawn >= len(dataset))]
     if len(outside):
         raise ValueError(f"pair index {outside[0]} is outside the {len(dataset)}-sample dataset")
-    logs = EigenCache(dataset).log_stack(drawn)
-    mats = np.empty_like(dataset.matrices)  # rows never drawn are never read
     distinct = np.unique(drawn)
-    mats[distinct] = symmetrize(dataset.matrices[distinct])
+    # rows never drawn are never read
+    mats, logs = np.empty_like(dataset.matrices), np.empty_like(dataset.matrices)
+    with _name_samples(dataset.ids, distinct):
+        mats[distinct] = symmetrize(dataset.matrices[distinct])
+        matrix_log(mats, rows=distinct, out=logs)
     return _tables(mats, logs, first, second, labels, lams, sigma)
 
 
@@ -381,7 +387,7 @@ def _default_sigma(d: float) -> float:
     return _SIGMA_MULTIPLIER * d
 
 
-def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
+def _tables(mats, logs, first, second, labels, lams, sigma):
     """Harness tables of the pairs ``(first[t], second[t])`` of ``mats``.
 
     ``logs`` holds the logarithm of every matrix a pair uses and ``labels``
@@ -427,19 +433,7 @@ def _tables(mats, logs, first, second, labels, lams, sigma, *, strict=False):
     rows = iter(kernel.tolist())
     for t in range(len(first)):
         y_i, y_j = labels[first[t]], labels[second[t]]
-        table = []
-        for lam in lams:
-            k_i_geo, k_j_geo, k_i_line, k_j_line = next(rows)
-            row = _row(y_i, y_j, lam, k_ij[t], k_i_geo, k_j_geo, k_i_line, k_j_line)
-            if strict and row.loss_violation:
-                raise ValueError(
-                    f"geodesic mix lost the loss comparison at lam={lam}: "
-                    f"pred_geodesic={row.pred_geodesic!r}, "
-                    f"pred_line={row.pred_line!r}, y_mix={row.y_mix!r}, "
-                    f"labels=({y_i}, {y_j}), k_ij={k_ij[t]!r}"
-                )
-            table.append(row)
-        tables.append(table)
+        tables.append([_row(y_i, y_j, lam, k_ij[t], *next(rows)) for lam in lams])
     return tables
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdmix import linalg, metrics
-from spdmix.data_io import gen_random_spd
+from spdmix.data_io import LabeledDataset, gen_random_spd
 from spdmix.linalg import (
     CholeskyPivotError,
     NonPositiveEigenvalueError,
@@ -32,7 +32,7 @@ from spdmix.metrics import (
     log_euclidean_distance,
     swelling_check,
 )
-from spdmix.regress import KernelConfig, default_harness_sigma, theorem1_harness
+from spdmix.regress import KernelConfig, default_harness_sigma, theorem1_harness, theorem1_trials
 
 ALL_METRICS = list(MetricKind)
 
@@ -292,11 +292,16 @@ class TestSymmetryChecks:
     def test_one_matrix_calls_and_the_harness(self, folded, drifted):
         s_i, s_j = self.pair(drifted)
         sigma = default_harness_sigma(s_i, s_j)
+        # four drawn samples (power-of-two scalings keep the drift), the
+        # middle two in two pairs each, and one never drawn
+        mats = np.stack([s_i, s_j, 2.0 * s_i, 2.0 * s_j, 4.0 * s_i])
+        ds = LabeledDataset(mats, [0.2, 0.7, 0.4, 0.9, 0.1], "regression")
         for call, inputs in (
             (lambda: SpdMatrix.from_array(s_i), 1),
             (lambda: log_det(s_i), 1),
             (lambda: log_euclidean_distance(s_i, s_j), 2),
             (lambda: theorem1_harness(s_i, s_j, 0.2, 0.7, [0.5], KernelConfig(sigma=sigma)), 2),
+            (lambda: theorem1_trials(ds, [0, 1, 2], [1, 2, 3], [0.0, 0.5, 1.0], sigma), 4),
         ):
             folded.clear()
             call()

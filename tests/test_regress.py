@@ -417,8 +417,6 @@ class TestTheoremHarness:
         d = log_euclidean_distance(a, b)
         rows = theorem1_harness(a, b, 1.0, 1.0, [0.5], KernelConfig(sigma=d))
         assert rows[0].loss_violation
-        with pytest.raises(ValueError, match="loss comparison"):
-            theorem1_harness(a, b, 1.0, 1.0, [0.5], KernelConfig(sigma=d), strict=True)
 
     def test_negative_labels_rejected(self):
         mats = spd_set(20, 2, n=3)
@@ -429,9 +427,29 @@ class TestTheoremHarness:
         # NaN is not below zero either: it used to pass as a row of NaNs
         mats = spd_set(20, 2, n=3)
         with pytest.raises(ValueError, match="non-negative for the comparison, got nan"):
-            theorem1_harness(
-                mats[0], mats[1], np.nan, 0.5, [0.5], KernelConfig(sigma=1.0), strict=True
-            )
+            theorem1_harness(mats[0], mats[1], np.nan, 0.5, [0.5], KernelConfig(sigma=1.0))
+
+    def test_infinite_label_rejected(self):
+        # inf is not below zero: the two-sample dataset rejects it, where it
+        # used to pass as a row of NaNs
+        mats = spd_set(20, 2, n=3)
+        with count_eig_calls() as c, pytest.raises(ValueError, match="labels must be finite"):
+            theorem1_harness(mats[0], mats[1], 0.5, np.inf, [0.5], KernelConfig(sigma=1.0))
+        assert c.count == 0
+
+    @pytest.mark.parametrize("fault", ["asymmetric", "not SPD"])
+    def test_rejected_endpoint_named_like_a_drawn_sample(self, fault):
+        a, b = spd_set(23, 2, n=3)
+        if fault == "asymmetric":
+            b[0, 1] += 1e-3
+            want, at = "sample s000001 is rejected (matrix is not symmetric", 1
+        else:
+            a = -a
+            want, at = "sample s000000 is not SPD; clamp it before mixing (matrix_log", 0
+        with pytest.raises(ValueError) as info:
+            theorem1_harness(a, b, 0.1, 0.5, [0.5], KernelConfig(sigma=1.0))
+        assert str(info.value).startswith(want)
+        assert info.value.index == at
 
     @pytest.mark.parametrize("config, field", [
         (KernelConfig(sigma=1.0, space="euclidean"), "space='euclidean'"),
@@ -594,12 +612,12 @@ class TestBatchedHarness:
         a, b = spd_set(413, 2, n=3)
         bad = symmetrize(a) * 0.5 + symmetrize(b) * 0.5
 
-        def breaking_log(stack):
+        def breaking_log(stack, **kwargs):
             hit = (stack == bad).all(axis=(-2, -1))
             if stack.ndim == 3 and hit.any():
                 stack = stack.copy()
                 stack[hit] = -np.eye(3)
-            return matrix_log(stack)
+            return matrix_log(stack, **kwargs)
 
         monkeypatch.setattr(regress, "matrix_log", breaking_log)
         with pytest.raises(NonPositiveEigenvalueError) as info:
@@ -641,6 +659,21 @@ class TestBatchedHarness:
             theorem1_trials(ds, pair["first"], pair["second"], DEFAULT_GRID)
         assert c.count == 0
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [([0, 1], [2]), ([0], [2, 3]), ([[0, 1]], [[2, 3]])],
+        ids=["longer-first", "longer-second", "two-dimensional"],
+    )
+    def test_trials_reject_unequal_pair_lists_before_any_solve(self, first, second):
+        # unequal lists used to fail after the solves, drop a pair silently,
+        # or fail inside numpy broadcasting
+        ds = regression_dataset(seed=416, count=4, n=3)
+        with count_eig_calls() as c, pytest.raises(
+            ValueError, match=r"^first and second must be 1-D index lists of equal length"
+        ):
+            theorem1_trials(ds, first, second, DEFAULT_GRID)
+        assert c.count == 0
+
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("per_chunk, want", [(18, "line point"), (9, "kernel")])
     def test_first_failing_row_raises_the_serial_error(
@@ -665,12 +698,12 @@ class TestBatchedHarness:
             dist[(i == 0) & (j == 1) & (lam == 0.5), 2:] *= 1e6
             return dist
 
-        def breaking_log(stack):
+        def breaking_log(stack, **kwargs):
             hit = (stack == bad).all(axis=(-2, -1))
             if stack.ndim == 3 and hit.any():
                 stack = stack.copy()
                 stack[hit] = -np.eye(3)
-            return matrix_log(stack)
+            return matrix_log(stack, **kwargs)
 
         monkeypatch.setattr(regress, "_row_distances", far)
         monkeypatch.setattr(regress, "matrix_log", breaking_log)
@@ -735,15 +768,18 @@ class TestBatchedHarness:
         mats[7] = -np.eye(4)
         bad = LabeledDataset(matrices=mats, labels=ds.labels, task="regression")
         config = KernelConfig(sigma=2.0)
-        for fit in (
-            lambda: gram_matrix(mats, config),
-            lambda: fit_kernel_ridge(bad, config),
-            lambda: geodesic_regression_fit(bad),
+        # gram_matrix takes bare matrices and names the stack position; the
+        # fits take a dataset and name the sample by its id
+        by_id = "sample s000007 is not SPD; clamp it before mixing ("
+        for fit, prefix in (
+            (lambda: gram_matrix(mats, config), "matrix 7 of the stack: "),
+            (lambda: fit_kernel_ridge(bad, config), by_id),
+            (lambda: geodesic_regression_fit(bad), by_id),
         ):
             with pytest.raises(NonPositiveEigenvalueError) as info:
                 fit()
             assert info.value.index == 7
-            assert str(info.value).startswith("matrix 7 of the stack: matrix_log requires")
+            assert str(info.value).startswith(prefix + "matrix_log requires")
 
 
 class TestRegressCli:

@@ -5,7 +5,8 @@ two entry points then accept different inputs. This test parses every module
 and finds each ``raise`` whose message states one of the input rules below;
 every rule must be raised from exactly its one home. Two more rules have one
 home each: the per-sample mix result is built only by ``augment._sample``,
-and a matrix's stack position is written only by ``linalg._StackError``. The
+a matrix's stack position is written only by ``linalg._StackError``, and a
+rejected sample is named by its id only by ``augment._name_samples``. The
 pool is driven from ``linalg`` alone: only its functions open a session. A
 binary file is written by ``data_io.SpdbWriter`` alone: only it calls
 ``os.open`` or opens a file in mode ``"wb"``.
@@ -144,6 +145,13 @@ def test_stack_position_written_in_one_place():
     assert found == {"linalg._StackError"}
 
 
+@pytest.mark.parametrize("text", ["is rejected (", "is not SPD; clamp"])
+def test_sample_named_in_one_place(text):
+    # every entry point that takes a dataset names a rejected sample the same
+    # way: the cache, the regression harness and the fits share one helper
+    assert all_writers(text=text) == {"augment._name_samples"}
+
+
 @pytest.mark.parametrize("call", ["_session", "_pinned"])
 def test_pool_protocol_driven_only_in_linalg(call):
     # a module that opens sessions itself keeps a second copy of the
@@ -164,6 +172,9 @@ def test_writer_guard_sees_a_second_copy():
     copy = (
         'def _log(arr):\n'
         '    raise ValueError(f"matrix {k} of the stack: bad")\n'
+        'def _fill(self, k, exc):\n'
+        '    raise ValueError(f"sample {ids[k]} is rejected ({exc.detail})")\n'
+        '    raise ValueError(f"sample {ids[k]} is not SPD; clamp it ({exc.detail})")\n'
         'def v_mixup(a, b):\n'
         '    return MixedSample(a, 0.0, None, True)\n'
         'class Cache:\n'
@@ -175,6 +186,8 @@ def test_writer_guard_sees_a_second_copy():
         '        os.write(os.open(path, os.O_WRONLY), b"")\n'
     )
     assert writers(copy, "extra", text="of the stack") == {"extra._log"}
+    assert writers(copy, "extra", text="is rejected (") == {"extra._fill"}
+    assert writers(copy, "extra", text="is not SPD; clamp") == {"extra._fill"}
     assert writers(copy, "extra", calls="MixedSample") == {"extra.v_mixup", "extra.Cache.mix"}
     assert writers(copy, "extra", calls="os.open") == {"extra.save"}
     assert writers(copy, "extra", text="wb") == {"extra.save"}
