@@ -200,10 +200,15 @@ def sample_beta(alpha: float, rng: np.random.Generator) -> float:
 
 
 def _mix_labels(y_i, y_j, lam: float):
-    y_i = np.asarray(y_i, dtype=np.float64)
-    y_j = np.asarray(y_j, dtype=np.float64)
-    mixed = (1.0 - lam) * y_i + lam * y_j
+    mixed = metrics._blend(np.asarray(y_i, np.float64), np.asarray(y_j, np.float64), lam)
     return float(mixed) if mixed.ndim == 0 else mixed
+
+
+def _one_hot(classes, n_classes: int) -> np.ndarray:
+    """The ``(len(classes), n_classes)`` one-hot rows of the class ids ``classes``."""
+    rows = np.zeros((len(classes), n_classes))
+    rows[np.arange(len(classes)), classes] = 1.0
+    return rows
 
 
 def r_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
@@ -226,7 +231,7 @@ def _name_samples(ids, rows=None):
     except _StackError as exc:
         k = int(exc.index if rows is None else rows[exc.index])
         spd = isinstance(exc, NonPositiveEigenvalueError)
-        what = "is not SPD; clamp it before mixing (" if spd else "is rejected ("
+        what = "is not SPD; clamp it first (" if spd else "is rejected ("
         err = type(exc)(f"sample {ids[k]} {what}{exc.detail})")
         err.index = k
         raise err from exc
@@ -294,9 +299,9 @@ class EigenCache:
 
         def mix(rows):
             c, at = divmod(rows.start, len(stacks[0]))
-            w = lams[rows, None, None]
-            blend = np.add((1.0 - w) * self._logs[first[rows]], w * self._logs[second[rows]],
-                           out=stacks[c % 2][at : at + rows.stop - rows.start])
+            blend = metrics._blend(self._logs[first[rows]], self._logs[second[rows]],
+                                   lams[rows, None, None],
+                                   out=stacks[c % 2][at : at + rows.stop - rows.start])
             try:
                 matrix_exp(blend, out=blend)
             except EigenvalueOverflowError as exc:
@@ -318,8 +323,7 @@ def r_mixup_cached(log_i, log_j, y_i, y_j, lam: float, sources=("i", "j")) -> Mi
     if log_i.shape != log_j.shape:
         raise ValueError(f"stale cache: entry dimensions {log_i.shape} vs {log_j.shape}")
     lam = metrics._check_ratio(lam)
-    log_mix = (1.0 - lam) * log_i + lam * log_j
-    mixed = matrix_exp(log_mix)
+    mixed = matrix_exp(metrics._blend(log_i, log_j, lam))
     return _sample("rmixup", mixed.array, _mix_labels(y_i, y_j, lam), *sources, lam)
 
 
@@ -332,11 +336,6 @@ def _upper_mirror(n: int, k: int) -> tuple[int, np.ndarray]:
     index = np.full((n, n), len(rows), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(len(rows))
     return len(rows), index
-
-
-def _v_mixup_row(out: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float) -> None:
-    np.multiply(a, 1.0 - lam, out=out)
-    out += lam * b
 
 
 def _d_mixup_row(out, a, b, lam: float, rng: np.random.Generator, upper) -> str:
@@ -368,9 +367,7 @@ def v_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
     (convex cone), but the determinant can inflate past both endpoints."""
     a, b = metrics._check_pair(s_i, s_j)
     lam = metrics._check_ratio(lam)
-    out = np.empty_like(a)
-    _v_mixup_row(out, a, b, lam)
-    return _sample("vmixup", out, _mix_labels(y_i, y_j, lam), *sources, lam)
+    return _sample("vmixup", metrics._blend(a, b, lam), _mix_labels(y_i, y_j, lam), *sources, lam)
 
 
 def d_mixup(
@@ -541,7 +538,7 @@ class _EdgeDraws:
         generators ``classes=(c_i, c_j)``, or conditioned on ``y_mix``."""
         if classes is not None:
             c_i, c_j = classes
-            mean = (1.0 - lam) * self.class_means[c_i] + lam * self.class_means[c_j]
+            mean = metrics._blend(self.class_means[c_i], self.class_means[c_j], lam)
             var = (1.0 - lam) ** 2 * self.class_vars[c_i] + lam**2 * self.class_vars[c_j]
             spread = np.sqrt(np.maximum(var, 0.0))
         else:
@@ -580,8 +577,7 @@ def g_mixup_sample(
         if gen.class_means is None or c_i not in gen.class_means or c_j not in gen.class_means:
             raise ValueError(f"generator has no fitted class for ({y_i}, {y_j})")
         classes = n_classes if n_classes is not None else max(gen.class_means) + 1
-        one_hot = np.eye(classes)
-        label = _mix_labels(one_hot[c_i], one_hot[c_j], lam)
+        label = _mix_labels(*_one_hot([c_i, c_j], classes), lam)
         _EdgeDraws(gen).fill(out, lam, rng, classes=(c_i, c_j))
     else:
         if gen.edge_mean is None:
@@ -842,11 +838,11 @@ class MixStream:
         """Draw outputs ``rows`` from the next ``streams``; a baseline writes
         output ``k`` into ``out[k - rows.start]``, rmixup only draws."""
         strategy, table, config = self._config.strategy, self._table, self._config
-        sources = self._dataset.matrices
+        sources = self._dataset.matrices.view()
+        sources.flags.writeable = False  # a partner row is never the blend's scratch
         size = len(sources)
         anchors, partners, lams = self._anchors, self._partners, self._lams
-        summaries = self._summaries
-        hard, y = self._hard, self._y
+        hard, y, summaries = self._hard, self._y, self._summaries
         for k, rng in zip(rows, streams):
             anchor = anchors[k] = int(rng.integers(size))
             row, mat_a = None if out is None else out[k - rows.start], sources[anchor]
@@ -867,9 +863,9 @@ class MixStream:
             elif strategy == "gmixup" and hard:
                 table.fill(row, lam, rng, classes=(y[anchor], y[partner]))
             elif strategy == "gmixup":
-                table.fill(row, lam, rng, y_mix=(1.0 - lam) * y[anchor] + lam * y[partner])
+                table.fill(row, lam, rng, y_mix=metrics._blend(y[anchor], y[partner], lam))
             elif strategy != "rmixup":
-                _v_mixup_row(row, mat_a, sources[partner], lam)
+                metrics._blend(mat_a, sources[partner], lam, out=row)
 
     def _finish(self) -> None:
         """Name every output, mix its label and record its provenance."""
@@ -877,20 +873,18 @@ class MixStream:
         self.ids = [f"m{k:06d}" for k in range(self.count)]
         pairwise = strategy in _PAIRWISE
         anchors, partners, lams = self._anchors, self._partners, self._lams
-        if self._hard:
-            source_labels = np.eye(dataset.n_classes)[dataset.labels]
-        else:
-            source_labels = np.asarray(dataset.labels, np.float64)
+        def source_labels(picks):
+            if self._hard:
+                return _one_hot(dataset.labels[picks], dataset.n_classes)
+            return np.asarray(dataset.labels, np.float64)[picks]
+        self.labels = source_labels(anchors)
         if pairwise:
-            w = lams.reshape(-1, *([1] * (source_labels.ndim - 1)))
-            self.labels = (1.0 - w) * source_labels[anchors] + w * source_labels[partners]
-        else:
-            self.labels = source_labels[anchors]
-        ids = dataset.ids
+            w = lams.reshape(-1, *([1] * (self.labels.ndim - 1)))
+            metrics._blend(self.labels, source_labels(partners), w, out=self.labels)
         self.provenance = MixProvenance(
             strategy,
-            source_i=[ids[a] for a in anchors.tolist()],
-            source_j=[ids[b] for b in partners.tolist()] if pairwise else None,
+            source_i=[dataset.ids[a] for a in anchors.tolist()],
+            source_j=[dataset.ids[b] for b in partners.tolist()] if pairwise else None,
             lam=lams if pairwise else None,
             mask_summary=self._summaries if strategy in _MASKED else None,
         )
@@ -971,7 +965,7 @@ def incorrect_label_probe(
         i1, i2, i3 = picked[t] = picks[np.argsort(y)]
         w = (labels[i2] - labels[i3]) / (labels[i1] - labels[i3])
         lams[t] = 1.0 - w
-        d_v[t] = np.abs(w * mats[i1] + (1.0 - w) * mats[i3] - mats[i2]).sum()
+        d_v[t] = np.abs(metrics._blend(mats[i3], mats[i1], w) - mats[i2]).sum()
     mixes = EigenCache(dataset)._mixes(picked[:, 0], picked[:, 2], lams)
     for part, x_r in mixes:
         for t, x in enumerate(x_r, start=part.start):

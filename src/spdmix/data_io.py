@@ -83,10 +83,9 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         self.matrices = np.asarray(self.matrices, dtype=np.float64)
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
-            raise ValueError(
-                f"matrices must have shape (count, n, n), got {self.matrices.shape}"
-            )
+        shape = self.matrices.shape
+        if len(shape) != 3 or not 0 < shape[1] == shape[2]:
+            raise ValueError(f"matrices must have shape (count, n, n) with n >= 1, got {shape}")
         if self.task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
             raise ValueError(f"unknown task {self.task!r}")
         self.labels = np.asarray(self.labels)
@@ -301,6 +300,8 @@ def read_matrices(path) -> LabeledDataset:
             raise SpdbFormatError(f"bad magic {magic!r} in {path}")
         if version != VERSION:
             raise SpdbFormatError(f"version mismatch: file has {version}, expected {VERSION}")
+        if n == 0:
+            raise SpdbFormatError(f"matrix dimension n=0 in {path}, expected n >= 1")
         expected = count * n * n * 8
         got = size - _HEADER.size
         if got != expected:

@@ -292,11 +292,13 @@ def _reject(bad: np.ndarray, error: type, message) -> None:
 
 
 def _square(a, stack: bool = True) -> np.ndarray:
-    """``a`` as one square matrix or, if ``stack``, a stack ``(k, n, n)``."""
+    """``a`` as one square matrix or, if ``stack``, a stack ``(k, n, n)``; n >= 1."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim not in (2, 3 if stack else 2) or arr.shape[-1] != arr.shape[-2]:
         of = " or a stack (k, n, n) of them" if stack else ""
         raise ValueError(f"expected a square matrix{of}, got shape {arr.shape}")
+    if not arr.shape[-1]:
+        raise ValueError(f"expected a square matrix of size n >= 1, got shape {arr.shape}")
     return arr
 
 

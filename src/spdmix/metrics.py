@@ -95,6 +95,16 @@ def _check_pair(s_i, s_j) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _blend(a, b, lam, out=None):
+    """``(1 - lam) * a + lam * b``, every linear and log-Euclidean mix (Python floats
+    stay Python floats). With ``out``, which may be ``a``, the blend is written there
+    and a writeable ``b`` is overwritten by ``lam * b``: pass it read-only to keep it."""
+    if out is None:
+        return (1.0 - lam) * a + lam * b
+    scaled = np.multiply(b, lam, out=b if b.flags.writeable else None)
+    return np.add(np.multiply(a, 1.0 - lam, out=out), scaled, out=out)
+
+
 def _check_ratio(lam: float) -> float:
     """``lam`` as a float in [0, 1]."""
     lam = float(lam)
@@ -137,12 +147,12 @@ def _geodesic(
         a, b = symmetrize(a), symmetrize(b)
         if metric is MetricKind.LOG_EUCLIDEAN:
             log_a, log_b = matrix_log(a), matrix_log(b)
-            mixed = matrix_exp((1.0 - lam) * log_a + lam * log_b)
+            mixed = matrix_exp(_blend(log_a, log_b, lam))
             return mixed, a, b, float(np.trace(log_a)), float(np.trace(log_b))
         if metric is MetricKind.EUCLIDEAN:
-            return SpdMatrix.from_array((1.0 - lam) * a + lam * b), a, b, None, None
+            return SpdMatrix.from_array(_blend(a, b, lam)), a, b, None, None
         if metric is MetricKind.CHOLESKY:
-            blend = (1.0 - lam) * cholesky(a) + lam * cholesky(b)
+            blend = _blend(cholesky(a), cholesky(b), lam)
             return SpdMatrix.from_array(blend @ blend.T), a, b, None, None
         if metric is MetricKind.AFFINE_INVARIANT:
             whitened, ld_a = _congruence(metric, a, b, 0.5, lam)

@@ -456,19 +456,12 @@ def _row_distances(mats, logs, i, j, lam) -> np.ndarray:
 
     w = lam[:, None, None]
     dist = np.empty((len(lam), 4))
-    point = logs[i]
-    point *= 1.0 - w
-    other = logs[j]
-    other *= w
-    point += other
+    point, other = logs[i], logs[j]
+    metrics._blend(point, other, w, out=point)
     for col, ends in ((0, i), (1, j)):
         dist[:, col] = fro_norm(np.subtract(point, gather(logs, ends, other), out=other))
 
-    gather(mats, i, point)
-    point *= 1.0 - w
-    gather(mats, j, other)
-    other *= w
-    point += other
+    metrics._blend(gather(mats, i, point), gather(mats, j, other), w, out=point)
     # a line point whose bytes equal an endpoint's has that endpoint's log
     bits = point.view(np.int64)
     at_i = (bits == gather(mats, i, other).view(np.int64)).all(axis=(1, 2))
@@ -495,7 +488,7 @@ def _row_distances(mats, logs, i, j, lam) -> np.ndarray:
 def _row(y_i, y_j, lam, k_ij, k_i_geo, k_j_geo, k_i_line, k_j_line) -> HarnessRow:
     pred_geo = predict_two_sample(y_i, y_j, k_ij, k_i_geo, k_j_geo)
     pred_line = predict_two_sample(y_i, y_j, k_ij, k_i_line, k_j_line)
-    y_mix = (1.0 - lam) * y_i + lam * y_j
+    y_mix = metrics._blend(y_i, y_j, lam)
     err_geo = (pred_geo - y_mix) ** 2
     err_line = (pred_line - y_mix) ** 2
     return HarnessRow(

@@ -870,7 +870,7 @@ class TestBatchedRMixup:
         with pytest.raises(ValueError, match=f"sample {bad_drawn} is not SPD.*clamp") as exc:
             mix_dataset(broken(bad_drawn), config, 3)
         # the sample is named once, by its id, not again by its stack position
-        assert f"clamp it before mixing (matrix_log requires" in str(exc.value)
+        assert f"clamp it first (matrix_log requires" in str(exc.value)
         assert exc.value.index == ds.ids.index(bad_drawn)
         out, _ = mix_dataset(broken(bad_idle), config, 3)
         assert np.array_equal(out.matrices, clean.matrices)
@@ -957,3 +957,13 @@ class TestIncorrectLabelProbe:
         )
         with pytest.raises(ValueError, match="3 distinct"):
             incorrect_label_probe(ds, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("strategy", ["vmixup", "cmixup"])
+def test_linear_mix_leaves_the_sources_unchanged(strategy):
+    # each output blends into its row with the partner as a read-only operand,
+    # never as the blend's scratch
+    ds = gen_labeled_dataset(4, 6, "regression", "log-linear", np.random.default_rng(1), noise=0.1)
+    before = ds.matrices.copy()
+    mix_dataset(ds, MixConfig(strategy, seed=3), 20)
+    assert np.array_equal(ds.matrices, before)

@@ -1468,3 +1468,70 @@ class TestExitCodeSweep:
             if code != 4:  # exit 4 reports what a check measured, not the input
                 names = (flag[2:], flag[2:].replace("-", "_"), value, str(float(value)))
                 assert any(name in line for name in names), line
+
+
+class TestSparseClassIds:
+    """Hard class ids mix as one-hot rows of width ``max id + 1``; the rows are
+    built per output, never as an identity matrix of that width."""
+
+    @pytest.mark.parametrize("strategy", ["vmixup", "rmixup", "gmixup", "cmixup", "dmixup"])
+    def test_large_class_id_mixes_within_a_bounded_peak(self, capsys, tmp_path, strategy):
+        src, _ = gen_dataset(capsys, tmp_path, kind="clustered", n=4, count=6)
+        ds = read_matrices(src)
+        ds.labels[:] = [0, 0, 1, 1, 60000, 60000]
+        write_matrices(src, ds)
+        out = tmp_path / "m.spdb"
+        argv = ("mix", "--input", str(src), "--strategy", strategy, "--count", "4",
+                "--seed", "2", "-o", str(out))
+        code, err, peak = traced_peak(capsys, *argv)
+        assert code == 0, err
+        # four label rows of 60001 floats are 1.9 MiB; np.eye(60001) was 26.8 GiB
+        assert peak < 32 << 20, f"peak {peak / 2**20:.1f} MiB"
+        # each soft row is 240 KB of text, past the csv module's field limit
+        lines = out.with_name("m.labels.csv").read_text().splitlines()
+        assert lines[0] == "id,label" and len(lines) == 5
+        labels = [np.array(line.split(",")[1].split(";"), dtype=float) for line in lines[1:]]
+        assert {len(label) for label in labels} == {60001}
+        with open(out.with_name("m.provenance.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for label, row in zip(labels, rows):
+            lam = float(row["lam"])
+            want = np.zeros(60001)
+            want[ds.labels[ds.ids.index(row["source_i"])]] += 1.0 - lam
+            want[ds.labels[ds.ids.index(row["source_j"])]] += lam
+            assert np.array_equal(label, want)
+
+
+class TestZeroDimension:
+    """An SPDB header with n=0 is a format error: every subcommand that reads
+    one exits 1 with an ``error:`` line and writes nothing."""
+
+    @staticmethod
+    def zero_dim_file(tmp_path):
+        from spdmix import data_io
+
+        path = tmp_path / "empty.spdb"
+        path.write_bytes(data_io._HEADER.pack(
+            data_io.MAGIC, data_io.VERSION, 0, 3, data_io.FLAG_REGRESSION
+        ))
+        path.with_name("empty.labels.csv").write_text("id,label\na,0.1\nb,0.5\nc,0.9\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mix", "--strategy", "rmixup", "--count", "4", "-o", "{out}"),
+            ("mix", "--strategy", "vmixup", "--count", "4", "-o", "{out}"),
+            ("probe", "--trials", "5"),
+            ("regress", "--trials", "2"),
+            ("diagnose", "--t", "5"),
+        ],
+        ids=["mix-rmixup", "mix-vmixup", "probe", "regress", "diagnose"],
+    )
+    def test_n_zero_header_exits_1(self, capsys, tmp_path, argv):
+        src, out = self.zero_dim_file(tmp_path), tmp_path / "out.spdb"
+        argv = [arg.format(out=out) for arg in argv]
+        code, stdout, err = run(capsys, argv[0], "--input", str(src), *argv[1:])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: matrix dimension n=0 in ")
+        assert not out.exists()

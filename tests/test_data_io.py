@@ -733,3 +733,21 @@ class TestLabeledDatasetValidation:
             matrices=np.zeros((3, 2, 2)), labels=[0, 2, 1], task="classification"
         )
         assert ds.n_classes == 3
+
+
+class TestZeroDimension:
+    def test_dataset_rejects_n_zero(self):
+        with pytest.raises(ValueError, match=r"with n >= 1, got \(3, 0, 0\)"):
+            LabeledDataset(matrices=np.empty((3, 0, 0)), labels=np.zeros(3), task=data_io.TASK_REGRESSION)
+
+    def test_zero_count_stack_stays_valid(self, tmp_path):
+        ds = LabeledDataset(matrices=np.empty((0, 4, 4)), labels=np.zeros(0), task=data_io.TASK_REGRESSION)
+        write_matrices(tmp_path / "z.spdb", ds)
+        assert read_matrices(tmp_path / "z.spdb").matrices.shape == (0, 4, 4)
+
+    def test_read_rejects_an_n_zero_header(self, tmp_path):
+        path = tmp_path / "z.spdb"
+        path.write_bytes(data_io._HEADER.pack(data_io.MAGIC, data_io.VERSION, 0, 2, 0))
+        path.with_name("z.labels.csv").write_text("id,label\na,0\nb,1\n")
+        with pytest.raises(SpdbFormatError, match=r"matrix dimension n=0 in .*z\.spdb"):
+            read_matrices(path)

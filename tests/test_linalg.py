@@ -1288,3 +1288,18 @@ class TestThreadSetter:
         assert linalg._setter_of(SimpleNamespace()) is None
         lib = SimpleNamespace(scipy_openblas_set_num_threads64_=lambda count: None)
         assert linalg._setter_of(lib) is None
+
+
+class TestZeroDimension:
+    @pytest.mark.parametrize(
+        "call, shape",
+        [(SpdMatrix.from_array, (0, 0)), (matrix_log, (0, 0)), (matrix_log, (2, 0, 0)),
+         (matrix_exp, (2, 0, 0))],
+        ids=["from_array", "matrix_log", "matrix_log-stack", "matrix_exp-stack"],
+    )
+    def test_empty_matrix_is_a_value_error(self, call, shape):
+        with pytest.raises(ValueError, match=rf"size n >= 1, got shape \({', '.join(map(str, shape))}"):
+            call(np.empty(shape))
+
+    def test_zero_count_stack_stays_valid(self):
+        assert matrix_log(np.empty((0, 3, 3))).shape == (0, 3, 3)

@@ -511,3 +511,27 @@ class TestSwellingReportShape:
         rep = swelling_check(s_i, s_i, 0.5, MetricKind.EUCLIDEAN)
         assert isinstance(rep, SwellingReport)
         assert rep.det_i == pytest.approx(log_det(s_i))
+
+
+class TestBlend:
+    """``metrics._blend`` is the one mixing rule: both forms give the bits of
+    ``(1 - lam) * a + lam * b``, and the in-place form keeps a read-only ``b``."""
+
+    def test_both_forms_give_the_rule_bits(self):
+        rng = np.random.default_rng(3)
+        a, b, lam = rng.normal(size=(2, 5, 4, 4)), rng.normal(size=(2, 5, 4, 4)), 0.37
+        want = (1.0 - lam) * a + lam * b
+        assert np.array_equal(metrics._blend(a, b, lam).view(np.int64), want.view(np.int64))
+        out, scratch = np.empty_like(a), b.copy()
+        metrics._blend(a, scratch, lam, out=out)
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+        assert np.array_equal(scratch, lam * b)  # a writeable b is the scratch
+
+    def test_read_only_b_is_kept(self):
+        a, b = np.eye(3), np.full((3, 3), 2.0)
+        b.flags.writeable = False
+        out = metrics._blend(a.copy(), b, 0.25, out=np.empty((3, 3)))
+        assert np.array_equal(out, 0.75 * np.eye(3) + 0.5) and (b == 2.0).all()
+
+    def test_python_floats_stay_python_floats(self):
+        assert type(metrics._blend(1.5, 2.5, 0.25)) is float

@@ -445,7 +445,7 @@ class TestTheoremHarness:
             want, at = "sample s000001 is rejected (matrix is not symmetric", 1
         else:
             a = -a
-            want, at = "sample s000000 is not SPD; clamp it before mixing (matrix_log", 0
+            want, at = "sample s000000 is not SPD; clamp it first (matrix_log", 0
         with pytest.raises(ValueError) as info:
             theorem1_harness(a, b, 0.1, 0.5, [0.5], KernelConfig(sigma=1.0))
         assert str(info.value).startswith(want)
@@ -770,7 +770,7 @@ class TestBatchedHarness:
         config = KernelConfig(sigma=2.0)
         # gram_matrix takes bare matrices and names the stack position; the
         # fits take a dataset and name the sample by its id
-        by_id = "sample s000007 is not SPD; clamp it before mixing ("
+        by_id = "sample s000007 is not SPD; clamp it first ("
         for fit, prefix in (
             (lambda: gram_matrix(mats, config), "matrix 7 of the stack: "),
             (lambda: fit_kernel_ridge(bad, config), by_id),

@@ -9,7 +9,9 @@ a matrix's stack position is written only by ``linalg._StackError``, and a
 rejected sample is named by its id only by ``augment._name_samples``. The
 pool is driven from ``linalg`` alone: only its functions open a session. A
 binary file is written by ``data_io.SpdbWriter`` alone: only it calls
-``os.open`` or opens a file in mode ``"wb"``.
+``os.open`` or opens a file in mode ``"wb"``. The mixing rule
+``(1 - lam) * x + lam * y`` is written only in ``metrics._blend``, and
+one-hot label rows are built only by ``augment._one_hot``.
 """
 
 import ast
@@ -98,6 +100,87 @@ def all_writers(**what) -> set[str]:
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= writers(path.read_text(encoding="utf-8"), path.stem, **what)
+    return found
+
+
+def everywhere(find) -> set[str]:
+    """Every function of ``src/spdmix`` that ``find(source, module)`` reports."""
+    return set().union(*(find(path.read_text(encoding="utf-8"), path.stem)
+                         for path in sorted(SRC.glob("*.py"))))
+
+
+def _call_name(node) -> str | None:
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def _weight(node) -> str | None:
+    """The source of ``lam`` when ``node`` is ``1 - lam`` (or ``1.0 - lam``)."""
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1):
+        return ast.unparse(node.right)
+    return None
+
+
+def _factors(node) -> list:
+    """The factors of a product, nested products flattened; ``[node]`` otherwise."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return [*_factors(node.left), *_factors(node.right)]
+    return [node]
+
+
+def blenders(source: str, module: str) -> set[str]:
+    """The functions in ``source`` that write the mixing rule: a sum (``+`` or
+    an ``add`` call) of a product by ``1 - lam`` and a product by ``lam``, or
+    a product by ``1 - lam`` written into a buffer (``*=`` or ``multiply``)."""
+    found = set()
+    for node, where in _scoped(ast.parse(source), module):
+        terms = None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            terms = node.left, node.right
+        elif _call_name(node) == "add" and len(node.args) >= 2:
+            terms = node.args[:2]
+        if terms:
+            left, right = map(_factors, terms)
+            for one, other in ((left, right), (right, left)):
+                if {_weight(f) for f in one} & {ast.unparse(f) for f in other}:
+                    found.add(where)
+        in_place = isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+        if (in_place and _weight(node.value)) or (
+            _call_name(node) == "multiply" and any(map(_weight, node.args))
+        ):
+            found.add(where)
+    return found
+
+
+def one_hot_builders(source: str, module: str) -> set[str]:
+    """The functions in ``source`` that build one-hot rows: they index an
+    identity matrix (``eye(k)[ids]``, or a name bound to one), or set a
+    number 1 at ``[rows, ids]`` of a buffer."""
+    nodes = list(_scoped(ast.parse(source), module))
+    eyes = {
+        (where, target.id)
+        for node, where in nodes
+        if isinstance(node, ast.Assign) and _call_name(node.value) in ("eye", "identity")
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = set()
+    for node, where in nodes:
+        if isinstance(node, ast.Subscript) and (
+            _call_name(node.value) in ("eye", "identity")
+            or (where, getattr(node.value, "id", None)) in eyes
+        ):
+            found.add(where)
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) in (int, float) and node.value.value == 1
+            and any(isinstance(t, ast.Subscript) and isinstance(t.slice, ast.Tuple)
+                    and len(t.slice.elts) == 2 for t in node.targets)
+        ):
+            found.add(where)
     return found
 
 
@@ -205,3 +288,57 @@ def test_config_values_take_the_flags_path():
         if isinstance(node, ast.Attribute) and node.attr == "_actions"
     }
     assert readers == set()
+
+
+def test_mixing_rule_has_one_home():
+    # five paths (r_mixup, the cache, mix, the harness, the probe) agree bit
+    # for bit because they share one blend; a second copy could drift
+    assert everywhere(blenders) == {"metrics._blend"}
+
+
+def test_one_hot_rows_have_one_home():
+    # an identity matrix as wide as the largest class id does not fit memory
+    assert everywhere(one_hot_builders) == {"augment._one_hot"}
+
+
+def test_blend_guard_sees_a_second_copy():
+    copy = (
+        'def mix(a, b, lam):\n'
+        '    return (1.0 - lam) * a + lam * b\n'
+        'def probe(w, m):\n'
+        '    return abs(w * m[1] + (1.0 - w) * m[3] - m[2]).sum()\n'
+        'class Cache:\n'
+        '    def mixes(self, w, a, b, out):\n'
+        '        np.add((1.0 - w) * a, w * b, out=out)\n'
+        'def harness(point, other, w):\n'
+        '    point *= 1.0 - w\n'
+        'def row(out, a, lam):\n'
+        '    np.multiply(a, 1 - lam, out=out)\n'
+        'def bures(a, b, t, c):\n'
+        '    return (1.0 - t) ** 2 * a + t**2 * b + t * (1.0 - t) * (c + c.T)\n'
+        'def kernel(y_i, y_j, k, k_i, k_j):\n'
+        '    return ((y_i - k * y_j) * k_i + (y_j - k * y_i) * k_j) / (1.0 - k**2)\n'
+        'def ratio(w):\n'
+        '    return 1.0 - w\n'
+    )
+    assert blenders(copy, "extra") == {
+        "extra.mix", "extra.probe", "extra.Cache.mixes", "extra.harness", "extra.row"
+    }
+
+
+def test_one_hot_guard_sees_a_second_copy():
+    copy = (
+        'def finish(labels, k):\n'
+        '    return np.eye(k)[labels]\n'
+        'def sample(c_i, c_j, k):\n'
+        '    one_hot = np.eye(k)\n'
+        '    return one_hot[c_i], one_hot[c_j]\n'
+        'def rows(classes, k):\n'
+        '    out = np.zeros((len(classes), k))\n'
+        '    out[np.arange(len(classes)), classes] = 1.0\n'
+        'def ridge(gram, r):\n'
+        '    return gram + r * np.eye(len(gram))\n'
+        'def mask(m, i, j):\n'
+        '    m[i, j] = True\n'
+    )
+    assert one_hot_builders(copy, "extra") == {"extra.finish", "extra.sample", "extra.rows"}
