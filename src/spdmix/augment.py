@@ -8,9 +8,9 @@ dropping, per-edge generator sampling, and label-distance pairing.
 
 Every strategy takes an explicit ``numpy.random.Generator``;
 :func:`mix_dataset` draws output ``k`` from the stream that
-``default_rng([seed, k])`` starts, so it does not depend on the batch size or on
-the order in which outputs are produced, and writes every output into one
-stack. Each baseline has one implementation, a private row kernel that
+``default_rng([seed, k])`` starts, all outputs' pairs and ratios in one bulk
+pass with numpy's bits, so no output depends on the batch size or on the
+order of the outputs, and writes every output into one stack. Each baseline has one implementation, a private row kernel that
 writes one output in place into a row of that stack; the public per-sample
 functions (:func:`v_mixup`, :func:`d_mixup`, ...) are its one-row calls.
 What the kernels read that is the same for every output (the mirror index
@@ -588,9 +588,9 @@ def g_mixup_sample(
 
 
 class _Partners:
-    """Label-distance partner draws over one dataset. Each draw builds its
-    anchor's candidates and normalised weights with a few array operations,
-    so a mix holds O(dataset size) memory whatever it draws."""
+    """Label-distance partner draws over one dataset. Each distinct anchor's
+    candidates (and regression weights) are built with a few array
+    operations over the dataset, so a mix holds one anchor's worth at a time."""
 
     def __init__(self, dataset: LabeledDataset, bandwidth: float):
         if len(dataset) < 2:
@@ -602,35 +602,51 @@ class _Partners:
         self._labels = dataset.labels if self._classes else dataset.labels.astype(np.float64)
         self._index = np.arange(len(dataset))
         self._bandwidth = bandwidth
+        if self._classes:
+            _, cls, sizes = np.unique(self._labels, return_inverse=True, return_counts=True)
+            # an anchor's candidate count is its bound; a singleton's 1 draws nothing
+            self._bounds = np.maximum(sizes[cls] - 1, 1)
+
+    def _pick(self, anchor: int, picks: np.ndarray) -> np.ndarray:
+        """The partners of ``anchor`` that ``picks`` name: candidate positions
+        in its class, or doubles in [0, 1) in its regression weights."""
+        y = self._labels
+        if self._classes:
+            candidates = np.flatnonzero(y == y[anchor])
+            candidates = candidates[candidates != anchor]
+            if len(candidates):
+                return candidates[picks]
+            warnings.warn(f"anchor {anchor} is the only sample of its class; pairing it "
+                          "with itself", UserWarning, stacklevel=4)
+            return np.full(len(picks), anchor)
+        candidates = self._index[self._index != anchor]
+        logits = -((y[anchor] - y[candidates]) ** 2) / (2.0 * self._bandwidth**2)
+        logits -= logits.max()
+        weights = np.exp(logits)
+        weights /= weights.sum()
+        return _weighted_picks(candidates, weights, picks)
 
     def draw(self, anchor: int, rng: np.random.Generator) -> int:
-        y = self._labels
-        if not self._classes:
-            candidates = self._index[self._index != anchor]
-            logits = -((y[anchor] - y[candidates]) ** 2) / (2.0 * self._bandwidth**2)
-            logits -= logits.max()
-            weights = np.exp(logits)
-            weights /= weights.sum()
-            return _weighted_choice(candidates, weights, rng)
-        candidates = np.flatnonzero(y == y[anchor])
-        candidates = candidates[candidates != anchor]
-        if not len(candidates):
-            warnings.warn(
-                f"anchor {anchor} is the only sample of its class; pairing it with itself",
-                UserWarning,
-                stacklevel=3,
-            )
-            return anchor
-        return int(rng.choice(candidates))
+        pick = rng.integers(self._bounds[anchor]) if self._classes else rng.random()
+        return int(self._pick(anchor, np.array([pick]))[0])
+
+    def draw_all(self, anchors: np.ndarray, streams: _Streams) -> np.ndarray:
+        """Every output's partner, drawn on its stream as :meth:`draw` draws
+        it, each distinct anchor's candidates built once."""
+        picks = streams.integers(self._bounds[anchors]) if self._classes else streams.random()
+        partners = np.empty_like(anchors)
+        order = np.argsort(anchors, kind="stable")
+        for outputs in np.split(order, np.flatnonzero(np.diff(anchors[order])) + 1):
+            partners[outputs] = self._pick(anchors[outputs[0]], picks[outputs])
+        return partners
 
 
-def _weighted_choice(candidates, weights, rng: np.random.Generator) -> int:
-    """``rng.choice(candidates, p=weights)`` for weights that sum to 1, drawn
-    as it draws (one ``rng.random()`` searched in the normalised cumulative
-    weights) without its checks of the weights."""
+def _weighted_picks(candidates, weights, doubles):
+    """The candidates that ``doubles`` in [0, 1) pick, searched in the
+    normalised cumulative ``weights`` as ``Generator.choice(p=)`` searches."""
     cdf = weights.cumsum()
     cdf /= cdf[-1]
-    return int(candidates[cdf.searchsorted(rng.random(), side="right")])
+    return candidates[cdf.searchsorted(doubles, side="right")]
 
 
 def c_mixup_pair(
@@ -650,8 +666,6 @@ def c_mixup_pair(
 
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hashmix(const: int, mult: int):
@@ -692,29 +706,86 @@ def _seed_words(seed: int, ks) -> np.ndarray:
     return np.stack([halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
 
 
-def _streams(seed: int, ks) -> Iterator[np.random.Generator]:
-    """For each ``k`` in ``ks``, a generator in the state that
-    ``np.random.default_rng([seed, k])`` starts in.
+class _Streams:
+    """For each ``k`` in ``ks``, the stream ``np.random.default_rng([seed, k])``
+    starts, drawn in bulk with numpy's algorithms and bits. The PCG64 states
+    are uint64 ``(hi, lo)`` arrays, kept with numpy's half-word buffer; a draw
+    steps every stream once and redraws only the streams it rejects. What
+    numpy computes through libm or its tables is drawn on :meth:`generator`."""
 
-    One generator is reused: each item resets its state, so the generator
-    yielded for ``k`` is valid until the next item is taken. PCG64 is seeded
-    from :func:`_seed_words` as numpy seeds it, in 128-bit ints. Rows become
-    Python ints a block at a time: as ints a row takes about 180 bytes, not 32.
-    """
-    words = _seed_words(seed, ks)
-    rng = np.random.Generator(np.random.PCG64())
-    for start in range(0, len(words), 4096):
-        for s1_high, s1_low, s2_high, s2_low in words[start:start + 4096].tolist():
-            inc = ((s2_high << 64 | s2_low) << 1 | 1) & _MASK128
-            state = ((inc + (s1_high << 64 | s1_low)) * _PCG64_MULT + inc) & _MASK128
-            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                       "uinteger": 0, "state": {"state": state, "inc": inc}}
-            yield rng
+    _MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)  # PCG64's multiplier, hi and lo
+
+    def __init__(self, seed: int, ks):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(seed, ks).T
+        # PCG64 seeding: inc = 2 * word + 1, then one step from inc + seed
+        self._inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+        self._lo = s_lo + self._inc[1]
+        self._hi = s_hi + self._inc[0] + (self._lo < s_lo)
+        self._next64(slice(None))
+        self._has, self._half = np.zeros(len(s_lo), dtype=bool), np.zeros_like(s_lo)
+        self._rng = np.random.Generator(np.random.PCG64())
+
+    def _next64(self, rows) -> np.ndarray:
+        """Step the streams ``rows``; their XSL-RR outputs (O'Neill 2014)."""
+        hi, lo = self._hi[rows], self._lo[rows]
+        m0, m1 = self._MULT[1] & _MASK32, self._MULT[1] >> 32
+        l0, l1 = lo & _MASK32, lo >> 32  # the high word of lo * MULT's lo, by quarters
+        mid = (l0 * m0 >> 32) + (l0 * m1 & _MASK32) + (l1 * m0 & _MASK32)
+        hi = hi * self._MULT[1] + lo * self._MULT[0] + self._inc[0][rows] + (mid >> 32)
+        hi += l1 * m1 + (l0 * m1 >> 32) + (l1 * m0 >> 32)
+        low = lo * self._MULT[1]
+        self._lo[rows] = lo = low + self._inc[1][rows]
+        self._hi[rows] = hi = hi + (lo < low)
+        xored, turn = hi ^ lo, hi >> 58
+        return xored >> turn | xored << (64 - turn & 63)
+
+    def _next32(self, rows) -> np.ndarray:
+        """The next 32-bit words: a cached high half, else a new output's low."""
+        has, words = self._has[rows], self._half[rows]
+        drawn = self._next64(rows[~has])
+        words[~has], self._half[rows[~has]] = drawn & _MASK32, drawn >> 32
+        self._has[rows] = ~has
+        return words
+
+    def integers(self, bounds) -> np.ndarray:
+        """``Generator.integers(bound)`` on every stream by 32-bit Lemire, one
+        bound in ``[1, 2**32]`` or one per stream; a bound of 1 draws nothing."""
+        bounds = np.broadcast_to(np.asarray(bounds, dtype=np.uint64), self._lo.shape)
+        out, todo = np.zeros(len(bounds), dtype=np.uint64), np.flatnonzero(bounds > 1)
+        while len(todo):
+            scaled = self._next32(todo) * bounds[todo]
+            out[todo] = scaled >> 32
+            todo = todo[(scaled & _MASK32) < 2**32 % bounds[todo]]
+        return out.astype(np.intp)
+
+    def random(self, rows=slice(None)) -> np.ndarray:
+        """``Generator.random()`` on every stream, or on the streams ``rows``."""
+        return (self._next64(rows) >> 11) * 2.0**-53
+
+    def beta_one(self) -> np.ndarray:
+        """``Generator.beta(1, 1)`` on every stream: Johnk's doubles ``u, v``,
+        kept when ``0 < u + v <= 1``, give ``u / (u + v)``."""
+        out, todo = np.empty(len(self._lo)), np.arange(len(self._lo))
+        while len(todo):
+            u, v = self.random(todo), self.random(todo)
+            kept = (u + v <= 1.0) & (u + v > 0.0)
+            out[todo[kept]] = u[kept] / (u + v)[kept]
+            todo = todo[~kept]
+        return out
+
+    def generator(self, k: int) -> np.random.Generator:
+        """Stream ``k`` in its current state as numpy's ``Generator``; one is
+        reused, so the one returned is valid until the next call."""
+        hi, lo, inc_hi, inc_lo = (int(a[k]) for a in (self._hi, self._lo, *self._inc))
+        self._rng.bit_generator.state = {"bit_generator": "PCG64", "state": {
+            "state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": int(self._has[k]), "uinteger": int(self._half[k])}
+        return self._rng
 
 
-def _partner_uniform(anchor: int, size: int, rng: np.random.Generator) -> int:
-    j = int(rng.integers(size - 1))
-    return j + 1 if j >= anchor else j
+def _partner_uniform(anchors, picks):
+    """The partners that ``picks`` below ``size - 1`` name among the others."""
+    return picks + (picks >= anchors)
 
 
 def _mix_constants(dataset: LabeledDataset, config: MixConfig):
@@ -776,18 +847,21 @@ class MixStream:
     yields ``(rows, matrices)``: a slice of output indices and their
     matrices, one ``_chunks`` part at a time, in order. Output ``k`` is drawn
     from exactly the stream that ``np.random.default_rng([config.seed, k])``
-    starts, whose state is computed in bulk for all outputs, so it is a pure
-    function of (dataset, config, k). A yielded stack is valid until the
-    next item: a baseline's row kernel writes each output of a part into one
-    reused buffer. rmixup first draws every pair and ratio, and fills an
+    starts, so it is a pure function of (dataset, config, k). Every output's
+    anchor, partner and Beta(1, 1) ratio come from one :class:`_Streams`
+    block in bulk; the rest (other ratios, masks, normals) is drawn part by
+    part on numpy's generator, loaded from the block once per output. A
+    yielded stack is valid until the next item: a baseline's row kernel
+    writes each output of a part into one reused buffer. rmixup fills an
     :class:`EigenCache` with the logs of the drawn sources (naming a rejected
     one before the first part); each part is then the exponentials of a
     chunk of mixes, the next of which the pool computes while the consumer
     holds this one. Until the iterator ends or is dropped it keeps the
     linear-algebra pin, so other threads' matrix functions wait for it, and
-    dropping it early drops the pool work still out. After the last part, ``ids`` holds the output ids
-    ``m000000, ...``, ``labels`` every output's label (hard class ids mixed as
-    one-hot rows) and ``provenance`` every output's :class:`MixProvenance`.
+    dropping it early drops the pool work still out. After the last part,
+    ``ids`` holds the output ids ``m000000, ...``, ``labels`` every output's
+    label (hard class ids mixed as one-hot rows) and ``provenance`` every
+    output's :class:`MixProvenance`.
 
     ``count``, ``dim``, ``task`` and ``is_correlation`` describe the output
     dataset before any part is drawn; it holds correlation matrices only when
@@ -815,36 +889,42 @@ class MixStream:
         self.provenance: MixProvenance | None = None
 
     def __iter__(self) -> Iterator[tuple[slice, np.ndarray]]:
-        count = self.count
-        self._anchors = np.empty(count, dtype=np.intp)
-        self._partners = np.empty(count, dtype=np.intp)
-        self._lams = np.empty(count)
+        count, config, strategy = self.count, self._config, self._config.strategy
+        size, pairwise = len(self._dataset), strategy in _PAIRWISE
+        streams = _Streams(int(config.seed), np.arange(count))
+        self._anchors = self._partners = streams.integers(size)
+        if count and strategy == "cmixup":
+            self._partners = self._table.draw_all(self._anchors, streams)
+        elif count and pairwise:
+            self._partners = _partner_uniform(self._anchors, streams.integers(size - 1))
+        self._lams = streams.beta_one() if pairwise and config.alpha == 1.0 else np.zeros(count)
+        if strategy in ("rmixup", "vmixup", "cmixup") and config.alpha == 1.0:
+            streams = None  # each output is drawn whole
         self._summaries: list[str] = []
-        streams = _streams(int(self._config.seed), np.arange(count))
-        if self._config.strategy == "rmixup":
-            self._draw(range(count), streams, None)
+        if strategy == "rmixup":
+            if streams is not None:
+                self._draw(slice(0, count), streams, None)
             yield from EigenCache(self._dataset)._mixes(self._anchors, self._partners, self._lams)
         else:
             parts = list(_chunks(count, self.dim))
             buffer = np.empty((parts[0].stop if parts else 0, self.dim, self.dim))
             for part in parts:
                 out = buffer[: part.stop - part.start]
-                self._draw(range(part.start, part.stop), streams, out)
+                self._draw(part, streams, out)
                 yield part, out
-        streams.close()  # drops its last block of seed words before the labels
         self._finish()
 
-    def _draw(self, rows: range, streams, out) -> None:
-        """Draw outputs ``rows`` from the next ``streams``; a baseline writes
-        output ``k`` into ``out[k - rows.start]``, rmixup only draws."""
+    def _draw(self, rows: slice, streams, out) -> None:
+        """Draw the rest of outputs ``rows`` on their ``streams``; a baseline
+        writes output ``k`` into ``out[k - rows.start]``, rmixup only draws."""
         strategy, table, config = self._config.strategy, self._table, self._config
         sources = self._dataset.matrices.view()
         sources.flags.writeable = False  # a partner row is never the blend's scratch
-        size = len(sources)
-        anchors, partners, lams = self._anchors, self._partners, self._lams
         hard, y, summaries = self._hard, self._y, self._summaries
-        for k, rng in zip(rows, streams):
-            anchor = anchors[k] = int(rng.integers(size))
+        fresh_lam = strategy in _PAIRWISE and config.alpha != 1.0
+        drawn = (a[rows].tolist() for a in (self._anchors, self._partners, self._lams))
+        for k, anchor, partner, lam in zip(range(rows.start, rows.stop), *drawn):
+            rng = None if streams is None else streams.generator(k)
             row, mat_a = None if out is None else out[k - rows.start], sources[anchor]
             if strategy == "dropnode":
                 summaries.append(_drop_node_row(row, mat_a, config.keep_prob, rng))
@@ -852,12 +932,8 @@ class MixStream:
             if strategy == "dropedge":
                 summaries.append(_drop_edge_row(row, mat_a, config.keep_prob, rng, table))
                 continue
-            if strategy == "cmixup":
-                partner = table.draw(anchor, rng)
-            else:
-                partner = _partner_uniform(anchor, size, rng)
-            lam = sample_beta(config.alpha, rng)
-            partners[k], lams[k] = partner, lam
+            if fresh_lam:
+                lam = self._lams[k] = sample_beta(config.alpha, rng)
             if strategy == "dmixup":
                 summaries.append(_d_mixup_row(row, mat_a, sources[partner], lam, rng, table))
             elif strategy == "gmixup" and hard:

@@ -306,7 +306,7 @@ def cmd_regress(args) -> int:
     pairs = np.empty((args.trials, 2), dtype=np.intp)
     for pair in pairs:
         a = int(rng.integers(len(dataset)))
-        pair[:] = a, augment._partner_uniform(a, len(dataset), rng)
+        pair[:] = a, augment._partner_uniform(a, int(rng.integers(len(dataset) - 1)))
     tables = regress.theorem1_trials(dataset, pairs[:, 0], pairs[:, 1], lambdas, args.sigma)
     header = ["pair", "lam", "err_geodesic", "err_line", "violation", "ordering_violation"]
     rows: list[list] = []

@@ -316,21 +316,25 @@ def read_matrices(path) -> LabeledDataset:
     labels_file = _labels_path(path)
     if not labels_file.exists():
         raise SpdbFormatError(f"missing labels sidecar {labels_file}")
-    with open(labels_file, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "label"]:
-            raise SpdbFormatError(f"labels CSV has header {header}, expected id,label")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SpdbFormatError(
-                    f"{labels_file}, line {reader.line_num}: {len(row)} fields, "
-                    f"expected 2 (id,label)"
-                )
-            rows.append((row[0], row[1]))
+    limit = csv.field_size_limit(2**31 - 1)  # a soft-label row can pass the default
+    try:
+        with open(labels_file, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["id", "label"]:
+                raise SpdbFormatError(f"labels CSV has header {header}, expected id,label")
+            rows = []
+            for row in filter(None, reader):
+                if len(row) != 2:
+                    raise SpdbFormatError(
+                        f"{labels_file}, line {reader.line_num}: {len(row)} fields, "
+                        f"expected 2 (id,label)"
+                    )
+                rows.append((row[0], row[1]))
+    except csv.Error as exc:
+        raise SpdbFormatError(f"{labels_file}, line {reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)  # the limit is process-wide
     if len(rows) != count:
         raise SpdbFormatError(
             f"label-count mismatch: {count} matrices but {len(rows)} label rows"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spdmix import linalg
+from spdmix import augment, linalg
 from spdmix.augment import (
     STRATEGIES,
     EigenCache,
@@ -24,7 +24,7 @@ from spdmix.augment import (
     sample_beta,
     v_mixup,
 )
-from spdmix.augment import _streams, _weighted_choice
+from spdmix.augment import _Streams, _weighted_picks
 from spdmix.data_io import LabeledDataset, gen_labeled_dataset, gen_random_spd
 from spdmix.linalg import (
     EigenvalueOverflowError,
@@ -570,7 +570,7 @@ class TestCMixupPair:
         candidates = np.arange(100, 100 + len(w))
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            assert _weighted_choice(candidates, w, ours) == ref.choice(candidates, p=w)
+            assert _weighted_picks(candidates, w, ours.random()) == ref.choice(candidates, p=w)
         assert ours.random() == ref.random()
 
     def test_singleton_class_falls_back_with_warning(self):
@@ -611,8 +611,9 @@ _EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
 
 
 class TestStreams:
-    """``_streams(seed, ks)`` yields, for each k, a generator in the state
-    ``default_rng([seed, k])`` starts in."""
+    """``_Streams(seed, ks)`` holds, for each k, the stream that
+    ``default_rng([seed, k])`` starts: its bulk draws and the generator it
+    continues on are numpy's, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -624,36 +625,73 @@ class TestStreams:
     @example(seed=2**32, ks=_EDGES)
     @example(seed=2**64 - 1, ks=_EDGES)
     def test_stream_k_is_default_rng_of_seed_and_k(self, seed, ks):
-        taken = 0
-        for k, rng in zip(ks, _streams(seed, ks)):
-            ref = np.random.default_rng([seed, k])
+        streams = _Streams(seed, ks)
+        refs = [np.random.default_rng([seed, k]) for k in ks]
+        for k, ref in enumerate(refs):
+            assert streams.generator(k).bit_generator.state == ref.bit_generator.state
+        # the bulk draws step every stream as its reference steps; an odd
+        # number of 32-bit words leaves half a word cached
+        assert streams.integers(256).tolist() == [ref.integers(256) for ref in refs]
+        assert streams.beta_one().tolist() == [ref.beta(1, 1) for ref in refs]
+        assert streams.random().tolist() == [ref.random() for ref in refs]
+        for k, ref in enumerate(refs):
+            rng = streams.generator(k)
             assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.bit_generator.state["has_uint32"] == 1
+            assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
             assert rng.integers(256) == ref.integers(256)
             assert rng.beta(1, 1) == ref.beta(1, 1)
             assert np.array_equal(rng.random(5), ref.random(5))
             assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
-            # an odd number of 32-bit draws leaves half a word cached
             rng.random(3, dtype=np.float32)
-            taken += 1
-        assert taken == len(ks)
 
     def test_long_runs_cross_blocks(self):
         ks = np.arange(10_000)
-        states = [rng.bit_generator.state for rng in _streams(9, ks)]
-        assert len(states) == len(ks)
+        streams = _Streams(9, ks)
+        draws = streams.integers(10_000)
         for k in (0, 4095, 4096, 8192, 9999):
-            assert states[k] == np.random.default_rng([9, k]).bit_generator.state
+            ref = np.random.default_rng([9, k])
+            assert draws[k] == ref.integers(10_000)
+            assert streams.generator(k).bit_generator.state == ref.bit_generator.state
 
     def test_draws_on_one_stream_leave_the_next_unchanged(self):
-        streams = _streams(5, [0, 1])
-        rng = next(streams)
+        streams = _Streams(5, [0, 1])
+        rng = streams.generator(0)
         rng.integers(256, size=4)
         rng.random(3, dtype=np.float32)
         assert rng.bit_generator.state["has_uint32"] == 1
-        rng = next(streams)
+        rng = streams.generator(1)
         ref = np.random.default_rng([5, 1])
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+        # a generator's draws are not the block's: stream 0 is where it was
+        assert streams.integers(256)[0] == np.random.default_rng([5, 0]).integers(256)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        bounds=st.lists(st.sampled_from([1, 2, 3, 255, 2**31 + 1, 2**32 - 1, 2**32]),
+                        min_size=1, max_size=40),
+    )
+    @example(seed=0, bounds=[3] * 40)
+    @example(seed=1, bounds=[2**31 + 1] * 40)
+    def test_bulk_integers_are_numpys(self, seed, bounds):
+        # 3 and 255 reject rarely and 2**31 + 1 on about half the draws, so
+        # the redraws of some streams interleave with other streams' words
+        streams = _Streams(seed, range(len(bounds)))
+        refs = [np.random.default_rng([seed, k]) for k in range(len(bounds))]
+        for _ in range(3):
+            assert streams.integers(bounds).tolist() == [
+                ref.integers(bound) for ref, bound in zip(refs, bounds)
+            ]
+        for k, ref in enumerate(refs):
+            assert streams.generator(k).bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bound", [3, 255, 2**31 + 1])
+    def test_bulk_integers_at_one_bound(self, bound):
+        streams = _Streams(11, range(3000))
+        draws = streams.integers(bound).tolist()
+        assert draws == [np.random.default_rng([11, k]).integers(bound) for k in range(3000)]
 
 
 class TestMixStream:
@@ -695,6 +733,29 @@ class TestMixStream:
         assert (stream.count, stream.dim, stream.task, stream.is_correlation) == (
             3, 4, "regression", False)
         assert stream.ids is stream.labels is stream.provenance is None
+
+
+class TestStreamContinuations:
+    """A mix loads an output's stream into numpy's generator only for the
+    draws the block does not make (masks, normals, a ratio at alpha != 1),
+    once per output; a Beta(1, 1) pairwise mix never loads one."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.4, 2.5])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_generators_loaded_per_mix(self, monkeypatch, strategy, alpha):
+        loaded = []
+        generator = augment._Streams.generator
+
+        def counted(self, k):
+            loaded.append(k)
+            return generator(self, k)
+
+        monkeypatch.setattr(augment._Streams, "generator", counted)
+        count = 37
+        mix_dataset(regression_dataset(seed=43, count=8, n=3),
+                    MixConfig(strategy, alpha=alpha, seed=4), count)
+        bulk = strategy in ("rmixup", "vmixup", "cmixup") and alpha == 1.0
+        assert loaded == ([] if bulk else list(range(count)))
 
 
 class TestMixDataset:

@@ -274,7 +274,7 @@ class TestMix:
         assert code == 1
 
 
-def oracle_mix(dataset, strategy, count, seed, out_path):
+def oracle_mix(dataset, strategy, count, seed, out_path, alpha=1.0):
     """``mix`` one sample at a time through the public per-sample functions;
     writes the three files ``mix`` writes and returns the drawn source rows."""
     hard = dataset.task == "classification" and not dataset.has_soft_labels
@@ -304,7 +304,7 @@ def oracle_mix(dataset, strategy, count, seed, out_path):
         else:
             b = int(rng.integers(len(dataset) - 1))
             b += b >= a
-        lam = augment.sample_beta(1.0, rng)
+        lam = augment.sample_beta(alpha, rng)
         drawn |= {a, b}
         args = (mat_a, dataset.matrices[b], label(a), label(b), lam)
         sources = (src_a, dataset.ids[b])
@@ -414,6 +414,25 @@ class TestMixOracle:
         assert code == 0, err
         expected = tmp_path / "oracle.spdb"
         oracle_mix(read_matrices(src), strategy, 23, seed, expected)
+        assert mix_files(out) == mix_files(expected)
+
+    # alpha != 1 draws each ratio on numpy's own generator, through libm's pow
+    # (0.4) or the gamma sampler (2.5), continuing the stream the pair came from
+    @pytest.mark.parametrize("alpha", ["0.4", "2.5"])
+    @pytest.mark.parametrize("source", ["regression", "classes"])
+    @pytest.mark.parametrize("strategy", sorted(augment._PAIRWISE))
+    def test_matches_per_sample_oracle_at_alpha(
+        self, capsys, tmp_path, mix_inputs, strategy, source, alpha
+    ):
+        src = mix_inputs[source]
+        out = tmp_path / "mix.spdb"
+        code, _, err = run(
+            capsys, "mix", "--input", str(src), "--strategy", strategy, "--count", "23",
+            "--seed", "13", "--alpha", alpha, "-o", str(out),
+        )
+        assert code == 0, err
+        expected = tmp_path / "oracle.spdb"
+        oracle_mix(read_matrices(src), strategy, 23, 13, expected, alpha=float(alpha))
         assert mix_files(out) == mix_files(expected)
 
     def test_mix_builds_no_generator_per_output(self, monkeypatch, mix_inputs):
@@ -1500,6 +1519,21 @@ class TestSparseClassIds:
             want[ds.labels[ds.ids.index(row["source_i"])]] += 1.0 - lam
             want[ds.labels[ds.ids.index(row["source_j"])]] += lam
             assert np.array_equal(label, want)
+
+
+    def test_soft_label_output_reads_back(self, capsys, tmp_path):
+        # each sidecar row of the first mix is 240 KB, past the csv module's
+        # default field limit of 131072 characters
+        src, _ = gen_dataset(capsys, tmp_path, kind="clustered", n=4, count=6)
+        ds = read_matrices(src)
+        ds.labels[:] = [0, 0, 1, 1, 60000, 60000]
+        write_matrices(src, ds)
+        first, second = tmp_path / "m.spdb", tmp_path / "m2.spdb"
+        for source, out in ((src, first), (first, second)):
+            code, _, err = run(capsys, "mix", "--input", str(source), "--strategy", "vmixup",
+                               "--count", "4", "--seed", "2", "-o", str(out))
+            assert code == 0, err
+        assert read_matrices(second).labels.shape == (4, 60001)
 
 
 class TestZeroDimension:

@@ -1,5 +1,6 @@
 """SPDB format roundtrips and synthetic generator properties."""
 
+import csv
 import os
 import stat
 import subprocess
@@ -280,6 +281,36 @@ class TestSpdbRoundtrip:
         labels = path.with_name("soft.labels.csv")
         labels.write_text(labels.read_text().replace("1.0;0.0", "1.0;0.0;0.0"))
         with pytest.raises(SpdbFormatError, match="soft labels have inconsistent widths"):
+            read_matrices(path)
+
+    def test_long_soft_label_rows_read_at_any_field_limit(self, tmp_path):
+        # a soft-label row of 30000 weights is about 120 KB of text; the
+        # reader neither depends on the csv module's process-wide field limit
+        # nor leaves it changed
+        labels = np.zeros((2, 30000))
+        labels[:, [0, -1]] = 0.25, 0.75
+        ds = LabeledDataset(np.stack([np.eye(2)] * 2), labels, "classification")
+        path = tmp_path / "wide.spdb"
+        write_matrices(path, ds)
+        limit = csv.field_size_limit()
+        try:
+            csv.field_size_limit(1000)
+            assert np.array_equal(read_matrices(path).labels, labels)
+            assert csv.field_size_limit() == 1000
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_csv_error_is_a_format_error(self, tmp_path, monkeypatch):
+        # the default dialect accepts a stray quote; a strict reader stands
+        # in for any other csv.Error
+        ds = small_regression_dataset(count=3)
+        path = tmp_path / "e.spdb"
+        write_matrices(path, ds)
+        labels = path.with_name("e.labels.csv")
+        labels.write_text(labels.read_text().replace("s000001", '"s0"00001', 1))
+        reader = csv.reader
+        monkeypatch.setattr(data_io.csv, "reader", lambda fh: reader(fh, strict=True))
+        with pytest.raises(SpdbFormatError, match="e.labels.csv, line 3: ',' expected"):
             read_matrices(path)
 
     def test_missing_labels_sidecar(self, tmp_path):

@@ -10,8 +10,10 @@ rejected sample is named by its id only by ``augment._name_samples``. The
 pool is driven from ``linalg`` alone: only its functions open a session. A
 binary file is written by ``data_io.SpdbWriter`` alone: only it calls
 ``os.open`` or opens a file in mode ``"wb"``. The mixing rule
-``(1 - lam) * x + lam * y`` is written only in ``metrics._blend``, and
-one-hot label rows are built only by ``augment._one_hot``.
+``(1 - lam) * x + lam * y`` is written only in ``metrics._blend``,
+one-hot label rows are built only by ``augment._one_hot``, and PCG64's
+multiplier and step, and every write of a bit generator's state, live only in
+the stream block ``augment._Streams``.
 """
 
 import ast
@@ -184,6 +186,27 @@ def one_hot_builders(source: str, module: str) -> set[str]:
     return found
 
 
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_writers(source: str, module: str) -> set[str]:
+    """The functions in ``source`` that hold PCG64's multiplier (whole or
+    either 64-bit half) or assign a ``bit_generator.state``."""
+    halves = {_PCG64_MULT, _PCG64_MULT >> 64, _PCG64_MULT & (2**64 - 1)}
+    found = set()
+    for node, where in _scoped(ast.parse(source), module):
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value in halves:
+            found.add(where)
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        if isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+            isinstance(t, ast.Attribute) and t.attr == "state"
+            and getattr(t.value, "attr", None) == "bit_generator"
+            for t in targets
+        ):
+            found.add(where)
+    return found
+
+
 def all_raisers(src: Path = SRC) -> dict[str, set[str]]:
     found: dict[str, set[str]] = {pattern: set() for pattern in HOMES}
     for path in sorted(src.glob("*.py")):
@@ -342,3 +365,29 @@ def test_one_hot_guard_sees_a_second_copy():
         '    m[i, j] = True\n'
     )
     assert one_hot_builders(copy, "extra") == {"extra.finish", "extra.sample", "extra.rows"}
+
+
+def test_pcg64_streams_have_one_home():
+    # a second seeding or stepping path could drift from numpy's bits while
+    # the first keeps matching them
+    found = {".".join(where.split(".")[:2]) for where in everywhere(pcg64_writers)}
+    assert found == {"augment._Streams"}
+
+
+def test_pcg64_guard_sees_a_second_copy():
+    copy = (
+        'def _streams(seed, words):\n'
+        '    state = ((inc + seed) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128\n'
+        'def load(rng, state):\n'
+        '    rng.bit_generator.state = state\n'
+        'class Block:\n'
+        '    MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)\n'
+        '    def step(self):\n'
+        '        self.lo *= 0x4385DF649FCCF645\n'
+        'def jump(rng):\n'
+        '    rng.bit_generator.advance(3)\n'
+        '    rng.state = 0x2360ED051FC65DA5\n'
+    )
+    assert pcg64_writers(copy, "extra") == {
+        "extra._streams", "extra.load", "extra.Block", "extra.Block.step"
+    }
