@@ -2,7 +2,9 @@
 
 :func:`run` makes the inputs with ``spdmix gen`` and runs every operation of
 :data:`OPERATIONS` in-process through ``cli.main``, inside one working
-directory. For each operation it keeps the exit code, the stdout, the
+directory; an operation whose first word names one of :data:`STEPS` runs
+that step of this script instead, which makes an input no ``gen`` kind
+writes. For each operation it keeps the exit code, the stdout, the
 warnings, the solves it made (``count_eig_calls``: all, values-only) and
 every file it wrote, each with its sha256. ``record.json`` holds those
 results and the machine they were made on; ``arrays.npz`` holds the matrices
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from spdmix import cli
-from spdmix.data_io import _HEADER
+from spdmix.data_io import _HEADER, read_matrices, write_matrices
 from spdmix.linalg import count_eig_calls
 
 HERE = Path(__file__).resolve().parent
@@ -38,6 +40,8 @@ ARRAYS = HERE / "arrays.npz"
 
 _MIX = ["mix", "--count", "12", "--seed", "7"]
 STRATEGIES = ("rmixup", "vmixup", "dmixup", "dropnode", "dropedge", "gmixup", "cmixup")
+PAIRWISE = ("rmixup", "vmixup", "dmixup", "gmixup", "cmixup")
+MASKED = ("dmixup", "dropnode", "dropedge")
 
 # (name, argv), run in order in one directory: the gen steps make the inputs
 OPERATIONS = [
@@ -65,7 +69,44 @@ OPERATIONS = [
     ("diagnose-spdb", ["diagnose", "--input", "reg8.spdb", "--t", "20", "-o", "diag.csv"]),
     ("diagnose-series", ["diagnose", "--input", "series_000.csv", "series_001.csv",
                          "--sweep", "10,20,40"]),
+    # many outputs per mask position: 400 outputs at n=4 are one part
+    ("gen-reg4", ["gen", "--kind", "log-linear", "--n", "4", "--count", "16", "--seed", "10",
+                  "--noise", "0.05", "-o", "reg4.spdb"]),
+    *[
+        (f"mix-{s}-reg4", ["mix", "--count", "400", "--seed", "11", "--strategy", s,
+                           "--input", "reg4.spdb", "-o", f"{s}-reg4.spdb"])
+        for s in MASKED
+    ],
+    ("mix-dmixup-reg4-alpha", ["mix", "--count", "400", "--seed", "11", "--alpha", "0.4",
+                               "--strategy", "dmixup", "--input", "reg4.spdb",
+                               "-o", "dmixup-reg4-alpha.spdb"]),
+    # ratios drawn from Beta(0.4, 0.4), not Beta(1, 1)
+    *[
+        (f"mix-{s}-reg8-alpha", [*_MIX, "--alpha", "0.4", "--strategy", s,
+                                 "--input", "reg8.spdb", "-o", f"{s}-reg8-alpha.spdb"])
+        for s in PAIRWISE
+    ],
+    # hard classes on correlation input: gmixup writes a unit diagonal
+    ("flag-cls8", ["flag-correlation", "cls8.spdb", "corr8.spdb"]),
+    ("mix-gmixup-corr8", [*_MIX, "--strategy", "gmixup", "--input", "corr8.spdb",
+                          "-o", "gmixup-corr8.spdb"]),
+    # a mask of 1225 positions per output at n=50, over 14 outputs
+    ("mix-dropedge-reg50", ["mix", "--count", "14", "--seed", "12", "--strategy", "dropedge",
+                            "--input", "reg50.spdb", "-o", "dropedge-reg50.spdb"]),
 ]
+
+
+def flag_correlation(source: str, target: str) -> int:
+    """Write the samples of the SPDB file ``source`` to ``target`` flagged as
+    correlation matrices. Their diagonals are not 1, so gmixup's unit
+    diagonal differs from its draws there."""
+    dataset = read_matrices(source)
+    dataset.is_correlation = True
+    write_matrices(target, dataset)
+    return 0
+
+
+STEPS = {"flag-correlation": flag_correlation}
 
 
 def machine() -> dict:
@@ -88,7 +129,8 @@ def _operation(argv: list[str]) -> dict:
     with warnings.catch_warnings(record=True) as seen, count_eig_calls() as solves, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("always")
-        code = cli.main(argv)
+        step = STEPS.get(argv[0])
+        code = step(*argv[1:]) if step else cli.main(argv)
     text = stdout.getvalue()
     return {
         "argv": argv,
