@@ -10,12 +10,15 @@ Every strategy takes an explicit ``numpy.random.Generator``;
 :func:`mix_dataset` draws output ``k`` from the stream that
 ``default_rng([seed, k])`` starts, all outputs' pairs and ratios in one bulk
 pass with numpy's bits, so no output depends on the batch size or on the
-order of the outputs, and writes every output into one stack. Each baseline has one implementation, a private row kernel that
-writes one output in place into a row of that stack; the public per-sample
-functions (:func:`v_mixup`, :func:`d_mixup`, ...) are its one-row calls.
-What the kernels read that is the same for every output (the mirror index
-of the triangle a mask or edge draw lives on, gmixup's per-edge means and
-spreads, cmixup's float labels and index) is built once per mix.
+order of the outputs, and writes every output into one stack. Each baseline has
+one implementation, a private kernel that writes a part of that stack in
+sub-blocks of about 128 KiB; the public per-sample functions
+(:func:`v_mixup`, :func:`d_mixup`, ...) are its calls on a part of one. A
+part's masks come from one function, :func:`_masks`, on the bulk streams or
+on a generator loaded per output, whichever is cheaper for its size. What the
+kernels read that is the same for every output (the mirror index of the
+triangle a mask or edge draw lives on, gmixup's per-edge means and spreads,
+cmixup's float labels and index) is built once per mix.
 Batched geodesic mixes (rmixup batches and the label probe) first draw every
 pair and ratio, then take the logs of the drawn sources in one stacked call
 and the exponentials a chunk of mixes at a time, one chunk ahead of their
@@ -338,28 +341,81 @@ def _upper_mirror(n: int, k: int) -> tuple[int, np.ndarray]:
     return len(rows), index
 
 
-def _d_mixup_row(out, a, b, lam: float, rng: np.random.Generator, upper) -> str:
-    """``upper`` is ``_upper_mirror(n, 0)``; returns the mask summary."""
-    size, mirror = upper
-    take_j = rng.random(size) < lam
-    np.copyto(out, a)
-    np.copyto(out, b, where=take_j[mirror])
-    return f"swapped={int(take_j.sum())}/{size}"
+# Bytes of (n, n) matrices a baseline kernel takes at once, so its temporaries
+# stay a few times this size whatever the part's; from n = 91 on, it is one
+# matrix.
+_SUB_BYTES = 128 << 10
+
+# A part draws its masks on the block when it has at least this many outputs
+# per mask position. On a 2-vCPU Xeon one position drawn over R streams costs
+# about 45 us + 20 ns * R and one output's generator load and draws about
+# 8 us: the sides crossed between 6 and 8 outputs per position in parts of 64
+# to 1000 outputs, and by those costs cross near 9 in the largest part the
+# rule can reach (dmixup at n = 19, 1450 outputs).
+_OUTPUTS_PER_POSITION = 8
 
 
-def _drop_node_row(out, a, keep_prob: float, rng: np.random.Generator) -> str:
-    keep = rng.random(len(a)) < keep_prob
-    scale = keep.astype(np.float64)
-    np.multiply(a, np.outer(scale, scale), out=out)
-    return f"kept={int(keep.sum())}/{len(a)}"
+def _masks(size: int, below, rngs, streams=None, rows=None, fresh=False) -> np.ndarray:
+    """Output ``t``'s mask ``Generator.random(size) < below[t]`` for every
+    output, one row each, drawn with the same bits on one of two sides: the
+    block ``streams``, a position at a time over the outputs ``rows``, when
+    positions are few next to outputs and no output draws a ratio first
+    (``fresh``); else the next of the loaded generators ``rngs``, after which
+    ``below[t]`` (the ratio it drew) is read."""
+    if streams is not None and not fresh and size * _OUTPUTS_PER_POSITION <= len(below):
+        mask = np.empty((size, len(below)), dtype=bool)
+        for column in mask:
+            np.less(streams.random(rows), below, out=column)
+        return mask.T
+    mask = np.empty((len(below), size), dtype=bool)
+    for t, rng in enumerate(rngs):
+        np.less(rng.random(size), below[t], out=mask[t])
+    return mask
 
 
-def _drop_edge_row(out, a, keep_prob: float, rng: np.random.Generator, upper) -> str:
-    """``upper`` is ``_upper_mirror(n, 1)``; the diagonal is always kept."""
-    size, mirror = upper
-    keep = rng.random(size) < keep_prob
-    np.multiply(a, np.append(keep, True)[mirror], out=out)
-    return f"kept={int(keep.sum())}/{size}"
+def _summaries(word: str, mask) -> list[str]:
+    return [f"{word}={k}/{mask.shape[1]}" for k in mask.sum(axis=1).tolist()]
+
+
+def _rows(stack, picks, out=None):
+    """``stack[picks]``, gathered into ``out`` if given, or a view when
+    ``picks`` is one row: a sub-block of one large matrix copies nothing."""
+    if len(picks) == 1:
+        return stack[picks[0] : picks[0] + 1]
+    return np.take(stack, picks, axis=0, out=out, mode="clip")
+
+
+def _blend_part(out, stack, a, b, lams) -> None:
+    """vmixup, cmixup: ``out[t]`` is the ``lams[t]``-blend of ``stack[a[t]]``
+    and ``stack[b[t]]``, which is read-only or scratch."""
+    for sub in _chunks(len(out), out.shape[-1], _SUB_BYTES):
+        first = _rows(stack, a[sub], out[sub])
+        metrics._blend(first, _rows(stack, b[sub]), lams[sub, None, None], out=out[sub])
+
+
+def _swap_part(out, stack, a, b, take, mirror) -> None:
+    """dmixup: ``out[t]`` is ``stack[a[t]]`` with the entries that
+    ``take[t][mirror]`` marks from ``stack[b[t]]``."""
+    for sub in _chunks(len(out), out.shape[-1], _SUB_BYTES):
+        block = np.take(stack, a[sub], axis=0, out=out[sub], mode="clip")
+        np.copyto(block, _rows(stack, b[sub]), where=np.take(take[sub], mirror, axis=1))
+
+
+def _drop_node_part(out, stack, a, keep) -> None:
+    """dropnode: ``out[t]`` is ``stack[a[t]]`` with the rows and columns of
+    the nodes ``keep[t]`` drops zeroed."""
+    for sub in _chunks(len(out), out.shape[-1], _SUB_BYTES):
+        scale = keep[sub].astype(np.float64)
+        np.multiply(_rows(stack, a[sub], out[sub]), scale[:, :, None] * scale[:, None, :],
+                    out=out[sub])
+
+
+def _drop_edge_part(out, stack, a, keep, mirror) -> None:
+    """dropedge: ``out[t]`` is ``stack[a[t]]`` with the edges ``keep[t][mirror]``
+    drops zeroed; ``mirror`` maps the diagonal past the end, where it is kept."""
+    for sub in _chunks(len(out), out.shape[-1], _SUB_BYTES):
+        kept = np.concatenate([keep[sub], np.ones((sub.stop - sub.start, 1), dtype=bool)], axis=1)
+        np.multiply(_rows(stack, a[sub], out[sub]), np.take(kept, mirror, axis=1), out=out[sub])
 
 
 def v_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
@@ -367,7 +423,9 @@ def v_mixup(s_i, s_j, y_i, y_j, lam: float, sources=("i", "j")) -> MixedSample:
     (convex cone), but the determinant can inflate past both endpoints."""
     a, b = metrics._check_pair(s_i, s_j)
     lam = metrics._check_ratio(lam)
-    return _sample("vmixup", metrics._blend(a, b, lam), _mix_labels(y_i, y_j, lam), *sources, lam)
+    out = np.empty((1, *a.shape))
+    _blend_part(out, np.stack([a, b]), [0], [1], np.array([lam]))
+    return _sample("vmixup", out[0], _mix_labels(y_i, y_j, lam), *sources, lam)
 
 
 def d_mixup(
@@ -380,9 +438,11 @@ def d_mixup(
     """
     a, b = metrics._check_pair(s_i, s_j)
     lam = metrics._check_ratio(lam)
-    out = np.empty_like(a)
-    summary = _d_mixup_row(out, a, b, lam, rng, _upper_mirror(len(a), 0))
-    return _sample("dmixup", out, _mix_labels(y_i, y_j, lam), *sources, lam, summary)
+    size, mirror = _upper_mirror(len(a), 0)
+    take, out = _masks(size, [lam], [rng]), np.empty((1, *a.shape))
+    _swap_part(out, np.stack([a, b]), [0], [1], take, mirror)
+    return _sample("dmixup", out[0], _mix_labels(y_i, y_j, lam), *sources, lam,
+                   _summaries("swapped", take)[0])
 
 
 def drop_node(
@@ -396,10 +456,10 @@ def drop_node(
     node drops.
     """
     _check_keep_prob(keep_prob)
-    a = np.asarray(s, dtype=np.float64)
-    out = np.empty_like(a)
-    summary = _drop_node_row(out, a, keep_prob, rng)
-    return _sample("dropnode", out, y, source, mask_summary=summary)
+    a, _ = metrics._check_pair(s, s)  # the pairwise strategies' square check
+    keep, out = _masks(len(a), [keep_prob], [rng]), np.empty((1, *a.shape))
+    _drop_node_part(out, a[None], [0], keep)
+    return _sample("dropnode", out[0], y, source, mask_summary=_summaries("kept", keep)[0])
 
 
 def drop_edge(
@@ -411,10 +471,11 @@ def drop_edge(
     is always kept. The label is unchanged and SPD is not guaranteed.
     """
     _check_keep_prob(keep_prob)
-    a = np.asarray(s, dtype=np.float64)
-    out = np.empty_like(a)
-    summary = _drop_edge_row(out, a, keep_prob, rng, _upper_mirror(len(a), 1))
-    return _sample("dropedge", out, y, source, mask_summary=summary)
+    a, _ = metrics._check_pair(s, s)  # the pairwise strategies' square check
+    size, mirror = _upper_mirror(len(a), 1)
+    keep, out = _masks(size, [keep_prob], [rng]), np.empty((1, *a.shape))
+    _drop_edge_part(out, a[None], [0], keep, mirror)
+    return _sample("dropedge", out[0], y, source, mask_summary=_summaries("kept", keep)[0])
 
 
 @dataclass(frozen=True)
@@ -516,15 +577,18 @@ def g_mixup_fit(dataset: LabeledDataset) -> EdgeGenerator:
 
 class _EdgeDraws:
     """A fitted :class:`EdgeGenerator`'s per-edge constants on the upper
-    triangle, built once for every sample drawn from it."""
+    triangle, built once for every sample drawn from it: one row per class,
+    in class order, or the regression conditionals."""
 
     def __init__(self, gen: EdgeGenerator):
         self.is_correlation = gen.is_correlation
         self.upper = _upper_mirror(gen.dim, 0)
         rows, cols = np.triu_indices(gen.dim)
+        self.classes = None
         if gen.task == TASK_CLASSIFICATION:
-            self.class_means = {c: m[rows, cols] for c, m in gen.class_means.items()}
-            self.class_vars = {c: s[rows, cols] ** 2 for c, s in gen.class_stds.items()}
+            self.classes = np.array(sorted(gen.class_means))
+            self.class_means = np.stack([gen.class_means[c][rows, cols] for c in self.classes])
+            self.class_vars = np.stack([gen.class_stds[c][rows, cols] ** 2 for c in self.classes])
         else:
             corr = gen.edge_label_corr
             self.slope = ((gen.edge_std / gen.label_std) * corr)[rows, cols]
@@ -533,23 +597,35 @@ class _EdgeDraws:
             var = (1.0 - corr**2) * gen.edge_std**2
             self.spread = np.sqrt(np.maximum(var[rows, cols], 0.0))
 
-    def fill(self, out, lam: float, rng: np.random.Generator, classes=None, y_mix=None) -> None:
-        """Draw one sample into ``out``: from the ``lam``-blend of two class
-        generators ``classes=(c_i, c_j)``, or conditioned on ``y_mix``."""
-        if classes is not None:
-            c_i, c_j = classes
-            mean = metrics._blend(self.class_means[c_i], self.class_means[c_j], lam)
-            var = (1.0 - lam) ** 2 * self.class_vars[c_i] + lam**2 * self.class_vars[c_j]
-            spread = np.sqrt(np.maximum(var, 0.0))
-        else:
-            mean = self.edge_mean + self.slope * (y_mix - self.label_mean)
-            spread = self.spread
+    def fill(self, out, first, second, lams, rngs) -> None:
+        """Draw output ``t`` into ``out[t]`` from the ``lams[t]``-blend of the
+        class generators ``first[t]`` and ``second[t]``, or conditioned on the
+        blend of the labels ``first[t]`` and ``second[t]``, on the normals of
+        the next of the loaded generators ``rngs``. A sub-block's normals are
+        drawn before its blends, which read the ratios drawn before them."""
         size, mirror = self.upper
-        draws = mean + spread * rng.standard_normal(size)
-        draws += 0.0  # -0.0 becomes 0.0, as in the sum that mirrors a triangle
-        np.take(draws, mirror, out=out)
-        if self.is_correlation:
-            np.fill_diagonal(out, 1.0)
+        diagonal, rngs = np.arange(len(mirror)), iter(rngs)
+        for sub in _chunks(len(out), len(mirror), _SUB_BYTES):
+            draws = np.empty((sub.stop - sub.start, size))
+            for row, rng in zip(draws, rngs):
+                rng.standard_normal(out=row)
+            lam = lams[sub, None]
+            if self.classes is None:
+                y_mix = metrics._blend(first[sub, None], second[sub, None], lam)
+                mean = self.edge_mean + self.slope * (y_mix - self.label_mean)
+                draws *= self.spread
+            else:
+                i, j = (self.classes.searchsorted(c[sub]) for c in (first, second))
+                mean = metrics._blend(self.class_means[i], self.class_means[j], lam)
+                # by Python's pow, as one sample's ratio was squared
+                w = np.array([((1.0 - x) ** 2, x**2) for x in lams[sub].tolist()])
+                var = w[:, :1] * self.class_vars[i] + w[:, 1:] * self.class_vars[j]
+                draws *= np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+            draws += mean
+            draws += 0.0  # -0.0 becomes 0.0, as in the sum that mirrors a triangle
+            block = np.take(draws, mirror, axis=1, out=out[sub], mode="clip")
+            if self.is_correlation:
+                block[:, diagonal, diagonal] = 1.0
 
 
 def g_mixup_sample(
@@ -571,20 +647,21 @@ def g_mixup_sample(
     mirrored.
     """
     lam = metrics._check_ratio(lam)
-    out = np.empty((gen.dim, gen.dim))
+    out = np.empty((1, gen.dim, gen.dim))
     if gen.task == TASK_CLASSIFICATION:
         c_i, c_j = int(y_i), int(y_j)
         if gen.class_means is None or c_i not in gen.class_means or c_j not in gen.class_means:
             raise ValueError(f"generator has no fitted class for ({y_i}, {y_j})")
         classes = n_classes if n_classes is not None else max(gen.class_means) + 1
         label = _mix_labels(*_one_hot([c_i, c_j], classes), lam)
-        _EdgeDraws(gen).fill(out, lam, rng, classes=(c_i, c_j))
+        pair = [c_i], [c_j]
     else:
         if gen.edge_mean is None:
             raise ValueError("generator was not fitted for regression")
         label = _mix_labels(float(y_i), float(y_j), lam)
-        _EdgeDraws(gen).fill(out, lam, rng, y_mix=label)
-    return _sample("gmixup", out, label, *sources, lam)
+        pair = [float(y_i)], [float(y_j)]
+    _EdgeDraws(gen).fill(out, *map(np.array, pair), np.array([lam]), [rng])
+    return _sample("gmixup", out[0], label, *sources, lam)
 
 
 class _Partners:
@@ -789,13 +866,16 @@ def _partner_uniform(anchors, picks):
 
 
 def _mix_constants(dataset: LabeledDataset, config: MixConfig):
-    """What a strategy's row kernel reads for every output of one mix: the
-    mirror index of the triangle it draws on (dmixup, dropedge), the edge
-    generator's constants (gmixup) or the partner sampler (cmixup), after
-    checking the labels suit the strategy."""
+    """What a strategy's kernel reads for every output of one mix: the mask
+    positions and the mirror index of the triangle they lie on (dmixup,
+    dropedge; dropnode's are its nodes), the edge generator's constants
+    (gmixup) or the partner sampler (cmixup), after checking the labels suit
+    the strategy."""
     strategy = config.strategy
     if strategy in ("dmixup", "dropedge"):
         return _upper_mirror(dataset.dim, 0 if strategy == "dmixup" else 1)
+    if strategy == "dropnode":
+        return dataset.dim, None
     if strategy not in ("gmixup", "cmixup"):
         return None
     if dataset.task == TASK_CLASSIFICATION and dataset.has_soft_labels:
@@ -849,14 +929,15 @@ class MixStream:
     from exactly the stream that ``np.random.default_rng([config.seed, k])``
     starts, so it is a pure function of (dataset, config, k). Every output's
     anchor, partner and Beta(1, 1) ratio come from one :class:`_Streams`
-    block in bulk; the rest (other ratios, masks, normals) is drawn part by
-    part on numpy's generator, loaded from the block once per output. A
-    yielded stack is valid until the next item: a baseline's row kernel
-    writes each output of a part into one reused buffer. rmixup fills an
-    :class:`EigenCache` with the logs of the drawn sources (naming a rejected
-    one before the first part); each part is then the exponentials of a
-    chunk of mixes, the next of which the pool computes while the consumer
-    holds this one. Until the iterator ends or is dropped it keeps the
+    block in bulk. The rest is drawn part by part: masks on the block when a
+    part has many outputs per mask position, and otherwise, like gmixup's
+    normals and every ratio at alpha != 1, on numpy's generator, loaded from
+    the block once per output. A yielded stack is valid until the next item:
+    a baseline's kernel writes a whole part into one reused buffer. rmixup
+    fills an :class:`EigenCache` with the logs of the drawn sources (naming a
+    rejected one before the first part); each part is then the exponentials
+    of a chunk of mixes, the next of which the pool computes while the
+    consumer holds this one. Until the iterator ends or is dropped it keeps the
     linear-algebra pin, so other threads' matrix functions wait for it, and
     dropping it early drops the pool work still out. After the last part,
     ``ids`` holds the output ids ``m000000, ...``, ``labels`` every output's
@@ -881,7 +962,6 @@ class MixStream:
             self._table = _mix_constants(dataset, config)
         self._dataset, self._config = dataset, config
         self._hard = dataset.task == TASK_CLASSIFICATION and not dataset.has_soft_labels
-        self._y = dataset.labels.tolist() if strategy == "gmixup" else None
         self.count, self.dim, self.task = count, dataset.dim, dataset.task
         self.is_correlation = dataset.is_correlation and strategy == "gmixup"
         self.ids: list[str] | None = None
@@ -897,13 +977,13 @@ class MixStream:
             self._partners = self._table.draw_all(self._anchors, streams)
         elif count and pairwise:
             self._partners = _partner_uniform(self._anchors, streams.integers(size - 1))
-        self._lams = streams.beta_one() if pairwise and config.alpha == 1.0 else np.zeros(count)
-        if strategy in ("rmixup", "vmixup", "cmixup") and config.alpha == 1.0:
-            streams = None  # each output is drawn whole
+        self._fresh = pairwise and config.alpha != 1.0
+        self._lams = streams.beta_one() if pairwise and not self._fresh else np.zeros(count)
+        if self._fresh and strategy in ("rmixup", "vmixup", "cmixup"):
+            for _ in self._generators(streams, slice(0, count)):
+                pass  # each draws only its ratio there
         self._summaries: list[str] = []
         if strategy == "rmixup":
-            if streams is not None:
-                self._draw(slice(0, count), streams, None)
             yield from EigenCache(self._dataset)._mixes(self._anchors, self._partners, self._lams)
         else:
             parts = list(_chunks(count, self.dim))
@@ -914,34 +994,39 @@ class MixStream:
                 yield part, out
         self._finish()
 
-    def _draw(self, rows: slice, streams, out) -> None:
-        """Draw the rest of outputs ``rows`` on their ``streams``; a baseline
-        writes output ``k`` into ``out[k - rows.start]``, rmixup only draws."""
+    def _generators(self, streams: _Streams, rows: slice) -> Iterator[np.random.Generator]:
+        """The streams of outputs ``rows``, in order, each loaded into numpy's
+        generator, on which an output's ratio is drawn first unless it is
+        Beta(1, 1)."""
+        for k in range(rows.start, rows.stop):
+            rng = streams.generator(k)
+            if self._fresh:
+                self._lams[k] = sample_beta(self._config.alpha, rng)
+            yield rng
+
+    def _draw(self, rows: slice, streams: _Streams, out) -> None:
+        """Draw outputs ``rows`` into ``out`` by their strategy's kernel,
+        after their masks or gmixup's normals."""
         strategy, table, config = self._config.strategy, self._table, self._config
-        sources = self._dataset.matrices.view()
-        sources.flags.writeable = False  # a partner row is never the blend's scratch
-        hard, y, summaries = self._hard, self._y, self._summaries
-        fresh_lam = strategy in _PAIRWISE and config.alpha != 1.0
-        drawn = (a[rows].tolist() for a in (self._anchors, self._partners, self._lams))
-        for k, anchor, partner, lam in zip(range(rows.start, rows.stop), *drawn):
-            rng = None if streams is None else streams.generator(k)
-            row, mat_a = None if out is None else out[k - rows.start], sources[anchor]
-            if strategy == "dropnode":
-                summaries.append(_drop_node_row(row, mat_a, config.keep_prob, rng))
-                continue
-            if strategy == "dropedge":
-                summaries.append(_drop_edge_row(row, mat_a, config.keep_prob, rng, table))
-                continue
-            if fresh_lam:
-                lam = self._lams[k] = sample_beta(config.alpha, rng)
+        mats = self._dataset.matrices.view()
+        mats.flags.writeable = False  # a partner row is never the blend's scratch
+        a, b, lams = self._anchors[rows], self._partners[rows], self._lams[rows]
+        rngs = self._generators(streams, rows)
+        if strategy in ("vmixup", "cmixup"):
+            _blend_part(out, mats, a, b, lams)
+        elif strategy == "gmixup":
+            table.fill(out, self._dataset.labels[a], self._dataset.labels[b], lams, rngs)
+        else:
+            size, mirror = table
+            below = lams if strategy == "dmixup" else np.broadcast_to(config.keep_prob, len(a))
+            mask = _masks(size, below, rngs, streams, rows, self._fresh)
+            self._summaries += _summaries("swapped" if strategy == "dmixup" else "kept", mask)
             if strategy == "dmixup":
-                summaries.append(_d_mixup_row(row, mat_a, sources[partner], lam, rng, table))
-            elif strategy == "gmixup" and hard:
-                table.fill(row, lam, rng, classes=(y[anchor], y[partner]))
-            elif strategy == "gmixup":
-                table.fill(row, lam, rng, y_mix=metrics._blend(y[anchor], y[partner], lam))
-            elif strategy != "rmixup":
-                metrics._blend(mat_a, sources[partner], lam, out=row)
+                _swap_part(out, mats, a, b, mask, mirror)
+            elif strategy == "dropnode":
+                _drop_node_part(out, mats, a, mask)
+            else:
+                _drop_edge_part(out, mats, a, mask, mirror)
 
     def _finish(self) -> None:
         """Name every output, mix its label and record its provenance."""

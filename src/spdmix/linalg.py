@@ -80,8 +80,10 @@ _HALF_MAX = float(np.finfo(np.float64).max / 2.0)
 _CHUNK_BYTES = 4 << 20
 
 
-def _chunks(total: int, n: int) -> Iterator[slice]:
-    step = max(1, _CHUNK_BYTES // max(1, 8 * n * n))
+def _chunks(total: int, n: int, budget: int | None = None) -> Iterator[slice]:
+    """Slices of ``range(total)`` of ``budget`` bytes of ``(n, n)`` matrices
+    (``_CHUNK_BYTES`` by default), or one matrix."""
+    step = max(1, (budget or _CHUNK_BYTES) // max(1, 8 * n * n))
     for start in range(0, total, step):
         yield slice(start, min(start + step, total))
 

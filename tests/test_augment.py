@@ -368,6 +368,15 @@ class TestDropEdge:
         assert out.label == 0.42
 
 
+@pytest.mark.parametrize("drop", [drop_node, drop_edge])
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (2, 3)])
+def test_drop_takes_one_square_matrix(drop, shape):
+    # a stack used to come back as a 3-D "matrix" (drop_edge: kept=1/1), and a
+    # vector or a non-square matrix raised numpy's broadcast error
+    with pytest.raises(ValueError, match=r"must be square matrices, got shapes"):
+        drop(np.ones(shape), 0.0, 0.5, np.random.default_rng(0))
+
+
 class TestGMixupFit:
     def test_identical_samples_give_zero_sigma(self):
         mat = gen_random_spd(3, 10.0, np.random.default_rng(19)).array
@@ -737,12 +746,12 @@ class TestMixStream:
 
 class TestStreamContinuations:
     """A mix loads an output's stream into numpy's generator only for the
-    draws the block does not make (masks, normals, a ratio at alpha != 1),
-    once per output; a Beta(1, 1) pairwise mix never loads one."""
+    draws the block does not make (gmixup's normals, a ratio at alpha != 1,
+    masks of many positions per output), once per output; a mix drawn wholly
+    on the block never loads one."""
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.4, 2.5])
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_generators_loaded_per_mix(self, monkeypatch, strategy, alpha):
+    @staticmethod
+    def loaded(monkeypatch, dataset, config, count):
         loaded = []
         generator = augment._Streams.generator
 
@@ -751,11 +760,81 @@ class TestStreamContinuations:
             return generator(self, k)
 
         monkeypatch.setattr(augment._Streams, "generator", counted)
+        mix_dataset(dataset, config, count)
+        return loaded
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.4, 2.5])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_generators_loaded_per_mix(self, monkeypatch, strategy, alpha):
+        # one part of 37 outputs at n=3: dropnode's and dropedge's 3 mask
+        # positions are few next to 37 outputs, dmixup's 6 are not
         count = 37
-        mix_dataset(regression_dataset(seed=43, count=8, n=3),
-                    MixConfig(strategy, alpha=alpha, seed=4), count)
-        bulk = strategy in ("rmixup", "vmixup", "cmixup") and alpha == 1.0
-        assert loaded == ([] if bulk else list(range(count)))
+        loaded = self.loaded(monkeypatch, regression_dataset(seed=43, count=8, n=3),
+                             MixConfig(strategy, alpha=alpha, seed=4), count)
+        on_block = strategy in ("dropnode", "dropedge") or (
+            strategy in ("rmixup", "vmixup", "cmixup") and alpha == 1.0)
+        assert loaded == ([] if on_block else list(range(count)))
+
+    @pytest.mark.parametrize("strategy", ["dmixup", "dropnode", "dropedge"])
+    def test_masks_of_a_large_part_load_no_generator(self, monkeypatch, strategy):
+        ds = regression_dataset(seed=44, count=16, n=8)
+        assert self.loaded(monkeypatch, ds, MixConfig(strategy, seed=5), 5000) == []
+        # dmixup's ratio at alpha != 1 comes first, on the generator
+        loaded = self.loaded(monkeypatch, ds, MixConfig(strategy, alpha=0.4, seed=5), 5000)
+        assert loaded == ([] if strategy != "dmixup" else list(range(5000)))
+
+
+def _replayed(ds, strategy, config, k):
+    """Output ``k`` of a masked mix from ``default_rng([seed, k])`` alone: the
+    anchor, partner and ratio draws, then ``Generator.random(positions)``,
+    applied as plain numpy."""
+    rng = np.random.default_rng([config.seed, k])
+    n, a = ds.dim, int(rng.integers(len(ds)))
+    if strategy == "dropnode":
+        keep = rng.random(n) < config.keep_prob
+        return keep, ds.matrices[a] * np.outer(keep, keep)
+    upper = np.triu_indices(n, 1 if strategy == "dropedge" else 0)
+    if strategy == "dropedge":
+        mask = rng.random(len(upper[0])) < config.keep_prob
+        full = np.eye(n, dtype=bool)
+        full[upper] = full.T[upper] = mask
+        return mask, ds.matrices[a] * full
+    b = int(rng.integers(len(ds) - 1))
+    b += b >= a
+    lam = rng.beta(config.alpha, config.alpha)
+    mask = rng.random(len(upper[0])) < lam
+    full = np.zeros((n, n), dtype=bool)
+    full[upper] = full.T[upper] = mask
+    return mask, np.where(full, ds.matrices[b], ds.matrices[a])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(["dmixup", "dropnode", "dropedge"]),
+    n=st.integers(1, 4),
+    count=st.integers(1, 90),
+    alpha=st.sampled_from([1.0, 0.4]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(strategy="dropedge", n=1, count=1, alpha=1.0, seed=0)  # no positions
+@example(strategy="dropedge", n=1, count=40, alpha=1.0, seed=1)
+@example(strategy="dmixup", n=3, count=48, alpha=1.0, seed=2)  # 6 positions, on the edge
+@example(strategy="dmixup", n=3, count=47, alpha=1.0, seed=2)
+@example(strategy="dmixup", n=3, count=80, alpha=0.4, seed=3)
+@example(strategy="dropnode", n=4, count=32, alpha=1.0, seed=4)
+@example(strategy="dropnode", n=4, count=31, alpha=1.0, seed=4)
+def test_masks_on_either_side_of_the_crossover_are_numpys(strategy, n, count, alpha, seed):
+    # the block and the loaded generators draw the same bits, whichever the
+    # mask count puts a part on
+    ds = regression_dataset(seed=n, count=5, n=n)
+    config = MixConfig(strategy, alpha=alpha, seed=seed, keep_prob=0.6)
+    out, prov = mix_dataset(ds, config, count)
+    summaries = prov.mask_summary
+    for k in range(count):
+        mask, matrix = _replayed(ds, strategy, config, k)
+        assert summaries[k].endswith(f"={int(mask.sum())}/{len(mask)}")
+        assert np.array_equal(out.matrices[k], matrix)
+        assert np.array_equal(np.signbit(out.matrices[k]), np.signbit(matrix))
 
 
 class TestMixDataset:

@@ -13,7 +13,8 @@ binary file is written by ``data_io.SpdbWriter`` alone: only it calls
 ``(1 - lam) * x + lam * y`` is written only in ``metrics._blend``,
 one-hot label rows are built only by ``augment._one_hot``, and PCG64's
 multiplier and step, and every write of a bit generator's state, live only in
-the stream block ``augment._Streams``.
+the stream block ``augment._Streams``. A mask is drawn, on the block or on a
+loaded generator, only by ``augment._masks``.
 """
 
 import ast
@@ -207,6 +208,20 @@ def pcg64_writers(source: str, module: str) -> set[str]:
     return found
 
 
+def mask_drawers(source: str, module: str) -> set[str]:
+    """The functions in ``source`` that compare uniform doubles with a
+    threshold: a ``random(...)`` call on the left of ``<``, or as the first
+    operand of a ``less`` call."""
+    found = set()
+    for node, where in _scoped(ast.parse(source), module):
+        if (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Lt)
+                and _call_name(node.left) == "random"):
+            found.add(where)
+        if _call_name(node) == "less" and node.args and _call_name(node.args[0]) == "random":
+            found.add(where)
+    return found
+
+
 def all_raisers(src: Path = SRC) -> dict[str, set[str]]:
     found: dict[str, set[str]] = {pattern: set() for pattern in HOMES}
     for path in sorted(src.glob("*.py")):
@@ -391,3 +406,24 @@ def test_pcg64_guard_sees_a_second_copy():
     assert pcg64_writers(copy, "extra") == {
         "extra._streams", "extra.load", "extra.Block", "extra.Block.step"
     }
+
+
+def test_masks_have_one_home():
+    # the block-or-generator choice and the comparison sit together, so the
+    # two sides cannot drift apart; the per-output row kernels are gone
+    assert everywhere(mask_drawers) == {"augment._masks"}
+
+
+def test_mask_guard_sees_a_second_copy():
+    copy = (
+        'def _drop_node_row(out, a, keep_prob, rng):\n'
+        '    keep = rng.random(len(a)) < keep_prob\n'
+        'class Stream:\n'
+        '    def draw(self, streams, rows, lam):\n'
+        '        np.less(streams.random(rows), lam, out=self.column)\n'
+        'def pick(rng, weights):\n'
+        '    return weights.cumsum().searchsorted(rng.random())\n'
+        'def beta(u, v):\n'
+        '    return u + v <= 1.0\n'
+    )
+    assert mask_drawers(copy, "extra") == {"extra._drop_node_row", "extra.Stream.draw"}
